@@ -21,14 +21,18 @@ fall back to the trivial interval [0, +inf) instead of failing.
 Rectangle enclosures (bound_abs_f / bound_abs_fprime) are outward-rounded
 interval computations: monotone pieces are evaluated at the correct cell
 corners, trig ranges account for interior critical points, and every
-computed endpoint is nudged a few ulps outward.  They are used by the
-sublevel-set quadrature to certify cells and by the packet certifier.
+computed endpoint is widened outward in one fused pass,
+x -> max(x(1+4*2^-52), x(1-4*2^-52)) + 4*2^-1074 upward and its mirror
+image downward, which is never narrower than four ulp steps.  They are
+used by the sublevel-set quadrature to certify cells and by the packet
+certifier.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -405,18 +409,44 @@ def log_abs_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray) 
 # Outward-rounded interval helpers
 # ---------------------------------------------------------------------------
 
-def _nudge_up(x: np.ndarray, ulps: int = 4) -> np.ndarray:
-    out = np.asarray(x, dtype=float).copy()
-    for _ in range(ulps):
-        out = np.nextafter(out, np.inf)
-    return out
+# Outward rounding by one fused widening (the successor bound of Rump,
+# Zimmermann, Boldo and Melquiond, BIT 49 (2009), applied array-wide as in
+# Rump, BIT 39 (1999)).  Claim: _nudge_up(x) >= nextafter^4(x, +inf) for
+# every double x, and _nudge_down is its mirror image.  Proof, with
+# eps = 2^-52 and eta = 2^-1074: for finite x the larger product is
+# p = fl(x + 4 eps |x|), one rounding of that exact value, and the result is
+# fl(p + 4 eta) >= p >= x.  Rounding to nearest is monotone, so the result is
+# >= every double F with F <= x + 4 eps |x| or F <= x + 4 eta.  Take F = the
+# fourth successor of x.
+#   |x| in [2^e, 2^(e+1)), e >= -1022, where doubles are s = 2^(e-52) <= eps |x|
+#   apart.  From x < 0 each step is at most s.  From x > 0 four steps cover 4s,
+#   or, when they cross 2^(e+1) (+inf in the role of 2^1024) where the spacing
+#   doubles, at most 3s + 2s + 2s = 7s, i.e. 7 half-ulps of the upper binade;
+#   that needs x >= 2^(e+1) - 3s, so 4 eps x >= 8s - 12 eps s > 7s.  Either
+#   way F <= x + 4 eps |x|.
+#   |x| < 2^-1022: every double below 2^-1021 is a multiple of eta, so
+#   F = x + 4 eta.
+# Products never meet inf - inf, so no NaN arises; +inf stays +inf and the
+# final clamp lifts -inf to its own fourth successor.  NaN passes through.
+_WIDEN_REL = 4.0 * 2.0 ** -52
+_WIDEN_ABS = 4.0 * 2.0 ** -1074
+_DOWN_CEIL = sys.float_info.max - 3.0 * 2.0 ** 971  # nextafter^4(+inf, -inf)
 
 
-def _nudge_down(x: np.ndarray, ulps: int = 4) -> np.ndarray:
-    out = np.asarray(x, dtype=float).copy()
-    for _ in range(ulps):
-        out = np.nextafter(out, -np.inf)
-    return out
+def _nudge_up(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(x * (1.0 + _WIDEN_REL))  # a 0-d product is a scalar
+    np.maximum(out, x * (1.0 - _WIDEN_REL), out=out)
+    out += _WIDEN_ABS
+    return np.maximum(out, -_DOWN_CEIL, out=out)
+
+
+def _nudge_down(x: np.ndarray) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    out = np.asarray(x * (1.0 + _WIDEN_REL))
+    np.minimum(out, x * (1.0 - _WIDEN_REL), out=out)
+    out -= _WIDEN_ABS
+    return np.minimum(out, _DOWN_CEIL, out=out)
 
 
 def _interval_trig(lo: np.ndarray, hi: np.ndarray, use_cos: bool):
@@ -523,6 +553,15 @@ def _u_ranges(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     return w_log_lo, w_log_hi, _nudge_down(2.0 * p_lo), _nudge_up(2.0 * p_hi)
 
 
+def _bound_exp_batch(re_lo, re_hi, im_lo):
+    """EXP enclosure of both |f| and |f'| = e^x: the cell's Re edges."""
+    shape = np.broadcast(re_lo, im_lo).shape
+    return (
+        _nudge_down(np.broadcast_to(re_lo, shape)),
+        _nudge_up(np.broadcast_to(re_hi, shape)),
+    )
+
+
 def bound_abs_f_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     """(log_lo, log_hi) enclosures of |f| over each cell, vectorized."""
     re_lo = np.asarray(re_lo, dtype=float)
@@ -530,11 +569,7 @@ def bound_abs_f_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     im_lo = np.asarray(im_lo, dtype=float)
     im_hi = np.asarray(im_hi, dtype=float)
     if family is GraphFamily.EXP:
-        shape = np.broadcast(re_lo, im_lo).shape
-        return (
-            _nudge_down(np.broadcast_to(re_lo, shape).astype(float)),
-            _nudge_up(np.broadcast_to(re_hi, shape).astype(float)),
-        )
+        return _bound_exp_batch(re_lo, re_hi, im_lo)
     w_log_lo, w_log_hi, a_lo, a_hi = _u_ranges(family, re_lo, re_hi, im_lo, im_hi)
     return _bound_trig_of_exp_batch(w_log_lo, w_log_hi, a_lo, a_hi, use_cos=False)
 
@@ -546,11 +581,7 @@ def bound_abs_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     im_lo = np.asarray(im_lo, dtype=float)
     im_hi = np.asarray(im_hi, dtype=float)
     if family is GraphFamily.EXP:
-        shape = np.broadcast(re_lo, im_lo).shape
-        return (
-            _nudge_down(np.broadcast_to(re_lo, shape).astype(float)),
-            _nudge_up(np.broadcast_to(re_hi, shape).astype(float)),
-        )
+        return _bound_exp_batch(re_lo, re_hi, im_lo)
     w_log_lo, w_log_hi, a_lo, a_hi = _u_ranges(family, re_lo, re_hi, im_lo, im_hi)
     c_lo, c_hi = _bound_trig_of_exp_batch(w_log_lo, w_log_hi, a_lo, a_hi, use_cos=True)
     if family is GraphFamily.SIN_EXP:

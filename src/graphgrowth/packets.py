@@ -39,6 +39,8 @@ import numpy as np
 
 from .families import (
     GraphFamily,
+    _nudge_down,
+    _nudge_up,
     bound_abs_f_batch,
     bound_abs_fprime_batch,
     log_abs_f_batch,
@@ -236,8 +238,8 @@ def certify_packet(packet: DiskPacket, method: CertifyMethod | None = None,
             _, f_hi = bound_abs_f_batch(packet.family, xlo, xhi, ylo, yhi)
             fp_lo, _ = bound_abs_fprime_batch(packet.family, xlo, xhi, ylo, yhi)
             with np.errstate(over="ignore"):
-                max_f = float(np.exp(np.max(f_hi)))
-                min_fp = float(np.exp(np.min(fp_lo)))
+                max_f = float(_nudge_up(np.exp(np.max(f_hi))))
+                min_fp = float(np.maximum(_nudge_down(np.exp(np.min(fp_lo))), 0.0))
             cert = PacketCertificate(
                 n=packet.n,
                 method=method,

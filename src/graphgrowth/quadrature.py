@@ -25,6 +25,7 @@ regardless of any ambient threading configuration.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -33,6 +34,7 @@ import numpy as np
 from .families import (
     GraphFamily,
     RectBounds,
+    _nudge_down,
     bound_abs_f_batch,
     bound_abs_fprime_batch,
     log_abs_f_batch,
@@ -203,10 +205,27 @@ def _inside_lower_sum(family: GraphFamily, xlo, xhi, ylo, yhi) -> float:
     if xlo.size == 0:
         return 0.0
     fp_lo_log, _ = bound_abs_fprime_batch(family, xlo, xhi, ylo, yhi)
+    # A downward widening moves a value by at least 3.5*2^-52 of itself after
+    # its own rounding: more than the error of exp (1 ulp on numpy's
+    # validation set) or of the five roundings in a term (2.5*2^-52).
     with np.errstate(over="ignore"):
-        fp_lo2 = np.where(np.isneginf(fp_lo_log), 0.0, np.exp(2.0 * fp_lo_log))
-    areas = (xhi - xlo) * (yhi - ylo)
-    return float(np.sum(areas * (1.0 + fp_lo2)))
+        fp_lo2 = np.maximum(_nudge_down(np.exp(2.0 * fp_lo_log)), 0.0)
+    terms = _nudge_down((xhi - xlo) * (yhi - ylo) * (1.0 + fp_lo2))
+    return _sum_down(terms)
+
+
+def _sum_down(terms) -> float:
+    """Lower bound of the exact sum of nonnegative terms.
+
+    fsum is correctly rounded, so one step toward -inf lands at or below
+    the exact sum; a sum beyond the double range rounds down to the
+    largest double.
+    """
+    try:
+        total = math.fsum(terms)
+    except OverflowError:
+        return sys.float_info.max
+    return max(0.0, math.nextafter(total, -math.inf))
 
 
 def _membership(family: GraphFamily, r: float, zre, zim) -> np.ndarray:
@@ -259,7 +278,7 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
     ylo = np.array([-half])
     yhi = np.array([half])
 
-    lower = 0.0
+    lower_parts: list[float] = []
     cells_inside = 0
     depth_reached = 0
     final_b = (np.empty(0),) * 4
@@ -272,12 +291,15 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
         ins = codes == _INSIDE
         und = (codes == _BOUNDARY) | (codes == _UNKNOWN)
         cells_inside += int(np.count_nonzero(ins))
-        lower += _inside_lower_sum(domain.family, xlo[ins], xhi[ins], ylo[ins], yhi[ins])
+        lower_parts.append(
+            _inside_lower_sum(domain.family, xlo[ins], xhi[ins], ylo[ins], yhi[ins])
+        )
         if depth == cfg.max_depth:
             final_b = (xlo[und], xhi[und], ylo[und], yhi[und])
             break
         xlo, xhi, ylo, yhi = _split4(xlo[und], xhi[und], ylo[und], yhi[und])
 
+    lower = _sum_down(lower_parts)
     bx_lo, bx_hi, by_lo, by_hi = final_b
     cells_boundary = int(bx_lo.size)
     leftover_area = float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo))) if cells_boundary else 0.0

@@ -42,7 +42,7 @@ def test_area_exp_frozen_row():
     lines = proc.stdout.splitlines()
     assert lines[0] == ("r,area_lower,area_estimate,source,cells_inside,"
                        "cells_boundary,depth_reached")
-    assert lines[1] == ("2,11.058114197050379,11.125758485740823,"
+    assert lines[1] == ("2,11.058114197050362,11.125758485740805,"
                        "Quadrature,2614,2768,10")
     assert float(lines[1].split(",")[2]) <= 13.35
 
@@ -89,7 +89,7 @@ def test_packets_frozen_first_row():
     proc = run_cli("packets", "--family", "sin-exp", "--n", "1..1")
     assert proc.stdout.splitlines()[1] == (
         "1,1.1447298858494002,0.019894367886486918,"
-        "0.079042209552702802,3.0738081045980761,true,true,true"
+        "0.079042209552705398,3.0738081045980721,true,true,true"
     )
 
 
@@ -263,7 +263,7 @@ def test_plot_exp_loglog_slope(tmp_path):
     assert proc.returncode == 0
     text = out.read_text()
     title = next(line for line in text.splitlines() if "<title>" in line)
-    assert "fitted slope=2.2812679407927163" in title
+    assert "fitted slope=2.2812679407927159" in title
 
 
 def test_plot_empty_csv_exit_2(tmp_path):

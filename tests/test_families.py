@@ -1,7 +1,8 @@
 """Point evaluation and rigorous cell enclosures for the three families.
 
 Oracle: mpmath at 40 digits for point values; dense sampling inside
-cells for enclosure soundness.
+cells, and mpmath at 50 digits at cell corners and centres, for enclosure
+soundness; repeated np.nextafter for the outward widening.
 """
 
 import cmath
@@ -24,6 +25,8 @@ from graphgrowth import (
     eval_fprime,
 )
 from graphgrowth.families import (
+    _nudge_down,
+    _nudge_up,
     bound_abs_f_batch,
     bound_abs_fprime_batch,
     log_abs_f_batch,
@@ -186,6 +189,27 @@ def test_cell_enclosures_contain_samples(family, rng):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
+def test_cell_enclosures_contain_mpmath_values(family):
+    # log|f| and log|f'| at 50 digits at the corners and centre of each cell
+    # lie inside the float enclosure with no slack at all
+    rng = np.random.default_rng(20261017)
+    half = SAFE_BOX[family]
+    cells = np.array([sample_cell(rng, -half, half) for _ in range(300)])
+    re_lo, re_hi, im_lo, im_hi = cells.T
+    f_lo, f_hi = bound_abs_f_batch(family, re_lo, re_hi, im_lo, im_hi)
+    fp_lo, fp_hi = bound_abs_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
+    with mpmath.workdps(50):
+        for i, (x0, x1, y0, y1) in enumerate(cells):
+            centre = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
+            for z in (complex(x0, y0), complex(x1, y0), complex(x0, y1),
+                      complex(x1, y1), centre):
+                for w, lo, hi in ((mp_f(family, z), f_lo[i], f_hi[i]),
+                                  (mp_fprime(family, z), fp_lo[i], fp_hi[i])):
+                    log_w = mpmath.log(abs(w)) if w != 0 else -mpmath.inf
+                    assert lo <= log_w <= hi, (z, lo, log_w, hi)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
 def test_point_log_batch_matches_mpmath(family, rng):
     half = SAFE_BOX[family]
     xs = rng.uniform(-half, half, size=200)
@@ -200,6 +224,32 @@ def test_point_log_batch_matches_mpmath(family, rng):
             assert got_f[i] == pytest.approx(want_f, rel=1e-10, abs=1e-8)
         if math.isfinite(want_fp):
             assert got_fp[i] == pytest.approx(want_fp, rel=1e-10, abs=1e-8)
+
+
+def _nextafter4(x, direction):
+    for _ in range(4):
+        x = np.nextafter(x, direction)
+    return x
+
+
+def test_nudges_dominate_four_ulp_steps():
+    # exact, on both signs of: zero, subnormals, every power of two (binade
+    # edge) and its neighbours, max, inf; plus 10^6 random bit patterns
+    edges = np.ldexp(1.0, np.arange(-1074, 1024))
+    special = np.array([0.0, 5e-324, 2.5e-322, 2.2250738585072009e-308,
+                        1.7976931348623157e308, np.inf])
+    pos = np.concatenate([
+        special, edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf),
+    ])
+    bits = np.random.default_rng(20261017).integers(
+        0, 2**64, size=10**6, dtype=np.uint64, endpoint=False)
+    rand = bits.view(np.float64)
+    x = np.concatenate([pos, -pos, rand[~np.isnan(rand)]])
+    with np.errstate(over="ignore"):
+        assert np.all(_nudge_up(x) >= _nextafter4(x, np.inf))
+        assert np.all(_nudge_down(x) <= _nextafter4(x, -np.inf))
+    assert np.isnan(_nudge_up(np.array([np.nan]))[0])
+    assert np.isnan(_nudge_down(np.array([np.nan]))[0])
 
 
 def test_exp_cell_bound_is_tight():

@@ -73,8 +73,8 @@ def test_classify_overflow_cell_unknown():
 def test_exp_r2_estimate_below_closed_bound():
     res = graph_area(SublevelDomain(GraphFamily.EXP, 2.0), estimate_cfg())
     assert res.estimate <= 13.35
-    assert res.lower == 11.058114197050379
-    assert res.estimate == 11.125758485740823
+    assert res.lower == 11.058114197050362
+    assert res.estimate == 11.125758485740805
     assert res.cells_inside == 2614
     assert res.cells_boundary == 2768
     assert res.depth_reached == 10
@@ -84,14 +84,14 @@ def test_sin_exp_lower_contains_first_packet():
     # r = 3.2 >= log(pi) + 2, so packet D_1 lies inside
     res = graph_area(SublevelDomain(GraphFamily.SIN_EXP, 3.2), lower_cfg())
     assert res.lower >= math.pi / 4096
-    assert res.lower == 77.707330813720773
+    assert res.lower == 77.707330813720219
 
 
 def test_frozen_lower_values():
     got = graph_area(SublevelDomain(GraphFamily.SIN_EXP, 1.5), lower_cfg()).lower
-    assert got == 7.4301355111692997
+    assert got == 7.4301355111692802
     got = graph_area(SublevelDomain(GraphFamily.SIN_EXP_SQ, 1.8), lower_cfg()).lower
-    assert got == 30.624308207516258
+    assert got == 30.624308207515917
 
 
 def test_tiny_radius_empty_domain():
