@@ -45,6 +45,7 @@ from .packets import (
     DisjointnessReport,
     PacketCertificate,
     certify_packet,
+    certify_packets,
     count_packets_in_ball,
     fprime_target,
     make_packet,
@@ -90,8 +91,8 @@ __all__ = [
     "ez_area_closed_bound",
     "DiskPacket", "PacketCertificate", "CertifyMethod", "DisjointnessReport",
     "DELTA_MAX", "F_TARGET", "make_packet", "fprime_target", "certify_packet",
-    "verify_ez_minus_one_bound", "verify_disjoint", "count_packets_in_ball",
-    "packet_area_lower", "packet_growth_lower_bound",
+    "certify_packets", "verify_ez_minus_one_bound", "verify_disjoint",
+    "count_packets_in_ball", "packet_area_lower", "packet_growth_lower_bound",
     "GrowthModel", "SampleSource", "GrowthSample", "GrowthFit",
     "InsufficientSamplesError", "NonPositiveAreaError", "NoWitnessError",
     "fit_growth", "classify_growth", "witness_constants",

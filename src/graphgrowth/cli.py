@@ -10,9 +10,8 @@ Commands
 Output contracts: CSV uses UTF-8, "\n" line endings, "." decimals, and
 fixed column orders; JSON is a single object per invocation with stable
 keys; every numeric value is printed with 17 significant digits so that
-identical invocations are byte-identical.  The only environment knob is
-GRAPHGROWTH_THREADS (worker count for packet certification); results do
-not depend on it, only wall time does.
+identical invocations are byte-identical.  No environment variable
+affects any command.
 
 Exit codes: 0 success, 2 usage or input error, 3 guarded-resource
 refusal (radius beyond the family cap without --allow-large-r).
@@ -23,10 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from .families import GraphFamily
 from .growth import (
@@ -40,7 +38,7 @@ from .growth import (
 )
 from .packets import (
     CertifyMethod,
-    certify_packet,
+    certify_packets,
     make_packet,
     packet_growth_lower_bound,
     verify_disjoint,
@@ -62,37 +60,7 @@ from .schedule import (
 )
 from .svgplot import AXES_MODES, render_line_chart
 
-__all__ = ["RunConfig", "main"]
-
-_FORMATS_BY_COMMAND = {
-    "area": ("csv",),
-    "packets": ("csv",),
-    "growth": ("json",),
-    "schedule": ("csv", "json"),
-    "plot": ("svg",),
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved invocation: command, selectors, output routing."""
-
-    command: str
-    output_path: str = "-"
-    format: str = ""
-    family: GraphFamily | None = None
-    variant: RadiiVariant | None = None
-    options: dict = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        allowed = _FORMATS_BY_COMMAND.get(self.command)
-        if allowed is None:
-            raise ValueError(f"unknown command {self.command!r}")
-        if self.format not in allowed:
-            raise ValueError(
-                f"format {self.format!r} not supported by {self.command} "
-                f"(allowed: {', '.join(allowed)})"
-            )
+__all__ = ["main"]
 
 
 def _fmt(x: float) -> str:
@@ -138,27 +106,6 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("GRAPHGROWTH_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"GRAPHGROWTH_THREADS must be an integer, got {raw!r}") from exc
-    if count < 1:
-        raise ValueError("GRAPHGROWTH_THREADS must be >= 1")
-    return count
-
-
-def _map_ordered(fn, items):
-    """Order-preserving map; worker count affects wall time only."""
-    items = list(items)
-    threads = _thread_count()
-    if threads == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 def _parse_reals(text: str) -> list[float]:
     try:
         values = [float(part) for part in text.split(",") if part.strip() != ""]
@@ -188,7 +135,6 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_area(args: argparse.Namespace) -> int:
     family = GraphFamily.parse(args.family)
-    RunConfig(command="area", output_path=args.output, format=args.format, family=family)
     radii = _parse_reals(args.r)
     mode = QuadMode.LOWER_BOUND if args.mode == "lower" else QuadMode.ESTIMATE
     cfg = QuadConfig(
@@ -220,31 +166,20 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 def _cmd_packets(args: argparse.Namespace) -> int:
     family = GraphFamily.parse(args.family)
-    RunConfig(command="packets", output_path=args.output, format=args.format, family=family)
     n_lo, n_hi = _parse_range(args.n)
     method = (CertifyMethod.INTERVAL_PROOF if args.method == "interval"
               else CertifyMethod.DENSE_SAMPLING)
     packets = [make_packet(family, n, args.delta) for n in range(n_lo, n_hi + 1)]
 
-    # aggregate disjointness check also validates layout monotonicity
-    verify_disjoint(family, n_lo, n_hi, args.delta)
-    centers = [p.center for p in packets]
-    radii = [p.radius for p in packets]
-    gaps = [centers[i + 1] - centers[i] - radii[i + 1] - radii[i]
-            for i in range(len(packets) - 1)]
+    # a packet is disjoint when the gaps on both of its sides are positive
+    gap_ok = verify_disjoint(family, n_lo, n_hi, args.delta).gaps > 0
+    disjoint = np.append(gap_ok, True) & np.insert(gap_ok, 0, True)
 
-    certified = _map_ordered(
-        lambda p: certify_packet(p, method, samples=args.samples), packets
-    )
     rows = []
-    for i, packet in enumerate(certified):
+    for packet, row_disjoint in zip(certify_packets(packets, method, args.samples),
+                                    disjoint.tolist()):
         cert = packet.certificate
         assert cert is not None
-        row_disjoint = all(
-            gap > 0 for gap in (
-                ([gaps[i - 1]] if i > 0 else []) + ([gaps[i]] if i < len(gaps) else [])
-            )
-        )
         rows.append([
             str(packet.n),
             _fmt(packet.center),
@@ -312,7 +247,6 @@ def _generate_samples(args: argparse.Namespace) -> list[GrowthSample]:
 
 
 def _cmd_growth(args: argparse.Namespace) -> int:
-    RunConfig(command="growth", output_path=args.output, format=args.format)
     if args.input is not None:
         samples = _read_samples_csv(args.input)
     elif args.family is not None and args.r is not None:
@@ -347,8 +281,6 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
     variant = RadiiVariant.parse(args.variant)
-    RunConfig(command="schedule", output_path=args.output, format=args.format,
-              variant=variant)
     cfg = ScheduleConfig(
         variant=variant,
         N=args.N,
@@ -422,7 +354,6 @@ def _read_plot_columns(path: str) -> tuple[list[float], list[float]]:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    RunConfig(command="plot", output_path=args.output, format=args.format)
     xs, ys = _read_plot_columns(args.input)
     svg = render_line_chart(xs, ys, args.mode, label=args.label)
     _write_output(args.output, svg)
@@ -449,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_area.add_argument("--samples-per-cell", type=int, default=4)
     p_area.add_argument("--allow-large-r", action="store_true")
     p_area.add_argument("--output", default="-")
-    p_area.add_argument("--format", default="csv")
+    p_area.add_argument("--format", choices=("csv",), default="csv")
     p_area.set_defaults(func=_cmd_area)
 
     p_pack = sub.add_parser("packets", help="packet certification ledger")
@@ -459,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_pack.add_argument("--samples", type=int, default=10000)
     p_pack.add_argument("--delta", type=float, default=None)
     p_pack.add_argument("--output", default="-")
-    p_pack.add_argument("--format", default="csv")
+    p_pack.add_argument("--format", choices=("csv",), default="csv")
     p_pack.set_defaults(func=_cmd_packets)
 
     p_growth = sub.add_parser("growth", help="fit growth models")
@@ -473,7 +404,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           choices=("polynomial", "exponential", "gaussian"),
                           default=None)
     p_growth.add_argument("--output", default="-")
-    p_growth.add_argument("--format", default="json")
+    p_growth.add_argument("--format", choices=("json",), default="json")
     p_growth.set_defaults(func=_cmd_growth)
 
     p_sched = sub.add_parser("schedule", help="induction parameter tables")
@@ -485,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sched.add_argument("--a0", type=float, default=math.pi / 4096.0)
     p_sched.add_argument("--query-R", dest="query_R", default=None)
     p_sched.add_argument("--output", default="-")
-    p_sched.add_argument("--format", default="csv")
+    p_sched.add_argument("--format", choices=("csv", "json"), default="csv")
     p_sched.set_defaults(func=_cmd_schedule)
 
     p_plot = sub.add_parser("plot", help="SVG chart from CSV")
@@ -493,7 +424,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plot.add_argument("--mode", choices=AXES_MODES, default="linear")
     p_plot.add_argument("--label", default="growth curve")
     p_plot.add_argument("--output", default="-")
-    p_plot.add_argument("--format", default="svg")
+    p_plot.add_argument("--format", choices=("svg",), default="svg")
     p_plot.set_defaults(func=_cmd_plot)
 
     return parser

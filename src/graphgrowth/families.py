@@ -173,16 +173,6 @@ class RectBounds:
         dy = max(abs(self.im_lo), abs(self.im_hi))
         return dx * dx + dy * dy
 
-    def split4(self) -> tuple["RectBounds", ...]:
-        xm = 0.5 * (self.re_lo + self.re_hi)
-        ym = 0.5 * (self.im_lo + self.im_hi)
-        return (
-            RectBounds(self.re_lo, xm, self.im_lo, ym),
-            RectBounds(xm, self.re_hi, self.im_lo, ym),
-            RectBounds(self.re_lo, xm, ym, self.im_hi),
-            RectBounds(xm, self.re_hi, ym, self.im_hi),
-        )
-
 
 @dataclass(frozen=True)
 class MagInterval:

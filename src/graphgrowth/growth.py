@@ -207,7 +207,6 @@ def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
         k = int(math.floor(float(np.min(caps)) / granularity))
         if k < 1:
             continue
-        c = k * granularity
         # re-verify (floor can sit exactly on the boundary)
         while k >= 1 and not np.all(yi >= log_c_const + k * granularity * mi):
             k -= 1

@@ -17,6 +17,7 @@ from graphgrowth import (
     QuadMode,
     SublevelDomain,
     certify_packet,
+    certify_packets,
     count_packets_in_ball,
     graph_area,
     make_packet,
@@ -25,7 +26,10 @@ from graphgrowth import (
     verify_disjoint,
     verify_ez_minus_one_bound,
 )
+from graphgrowth import packets
 from graphgrowth.packets import DELTA_MAX, F_TARGET, fprime_target
+
+from conftest import run_cli
 
 PI = math.pi
 
@@ -132,6 +136,65 @@ def test_certify_gaussian_packets():
         assert p.certificate.certified, n
 
 
+def test_certify_huge_n_reports_failed_proof():
+    # e^z ~ n*pi = 3e13 lies beyond the enclosure kernels' trig argument
+    # limit, so the proof cannot close; it must say so, not fall back
+    p = certify_packet(make_packet(GraphFamily.SIN_EXP, 10**13),
+                       CertifyMethod.INTERVAL_PROOF)
+    assert p.certificate.method is CertifyMethod.INTERVAL_PROOF
+    assert p.certificate.certified is False
+    assert p.certificate.samples == 0
+    proc = run_cli("packets", "--family", "sin-exp", "--n", str(10**13))
+    assert proc.returncode == 0
+    row = proc.stdout.splitlines()[1].split(",")
+    assert row[0] == str(10**13)
+    assert "false" in row[5:7]
+
+
+def _proof_extrema_one_packet(p):
+    """Reference: the grid-8 interval proof of one packet on its own,
+    one enclosure call per bound and packet."""
+    grid = 8
+    edges = p.center - p.radius + 2.0 * p.radius * np.arange(grid + 1) / grid
+    xlo, xhi = np.repeat(edges[:-1], grid), np.repeat(edges[1:], grid)
+    ylo, yhi = np.tile(edges[:-1] - p.center, grid), np.tile(edges[1:] - p.center, grid)
+    dx = np.maximum(0.0, np.maximum(xlo - p.center, p.center - xhi))
+    dy = np.maximum(0.0, np.maximum(ylo, -yhi))
+    keep = dx * dx + dy * dy <= p.radius * p.radius
+    cells = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+    _, f_hi = packets.bound_abs_f_batch(p.family, *cells)
+    fp_lo, _ = packets.bound_abs_fprime_batch(p.family, *cells)
+    max_f = float(packets._nudge_up(np.exp(np.max(f_hi))))
+    min_fp = float(np.maximum(packets._nudge_down(np.exp(np.min(fp_lo))), 0.0))
+    return max_f, min_fp
+
+
+def test_batched_certificates_match_single_packets():
+    # both ranges span more than two groups, and the mixed list makes the
+    # batch split at the family change as well as at group boundaries
+    ns_se = range(1, 301)
+    ns_sq = range(2, 301)
+    assert len(ns_sq) > 2 * packets._CERTIFY_GROUP
+    ledger = ([make_packet(GraphFamily.SIN_EXP, n) for n in ns_se]
+              + [make_packet(GraphFamily.SIN_EXP_SQ, n, delta=0.01) for n in ns_sq])
+    batch = certify_packets(ledger, CertifyMethod.INTERVAL_PROOF)
+    assert [p.n for p in batch] == [p.n for p in ledger]
+    for base, got in zip(ledger, batch):
+        assert got == certify_packet(base, CertifyMethod.INTERVAL_PROOF), base.n
+        cert = got.certificate
+        assert (cert.max_abs_f, cert.min_abs_fprime) == _proof_extrema_one_packet(base)
+        assert cert.certified, base.n
+
+
+def test_certify_packets_sampling_on_request_only():
+    ledger = [make_packet(GraphFamily.SIN_EXP, n) for n in (3, 4)]
+    sampled = certify_packets(ledger, CertifyMethod.DENSE_SAMPLING, samples=500)
+    assert [p.certificate.method for p in sampled] == [CertifyMethod.DENSE_SAMPLING] * 2
+    assert all(p.certificate.samples >= 500 for p in sampled)
+    assert [p.certificate.method for p in certify_packets(ledger)] == \
+        [CertifyMethod.INTERVAL_PROOF] * 2
+
+
 def test_certify_rejects_exp():
     import dataclasses
     p = make_packet(GraphFamily.SIN_EXP, 1)
@@ -178,6 +241,15 @@ def test_disjoint_degenerate_range():
     rep = verify_disjoint(GraphFamily.SIN_EXP, 5, 5)
     assert rep.all_disjoint
     assert rep.min_gap == float("inf")
+
+
+def test_disjoint_gaps_per_adjacent_pair():
+    rep = verify_disjoint(GraphFamily.SIN_EXP, 5, 9)
+    assert rep.gaps.shape == (4,)
+    assert rep.min_gap == float(np.min(rep.gaps))
+    assert rep.gaps[0] == pytest.approx(math.log(6 / 5) - (1 / (80 * PI) + 1 / (96 * PI)),
+                                        rel=1e-12)
+    assert verify_disjoint(GraphFamily.SIN_EXP, 5, 5).gaps.size == 0
 
 
 def test_disjoint_gaussian():
