@@ -69,6 +69,7 @@ from .quadrature import (
 from .schedule import (
     InsufficientRowsError,
     RadiiVariant,
+    Schedule,
     ScheduleConfig,
     ScheduleDiagnostics,
     ScheduleRow,
@@ -96,7 +97,8 @@ __all__ = [
     "GrowthModel", "SampleSource", "GrowthSample", "GrowthFit",
     "InsufficientSamplesError", "NonPositiveAreaError", "NoWitnessError",
     "fit_growth", "classify_growth", "witness_constants",
-    "RadiiVariant", "ScheduleConfig", "ScheduleRow", "ScheduleDiagnostics",
+    "RadiiVariant", "ScheduleConfig", "ScheduleRow", "Schedule",
+    "ScheduleDiagnostics",
     "InsufficientRowsError", "solve_sigma", "sigma_residual", "check_hyp2",
     "build_schedule", "diagnostics", "completeness_trend", "queryable_range",
     "__version__",

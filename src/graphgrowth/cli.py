@@ -23,6 +23,7 @@ import argparse
 import csv
 import math
 import sys
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
@@ -100,7 +101,7 @@ def _write_output(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[Sequence[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -289,30 +290,32 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         theta=args.theta,
         a0=args.a0,
     )
-    rows = build_schedule(cfg)
+    schedule = build_schedule(cfg)
 
     if args.format == "csv":
         header = ["n", "r_n", "mu_n", "a_n", "b_n", "eps_n",
                   "sigma_n", "eta_n", "hyp2_ok", "sigma_feasible"]
-        table = [[
-            str(row.n),
-            _fmt(row.r_n),
-            _fmt(row.mu_n),
-            _fmt(row.a_n),
-            _fmt(row.b_n),
-            _fmt(row.eps_n),
-            _fmt(row.sigma_n) if row.sigma_n is not None else "",
-            _fmt(row.eta_n),
-            _fmt_bool(row.hyp2_ok),
-            _fmt_bool(row.sigma_feasible),
-        ] for row in rows]
+        fmt = "%.17g".__mod__  # the same text as _fmt, one column at a time
+        a = list(map(fmt, schedule.a.tolist()))
+        sigma = [fmt(s) if ok else "" for s, ok in
+                 zip(schedule.sigma.tolist(), schedule.sigma_feasible.tolist())]
+        table = zip(
+            map(str, schedule.n.tolist()),
+            map(fmt, schedule.r[:-1].tolist()),
+            map(fmt, schedule.mu.tolist()),
+            a, a, a,
+            sigma,
+            map(fmt, schedule.eta.tolist()),
+            map(_fmt_bool, schedule.hyp2_ok.tolist()),
+            map(_fmt_bool, schedule.sigma_feasible.tolist()),
+        )
         _write_output(args.output, _csv_text(header, table))
         return 0
 
     queries = _parse_reals(args.query_R) if args.query_R else None
-    diag = diagnostics(rows, cfg, queries)
+    diag = diagnostics(schedule, cfg, queries)
     try:
-        exponent, diverging = completeness_trend(rows, cfg)
+        exponent, diverging = completeness_trend(schedule, cfg)
         trend = {"exponent": exponent, "diverging": diverging}
     except InsufficientRowsError:
         trend = None

@@ -33,9 +33,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from itertools import repeat
 
 import numpy as np
 
@@ -43,6 +44,7 @@ __all__ = [
     "RadiiVariant",
     "ScheduleConfig",
     "ScheduleRow",
+    "Schedule",
     "ScheduleDiagnostics",
     "InsufficientRowsError",
     "solve_sigma",
@@ -118,19 +120,6 @@ class ScheduleDiagnostics:
     all_sigma_feasible: bool
 
 
-def _radius(cfg: ScheduleConfig, n: int) -> float:
-    if cfg.variant is RadiiVariant.EXP_RADII:
-        return cfg.theta * math.log(n + cfg.n0)
-    return math.sqrt(math.log(n + cfg.n0) / cfg.d)
-
-
-def _smallness(cfg: ScheduleConfig, n: int) -> float:
-    cube = float(n + cfg.n0) ** -3
-    if cfg.variant is RadiiVariant.EXP_RADII:
-        return cube
-    return cube / (n * math.sqrt(math.log(n + 2)))
-
-
 def solve_sigma(r: float, a: float, eps_next: float, half_dist: float) -> float | None:
     """Solve sqrt((r+a)^2 + (2s+a)^2) = r + half_dist - eps_next for s > 0.
 
@@ -179,67 +168,146 @@ def check_hyp2(r: float, a: float, eps: float, dist: float) -> bool:
         raise ValueError("r must be positive and finite")
     if a < 0 or eps < 0 or dist <= 0:
         raise ValueError("need a >= 0, eps >= 0, dist > 0")
-    lhs = (2.0 * a * r + 2.0 * a * a) / (math.sqrt((a + r) ** 2 + a * a) + r) + eps
+    lhs = (2.0 * a * r + 2.0 * a * a) / (math.sqrt((a + r) * (a + r) + a * a) + r) + eps
     return lhs < dist / 2.0
 
 
-def _eps_tail_sums(cfg: ScheduleConfig) -> np.ndarray:
-    """suffix[n-1] = sum_{k>=n} eps_k including the analytic remainder
-    for k > N.
+@dataclass(frozen=True, eq=False)
+class Schedule(Sequence[ScheduleRow]):
+    """A built schedule as equal-length numpy columns, one entry per stage.
 
-    The cube series tail obeys the integral comparison
-    sum_{k>N} (k+n0)^-3 <= 1/2 * (N+n0)^-2; the Gaussian variant's extra
-    factor 1/(k*sqrt(log(k+2))) is decreasing, so the same bound scaled
-    by its value at k=N dominates that tail.
+    r has N+1 entries, so r[1:] holds r_{n+1}; a holds a_n = b_n = eps_n;
+    sigma is NaN where the stage is infeasible.  Indexing and iteration
+    build ScheduleRow values on demand.
     """
-    ns = np.arange(1, cfg.N + 1, dtype=float)
-    eps = (ns + cfg.n0) ** -3
-    remainder = 0.5 * float(cfg.N + cfg.n0) ** -2
+
+    n: np.ndarray
+    r: np.ndarray
+    mu: np.ndarray
+    a: np.ndarray
+    sigma: np.ndarray
+    eta: np.ndarray
+    hyp2_ok: np.ndarray
+    sigma_feasible: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[ScheduleRow]) -> "Schedule":
+        """Columns of rows taken as consecutive stages.
+
+        The radius after the last row is r_N + mu_N.  For a built
+        schedule that is r_{N+1} exactly: r_{N+1} <= 2*r_N, so mu_N =
+        r_{N+1} - r_N is exact (Sterbenz) and so is the sum back."""
+        r = np.array([row.r_n for row in rows], dtype=float)
+        mu = np.array([row.mu_n for row in rows], dtype=float)
+        return cls(
+            n=np.array([row.n for row in rows]),
+            r=np.append(r, r[-1:] + mu[-1:]),
+            mu=mu,
+            a=np.array([row.a_n for row in rows], dtype=float),
+            sigma=np.array([np.nan if row.sigma_n is None else row.sigma_n
+                            for row in rows], dtype=float),
+            eta=np.array([row.eta_n for row in rows], dtype=float),
+            hyp2_ok=np.array([row.hyp2_ok for row in rows], dtype=bool),
+            sigma_feasible=np.array([row.sigma_feasible for row in rows], dtype=bool),
+        )
+
+    def __len__(self) -> int:
+        return len(self.n)
+
+    def __getitem__(self, index: int | slice) -> ScheduleRow | list[ScheduleRow]:
+        if isinstance(index, slice):
+            return list(self._rows(index))
+        i = range(len(self))[index]
+        return next(self._rows(slice(i, i + 1)))
+
+    def __iter__(self) -> Iterator[ScheduleRow]:
+        return self._rows(slice(None))
+
+    def _rows(self, index: slice) -> Iterator[ScheduleRow]:
+        a = self.a[index].tolist()
+        sigma = [None if s != s else s for s in self.sigma[index].tolist()]
+        return map(ScheduleRow, self.n[index].tolist(), self.r[:-1][index].tolist(),
+                   self.mu[index].tolist(), a, a, a, sigma, self.eta[index].tolist(),
+                   self.hyp2_ok[index].tolist(), self.sigma_feasible[index].tolist())
+
+
+def _as_schedule(rows: Sequence[ScheduleRow]) -> Schedule:
+    return rows if isinstance(rows, Schedule) else Schedule.from_rows(rows)
+
+
+def _libm_logs(ks: range) -> np.ndarray:
+    return np.fromiter(map(math.log, ks), float, len(ks))
+
+
+@np.errstate(over="ignore")
+def build_schedule(cfg: ScheduleConfig) -> Schedule:
+    """Emit stages 1..N as columns; flags record infeasibility, rows are
+    never suppressed (the table is an audit log, not a gatekeeper).
+
+    The only transcendentals are libm's, once per stage: math.log(n+n0)
+    and float(n+n0)**-3, plus math.log(n+2) for the Gaussian factor.
+    The rest is IEEE-exact numpy arithmetic (+ - * /, sqrt, comparisons,
+    a sequential cumsum), so every column equals the per-stage scalar
+    evaluation with solve_sigma and check_hyp2 bit for bit.  The tail
+    sums in eta_n still recompute eps with numpy's pow and log.
+    """
+    N, n0 = cfg.N, cfg.n0
+    n = np.arange(1, N + 2)
+    ks = range(n0 + 1, n0 + N + 2)
+    log_k = _libm_logs(ks)
+    eps = np.fromiter(map(pow, map(float, ks), repeat(-3)), float, N + 1)
+    if cfg.variant is RadiiVariant.EXP_RADII:
+        r = cfg.theta * log_k
+    else:
+        r = np.sqrt(log_k / cfg.d)
+        eps = eps / (n * np.sqrt(_libm_logs(range(3, N + 4))))
+
+    # the checks solve_sigma and check_hyp2 make on every stage
+    r_n, a = r[:-1], eps[:-1]
+    if not np.all((r_n > 0) & np.isfinite(r_n)):
+        raise ValueError("r must be positive and finite")
+    mu = r[1:] - r_n
+    half = mu / 2.0
+    if np.any(half <= 0):
+        raise ValueError("need a >= 0, eps_next >= 0, half_dist > 0")
+
+    eps_next = eps[1:]
+    h = half - eps_next
+    q = (2.0 * r_n + h + a) * (h - a)
+    feasible = (h > a) & (q > a * a)
+    sigma = 0.5 * (np.sqrt(q, out=np.full(N, np.nan), where=feasible) - a)
+    lhs = (2.0 * a * r_n + 2.0 * a * a) / (np.sqrt((a + r_n) * (a + r_n) + a * a) + r_n) + a
+
+    # sum_{k>=n} eps_k; the cube series tail obeys the integral comparison
+    # sum_{k>N} (k+n0)^-3 <= 1/2 * (N+n0)^-2, and the Gaussian factor
+    # 1/(k*sqrt(log(k+2))) is decreasing, so the same bound scaled by its
+    # value at k=N dominates that tail
+    ns = np.arange(1, N + 1, dtype=float)
+    tail_eps = (ns + n0) ** -3
+    remainder = 0.5 * float(N + n0) ** -2
     if cfg.variant is RadiiVariant.GAUSSIAN_RADII:
-        eps = eps / (ns * np.sqrt(np.log(ns + 2.0)))
-        remainder /= cfg.N * math.sqrt(math.log(cfg.N + 2))
-    suffix = np.cumsum(eps[::-1])[::-1] + remainder
-    return suffix
+        tail_eps = tail_eps / (ns * np.sqrt(np.log(ns + 2.0)))
+        remainder /= N * math.sqrt(math.log(N + 2))
+    suffix = np.cumsum(tail_eps[::-1])[::-1] + remainder
+
+    return Schedule(
+        n=n[:-1],
+        r=r,
+        mu=mu,
+        a=a,
+        sigma=sigma,
+        eta=2.0 * (a + eps_next) + suffix,
+        hyp2_ok=lhs < half,
+        sigma_feasible=feasible,
+    )
 
 
-def build_schedule(cfg: ScheduleConfig) -> list[ScheduleRow]:
-    """Emit rows for stages 1..N; flags record infeasibility, rows are
-    never suppressed (the table is an audit log, not a gatekeeper)."""
-    suffix = _eps_tail_sums(cfg)
-    rows: list[ScheduleRow] = []
-    r_next = _radius(cfg, 1)
-    for n in range(1, cfg.N + 1):
-        r_n = r_next
-        r_next = _radius(cfg, n + 1)
-        mu_n = r_next - r_n
-        a_n = _smallness(cfg, n)
-        b_n = a_n
-        eps_n = a_n
-        eps_next = _smallness(cfg, n + 1)
-        b_next = eps_next
-        sigma = solve_sigma(r_n, a_n, eps_next, mu_n / 2.0)
-        eta_n = 2.0 * (a_n + b_next) + float(suffix[n - 1])
-        rows.append(ScheduleRow(
-            n=n,
-            r_n=r_n,
-            mu_n=mu_n,
-            a_n=a_n,
-            b_n=b_n,
-            eps_n=eps_n,
-            sigma_n=sigma,
-            eta_n=eta_n,
-            hyp2_ok=check_hyp2(r_n, a_n, eps_n, mu_n),
-            sigma_feasible=sigma is not None,
-        ))
-    return rows
-
-
-def _thickened_outer_radii(rows: Sequence[ScheduleRow], cfg: ScheduleConfig) -> np.ndarray:
+def _thickened_outer_radii(schedule: Schedule) -> np.ndarray:
     """T_n = r_{n+1} + eta_n, the radius certainly containing stage n.
 
     Usually increasing, but for tiny n0 the eta drop can outrun the
     radius growth over the first few stages, so no order is assumed."""
-    return np.array([_radius(cfg, row.n + 1) + row.eta_n for row in rows])
+    return schedule.r[1:] + schedule.eta
 
 
 def _count_stages_below(T: np.ndarray, R: float) -> int:
@@ -249,8 +317,10 @@ def _count_stages_below(T: np.ndarray, R: float) -> int:
 
 
 def queryable_range(rows: Sequence[ScheduleRow], cfg: ScheduleConfig) -> tuple[float, float]:
-    """Radii between which stage counting is informative (1 <= N(R) <= N)."""
-    T = _thickened_outer_radii(rows, cfg)
+    """Radii between which stage counting is informative (1 <= N(R) <= N).
+
+    The radii come from the rows alone; cfg is not consulted."""
+    T = _thickened_outer_radii(_as_schedule(rows))
     return float(np.min(T)), float(T[-1])
 
 
@@ -263,20 +333,19 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
     stage does not fit); area_lower_of_R multiplies the count by the
     per-stage area quantum a0.  The default query grid is 16 evenly
     spaced radii across the queryable range.  eta_max_tail is the
-    largest eta over the last quarter of the table.
+    largest eta over the last quarter of the table.  A row list is
+    read as a Schedule of consecutive stages.
     """
     if not rows:
         raise ValueError("diagnostics needs at least one row")
-    T = _thickened_outer_radii(rows, cfg)
+    schedule = _as_schedule(rows)
+    T = _thickened_outer_radii(schedule)
     if radii_query is None:
         radii_query = np.linspace(np.min(T), T[-1], 16).tolist()
 
-    sigma_vals = np.array(
-        [row.sigma_n if row.sigma_n is not None else 0.0 for row in rows]
-    )
+    sigma_vals = np.where(np.isnan(schedule.sigma), 0.0, schedule.sigma)
     partial = tuple(np.cumsum(sigma_vals).tolist())
-    tail_start = (3 * len(rows)) // 4
-    eta_max_tail = max(row.eta_n for row in rows[tail_start:])
+    tail_start = (3 * len(schedule)) // 4
 
     n_of_r: dict[float, int] = {}
     area_of_r: dict[float, float] = {}
@@ -287,11 +356,11 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
 
     return ScheduleDiagnostics(
         sigma_partial_sums=partial,
-        eta_max_tail=float(eta_max_tail),
+        eta_max_tail=float(np.max(schedule.eta[tail_start:])),
         N_of_R=n_of_r,
         area_lower_of_R=area_of_r,
-        all_hyp2_ok=all(row.hyp2_ok for row in rows),
-        all_sigma_feasible=all(row.sigma_feasible for row in rows),
+        all_hyp2_ok=bool(schedule.hyp2_ok.all()),
+        all_sigma_feasible=bool(schedule.sigma_feasible.all()),
     )
 
 
@@ -342,13 +411,14 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     is rounded once, so it is the correctly rounded slope and does not
     depend on numpy's log kernels or on any summation order.
     """
-    offset = cfg.n0 if cfg is not None else 0
-    feas = [(row.n + offset, row.sigma_n) for row in rows
-            if row.sigma_feasible and row.sigma_n is not None and row.sigma_n > 0]
-    if len(feas) < min_rows:
+    schedule = _as_schedule(rows)
+    keep = schedule.sigma_feasible & (schedule.sigma > 0)
+    if np.count_nonzero(keep) < min_rows:
         raise InsufficientRowsError(
-            f"need at least {min_rows} feasible rows, got {len(feas)}"
+            f"need at least {min_rows} feasible rows, got {np.count_nonzero(keep)}"
         )
-    exponent = _least_squares_slope([math.log(n) for n, _ in feas],
-                                    [math.log(s) for _, s in feas])
+    offset = cfg.n0 if cfg is not None else 0
+    stages = [n + offset for n in schedule.n[keep].tolist()]
+    exponent = _least_squares_slope(list(map(math.log, stages)),
+                                    list(map(math.log, schedule.sigma[keep].tolist())))
     return exponent, exponent > -1.0
