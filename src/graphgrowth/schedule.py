@@ -248,8 +248,7 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     and float(n+n0)**-3, plus math.log(n+2) for the Gaussian factor.
     The rest is IEEE-exact numpy arithmetic (+ - * /, sqrt, comparisons,
     a sequential cumsum), so every column equals the per-stage scalar
-    evaluation with solve_sigma and check_hyp2 bit for bit.  The tail
-    sums in eta_n still recompute eps with numpy's pow and log.
+    evaluation with solve_sigma and check_hyp2 bit for bit, on any host.
     """
     N, n0 = cfg.N, cfg.n0
     n = np.arange(1, N + 2)
@@ -260,7 +259,8 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
         r = cfg.theta * log_k
     else:
         r = np.sqrt(log_k / cfg.d)
-        eps = eps / (n * np.sqrt(_libm_logs(range(3, N + 4))))
+        gauss = n * np.sqrt(_libm_logs(range(3, N + 4)))
+        eps = eps / gauss
 
     # the checks solve_sigma and check_hyp2 make on every stage
     r_n, a = r[:-1], eps[:-1]
@@ -282,13 +282,10 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     # sum_{k>N} (k+n0)^-3 <= 1/2 * (N+n0)^-2, and the Gaussian factor
     # 1/(k*sqrt(log(k+2))) is decreasing, so the same bound scaled by its
     # value at k=N dominates that tail
-    ns = np.arange(1, N + 1, dtype=float)
-    tail_eps = (ns + n0) ** -3
     remainder = 0.5 * float(N + n0) ** -2
     if cfg.variant is RadiiVariant.GAUSSIAN_RADII:
-        tail_eps = tail_eps / (ns * np.sqrt(np.log(ns + 2.0)))
-        remainder /= N * math.sqrt(math.log(N + 2))
-    suffix = np.cumsum(tail_eps[::-1])[::-1] + remainder
+        remainder /= float(gauss[N - 1])
+    suffix = np.cumsum(a[::-1])[::-1] + remainder
 
     return Schedule(
         n=n[:-1],

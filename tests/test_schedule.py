@@ -16,6 +16,7 @@ from scipy.optimize import brentq
 from graphgrowth import (
     InsufficientRowsError,
     RadiiVariant,
+    Schedule,
     ScheduleConfig,
     ScheduleRow,
     build_schedule,
@@ -208,6 +209,112 @@ def test_smallness_ratio():
     b = np.array([row.b_n for row in rows])
     ratio = (a + b + eps + tail) / mu
     assert ratio[-1] < ratio[0] < 0.1
+
+
+def _reference_columns(cfg):
+    """The per-stage scalar evaluation: libm logs and pow, solve_sigma and
+    check_hyp2, and the tail sums accumulated from the last stage."""
+    gauss = cfg.variant is RadiiVariant.GAUSSIAN_RADII
+
+    def radius(n):
+        if gauss:
+            return math.sqrt(math.log(n + cfg.n0) / cfg.d)
+        return cfg.theta * math.log(n + cfg.n0)
+
+    def smallness(n):
+        cube = float(n + cfg.n0) ** -3
+        return cube / (n * math.sqrt(math.log(n + 2))) if gauss else cube
+
+    r = [radius(n) for n in range(1, cfg.N + 2)]
+    eps = [smallness(n) for n in range(1, cfg.N + 2)]
+    remainder = 0.5 * float(cfg.N + cfg.n0) ** -2
+    if gauss:
+        remainder /= cfg.N * math.sqrt(math.log(cfg.N + 2))
+    tail = [0.0] * cfg.N
+    acc = 0.0
+    for i in reversed(range(cfg.N)):
+        acc += eps[i]
+        tail[i] = acc + remainder
+    cols = {"n": [], "mu": [], "a": [], "sigma": [], "eta": [],
+            "hyp2_ok": [], "sigma_feasible": []}
+    for i in range(cfg.N):
+        mu = r[i + 1] - r[i]
+        sigma = solve_sigma(r[i], eps[i], eps[i + 1], mu / 2.0)
+        cols["n"].append(i + 1)
+        cols["mu"].append(mu)
+        cols["a"].append(eps[i])
+        cols["sigma"].append(sigma)
+        cols["eta"].append(2.0 * (eps[i] + eps[i + 1]) + tail[i])
+        cols["hyp2_ok"].append(check_hyp2(r[i], eps[i], eps[i], mu))
+        cols["sigma_feasible"].append(sigma is not None)
+    cols["r"] = r
+    return cols
+
+
+_COLUMN_CASES = [
+    (RadiiVariant.EXP_RADII, 100_000, 1, 1.0, 1.0),
+    (RadiiVariant.GAUSSIAN_RADII, 100_000, 1, 1.0, 1.0),
+    (RadiiVariant.EXP_RADII, 2000, 10_000, 1.0, 0.3),
+    (RadiiVariant.GAUSSIAN_RADII, 2000, 10_000, 2.5, 1.0),
+    (RadiiVariant.EXP_RADII, 1000, 1, 1.0, 0.3),
+    (RadiiVariant.GAUSSIAN_RADII, 1000, 1, 2.5, 1.0),
+    (RadiiVariant.EXP_RADII, 5, 1, 1.0, 1.0),
+    (RadiiVariant.GAUSSIAN_RADII, 5, 1, 1.0, 1.0),
+    (RadiiVariant.EXP_RADII, 2, 1, 1.0, 2.0),
+    (RadiiVariant.GAUSSIAN_RADII, 1, 1, 1.0, 1.0),
+]
+
+
+@pytest.mark.parametrize(
+    "variant, N, n0, d, theta", _COLUMN_CASES,
+    ids=[f"{v.value}-N{N}-n0_{n0}-d{d}-theta{t}" for v, N, n0, d, t in _COLUMN_CASES])
+def test_columns_match_scalar_reference(variant, N, n0, d, theta):
+    # exact: the columns use libm for every log and cube, so a numpy
+    # pow or log anywhere in the build (SIMD kernels that differ from
+    # libm in the last bit on some hosts) shows up here as a mismatch
+    cfg = ScheduleConfig(variant, N=N, n0=n0, d=d, theta=theta)
+    schedule = build_schedule(cfg)
+    want = _reference_columns(cfg)
+    assert len(schedule) == N
+    assert schedule.r.tolist() == want["r"]
+    for name in ("n", "mu", "a", "eta", "hyp2_ok", "sigma_feasible"):
+        assert getattr(schedule, name).tolist() == want[name], name
+    assert [None if np.isnan(s) else s for s in schedule.sigma.tolist()] == want["sigma"]
+
+
+def test_schedule_is_a_row_sequence():
+    cfg = ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=7, n0=1)
+    schedule = build_schedule(cfg)
+    rows = list(schedule)
+    assert [row.n for row in rows] == list(range(1, 8))
+    assert schedule[0] == rows[0] and schedule[-1] == rows[-1]
+    assert schedule[2:5] == rows[2:5] and schedule[::-3] == rows[::-3]
+    assert rows[0].sigma_n is None and not rows[0].sigma_feasible
+    assert rows[0].a_n == rows[0].b_n == rows[0].eps_n == schedule.a[0]
+    with pytest.raises(IndexError):
+        schedule[7]
+
+
+@pytest.mark.parametrize("variant, N, n0", [
+    (RadiiVariant.GAUSSIAN_RADII, 5000, 1),
+    (RadiiVariant.EXP_RADII, 3000, 1),
+    (RadiiVariant.EXP_RADII, 3000, 10_000),
+])
+def test_row_list_input_matches_schedule(variant, N, n0):
+    # a plain list goes through Schedule.from_rows, whose last radius
+    # r_N + mu_N must be r_{N+1} exactly
+    cfg = ScheduleConfig(variant, N=N, n0=n0)
+    schedule = build_schedule(cfg)
+    rows = list(schedule)
+    rebuilt = Schedule.from_rows(rows)
+    for name in ("n", "r", "mu", "a", "eta", "hyp2_ok", "sigma_feasible"):
+        assert np.array_equal(getattr(rebuilt, name), getattr(schedule, name)), name
+    assert np.array_equal(rebuilt.sigma, schedule.sigma, equal_nan=True)
+    grid = [1.0, 2.0, 3.0, 9.5, 9.9]
+    assert diagnostics(rows, cfg) == diagnostics(schedule, cfg)
+    assert diagnostics(rows, cfg, grid) == diagnostics(schedule, cfg, grid)
+    assert queryable_range(rows, cfg) == queryable_range(schedule, cfg)
+    assert completeness_trend(rows, cfg) == completeness_trend(schedule, cfg)
 
 
 def test_config_validation():
