@@ -23,7 +23,8 @@ import argparse
 import csv
 import math
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from operator import itemgetter
 
 import numpy as np
 
@@ -105,6 +106,19 @@ def _csv_text(header: list[str], rows: Iterable[Sequence[str]]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
     return "\n".join(lines) + "\n"
+
+
+def _csv_body(reader, width: int) -> Iterator[list[str]]:
+    """The data rows of a csv.reader whose header has width fields.
+
+    Blank lines are skipped; a row shorter than the header is an input
+    error rather than a row of missing values."""
+    for row in reader:
+        if len(row) >= width:
+            yield row
+        elif row:
+            raise ValueError(f"CSV line {reader.line_num} has {len(row)} fields, "
+                             f"the header has {width}")
 
 
 def _parse_reals(text: str) -> list[float]:
@@ -201,17 +215,19 @@ def _cmd_packets(args: argparse.Namespace) -> int:
 
 def _read_samples_csv(path: str) -> list[GrowthSample]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "r" not in reader.fieldnames \
-                or "area_lower" not in reader.fieldnames:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        index = {name: i for i, name in enumerate(header)}
+        if "r" not in index or "area_lower" not in index:
             raise ValueError("input CSV needs columns r and area_lower")
+        est, src = index.get("area_estimate"), index.get("source")
         samples = []
-        for record in reader:
-            estimate_text = (record.get("area_estimate") or "").strip()
-            source_text = (record.get("source") or "Quadrature").strip()
+        for row in _csv_body(reader, len(header)):
+            estimate_text = row[est].strip() if est is not None else ""
+            source_text = ((row[src] if src is not None else "") or "Quadrature").strip()
             samples.append(GrowthSample(
-                r=float(record["r"]),
-                area_lower=float(record["area_lower"]),
+                r=float(row[index["r"]]),
+                area_lower=float(row[index["area_lower"]]),
                 area_estimate=float(estimate_text) if estimate_text else None,
                 source=SampleSource(source_text),
             ))
@@ -335,25 +351,29 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- plot
 
 def _read_plot_columns(path: str) -> tuple[list[float], list[float]]:
+    """x and y of a chart: r against area_estimate (area_lower where any
+    estimate is missing) for area CSVs, else the first two columns."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise ValueError("empty CSV input")
-        records = list(reader)
-    if not records:
+        index = {name: i for i, name in enumerate(header)}
+        if "r" in index and "area_lower" in index:
+            picks = [index["r"], index["area_lower"]]
+            if "area_estimate" in index:
+                picks.append(index["area_estimate"])
+        elif len(header) >= 2:
+            picks = [0, 1]
+        else:
+            raise ValueError("CSV needs at least two columns")
+        columns = list(zip(*map(itemgetter(*picks), _csv_body(reader, len(header)))))
+    if not columns:
         raise ValueError("CSV has no data rows")
-    names = reader.fieldnames
-    if "r" in names and "area_lower" in names:
-        x_name = "r"
-        estimates = [(record.get("area_estimate") or "").strip() for record in records]
-        y_name = "area_estimate" if all(estimates) else "area_lower"
-    elif len(names) >= 2:
-        x_name, y_name = names[0], names[1]
-    else:
-        raise ValueError("CSV needs at least two columns")
-    xs = [float(record[x_name]) for record in records]
-    ys = [float(record[y_name]) for record in records]
-    return xs, ys
+    xs, ys = columns[0], columns[1]
+    if len(columns) == 3 and all(text.strip() for text in columns[2]):
+        ys = columns[2]
+    return list(map(float, xs)), list(map(float, ys))
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:

@@ -288,6 +288,17 @@ def test_plot_empty_csv_exit_2(tmp_path):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["plot", "growth"])
+def test_short_csv_row_exit_2(tmp_path, command):
+    src = tmp_path / "short.csv"
+    src.write_text("r,area_lower\n1,2\n3\n")
+    proc = run_cli(command, "--input", str(src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "line 3 has 1 fields" in proc.stderr
+
+
 def test_plot_bad_mode_exit_2(tmp_path):
     src = tmp_path / "c.csv"
     src.write_text("r,area_lower\n1,2\n2,3\n")
