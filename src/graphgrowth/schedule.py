@@ -27,6 +27,17 @@ Diagnostics count how many stages fit below a query radius R
 into certified area lower bounds a0 * N(R), and track the partial sums
 of sigma plus a power-law trend of sigma against n (a divergent sigma
 series is the completeness indicator for the limiting surface).
+
+build_schedule returns a Schedule: one numpy column per quantity, with
+r carrying N+1 entries so that r_{n+1} is the slice r[1:].  The logs
+and cubes come from libm (math.log, float pow), once per stage; every
+other step is an IEEE-exact numpy operation (+ - * /, sqrt,
+comparisons, a sequential cumsum), so each column equals the scalar
+per-stage evaluation with solve_sigma and check_hyp2 bit for bit and
+does not depend on numpy's SIMD kernels.  The scalar functions stay as
+that reference.  A Schedule is also a sequence of ScheduleRow values,
+built on demand; diagnostics and the trend read the columns, and turn
+a plain row list into a Schedule once.
 """
 
 from __future__ import annotations
@@ -410,9 +421,10 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     """
     schedule = _as_schedule(rows)
     keep = schedule.sigma_feasible & (schedule.sigma > 0)
-    if np.count_nonzero(keep) < min_rows:
+    count = int(np.count_nonzero(keep))
+    if count < min_rows:
         raise InsufficientRowsError(
-            f"need at least {min_rows} feasible rows, got {np.count_nonzero(keep)}"
+            f"need at least {min_rows} feasible rows, got {count}"
         )
     offset = cfg.n0 if cfg is not None else 0
     stages = [n + offset for n in schedule.n[keep].tolist()]

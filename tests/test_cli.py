@@ -13,6 +13,13 @@ import math
 import pytest
 
 from conftest import run_cli
+from graphgrowth import (
+    RadiiVariant,
+    ScheduleConfig,
+    build_schedule,
+    completeness_trend,
+    diagnostics,
+)
 
 
 def parse_csv(text: str):
@@ -249,6 +256,53 @@ def test_schedule_area_lower_scales_with_a0():
     d = json.loads(proc.stdout)
     (key, count), = d["N_of_R"].items()
     assert d["area_lower_of_R"][key] == 2.0 * count
+
+
+def _f17(x):
+    return format(x, ".17g")
+
+
+def _flag(b):
+    return "true" if b else "false"
+
+
+@pytest.mark.parametrize("variant, theta", [("gaussian", 1.0), ("exp", 0.3)])
+def test_schedule_writers_match_field_formatting(variant, theta):
+    # the writers format whole columns; the reference formats each field
+    # of each row, and diagnoses the plain row list
+    cfg = ScheduleConfig(RadiiVariant.parse(variant), N=3000, n0=1, theta=theta)
+    rows = list(build_schedule(cfg))
+    assert any(row.sigma_n is None for row in rows)
+    base = ("schedule", "--variant", variant, "--n0", "1", "--N", "3000",
+            "--theta", repr(theta))
+
+    lines = ["n,r_n,mu_n,a_n,b_n,eps_n,sigma_n,eta_n,hyp2_ok,sigma_feasible"]
+    for row in rows:
+        cells = [str(row.n)]
+        cells += [_f17(v) for v in (row.r_n, row.mu_n, row.a_n, row.b_n, row.eps_n)]
+        cells.append("" if row.sigma_n is None else _f17(row.sigma_n))
+        cells += [_f17(row.eta_n), _flag(row.hyp2_ok), _flag(row.sigma_feasible)]
+        lines.append(",".join(cells))
+    proc = run_cli(*base)
+    assert proc.returncode == 0
+    assert proc.stdout == "\n".join(lines) + "\n"
+
+    queries = [1.5, 2.0]
+    diag = diagnostics(rows, cfg, queries)
+    exponent, diverging = completeness_trend(rows, cfg)
+    n_of_r = ", ".join(f'"{_f17(R)}": {diag.N_of_R[R]}' for R in queries)
+    area = ", ".join(f'"{_f17(R)}": {_f17(diag.area_lower_of_R[R])}' for R in queries)
+    sums = ", ".join(map(_f17, diag.sigma_partial_sums))
+    want = (f'{{"all_hyp2_ok": {_flag(diag.all_hyp2_ok)}, '
+            f'"all_sigma_feasible": {_flag(diag.all_sigma_feasible)}, '
+            f'"eta_max_tail": {_f17(diag.eta_max_tail)}, '
+            f'"N_of_R": {{{n_of_r}}}, "area_lower_of_R": {{{area}}}, '
+            f'"sigma_partial_sums": [{sums}], '
+            f'"completeness_trend": {{"exponent": {_f17(exponent)}, '
+            f'"diverging": {_flag(diverging)}}}}}\n')
+    proc = run_cli(*base, "--format", "json", "--query-R", "1.5,2")
+    assert proc.returncode == 0
+    assert proc.stdout == want
 
 
 # ---------------------------------------------------------------------------
