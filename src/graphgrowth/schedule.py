@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -81,6 +82,12 @@ class RadiiVariant(Enum):
         raise ValueError(f"unknown radii variant {text!r}")
 
 
+# solve_sigma, check_hyp2 and build_schedule refuse radii whose stage
+# equations overflow: an inf sigma would read as feasible, and an inf
+# hypothesis denominator would drop the a-terms from the left side.
+_OVERFLOW = "radii too large: the stage equations overflow a double"
+
+
 class InsufficientRowsError(ValueError):
     """Too few feasible rows for the requested trend analysis."""
 
@@ -99,6 +106,8 @@ class ScheduleConfig:
             raise ValueError("n0 must be >= 1")
         if self.N < 1:
             raise ValueError("N must be >= 1")
+        if self.n0 + self.N + 1 > sys.float_info.max:
+            raise ValueError("n0 + N + 1 exceeds the largest double")
         if not (self.d > 0):
             raise ValueError("d must be > 0")
         if not (self.theta > 0):
@@ -147,6 +156,8 @@ def solve_sigma(r: float, a: float, eps_next: float, half_dist: float) -> float 
     if h <= a:
         return None
     q = (2.0 * r + h + a) * (h - a)
+    if not math.isfinite(q):
+        raise ValueError(_OVERFLOW)
     if q <= a * a:
         return None
     return 0.5 * (math.sqrt(q) - a)
@@ -179,7 +190,10 @@ def check_hyp2(r: float, a: float, eps: float, dist: float) -> bool:
         raise ValueError("r must be positive and finite")
     if a < 0 or eps < 0 or dist <= 0:
         raise ValueError("need a >= 0, eps >= 0, dist > 0")
-    lhs = (2.0 * a * r + 2.0 * a * a) / (math.sqrt((a + r) * (a + r) + a * a) + r) + eps
+    den = math.sqrt((a + r) * (a + r) + a * a) + r
+    if not math.isfinite(den):
+        raise ValueError(_OVERFLOW)
+    lhs = (2.0 * a * r + 2.0 * a * a) / den + eps
     return lhs < dist / 2.0
 
 
@@ -286,8 +300,11 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     h = half - eps_next
     q = (2.0 * r_n + h + a) * (h - a)
     feasible = (h > a) & (q > a * a)
+    den = np.sqrt((a + r_n) * (a + r_n) + a * a) + r_n
+    if not (np.all(np.isfinite(q)) and np.all(np.isfinite(den))):
+        raise ValueError(_OVERFLOW)
     sigma = 0.5 * (np.sqrt(q, out=np.full(N, np.nan), where=feasible) - a)
-    lhs = (2.0 * a * r_n + 2.0 * a * a) / (np.sqrt((a + r_n) * (a + r_n) + a * a) + r_n) + a
+    lhs = (2.0 * a * r_n + 2.0 * a * a) / den + a
 
     # sum_{k>=n} eps_k; the cube series tail obeys the integral comparison
     # sum_{k>N} (k+n0)^-3 <= 1/2 * (N+n0)^-2, and the Gaussian factor

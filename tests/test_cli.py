@@ -353,6 +353,18 @@ def test_short_csv_row_exit_2(tmp_path, command):
     assert "line 3 has 1 fields" in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ("--theta", "1e308"),
+    ("--theta", "2e154"),
+    ("--n0", "1" + "0" * 320),
+], ids=["theta-1e308", "theta-2e154", "n0-321-digits"])
+def test_schedule_beyond_double_range_exit_2(args):
+    proc = run_cli("schedule", "--variant", "exp", "--N", "3", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
 def test_plot_bad_mode_exit_2(tmp_path):
     src = tmp_path / "c.csv"
     src.write_text("r,area_lower\n1,2\n2,3\n")

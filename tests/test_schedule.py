@@ -326,6 +326,23 @@ def test_config_validation():
         ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=10, d=-1.0)
     with pytest.raises(ValueError):
         ScheduleConfig(RadiiVariant.EXP_RADII, N=10, theta=0.0)
+    with pytest.raises(ValueError):
+        ScheduleConfig(RadiiVariant.EXP_RADII, N=10, n0=10 ** 400)
+
+
+@pytest.mark.parametrize("theta", [1e308, 2e154])
+def test_overflowing_radii_rejected(theta):
+    # 1e308: the sigma closed form overflows; 2e154: only the hypothesis
+    # denominator sqrt((a+r)^2 + a^2) does
+    cfg = ScheduleConfig(RadiiVariant.EXP_RADII, N=3, theta=theta)
+    with pytest.raises(ValueError):
+        build_schedule(cfg)
+    r = theta * math.log(2.0)
+    with pytest.raises(ValueError):
+        check_hyp2(r, 0.125, 0.125, r)
+    if theta == 1e308:
+        with pytest.raises(ValueError):
+            solve_sigma(r, 0.125, 0.0, r)
 
 
 def test_variant_parse():
