@@ -18,8 +18,15 @@ inner value e^u is plain-representable; beyond that the phase of a point
 evaluation degrades to a documented sentinel and rectangle enclosures
 fall back to the trivial interval [0, +inf) instead of failing.
 
-Rectangle enclosures (bound_abs_f / bound_abs_fprime) are outward-rounded
-interval computations: monotone pieces are evaluated at the correct cell
+Two batch kernels do all array work, each returning |f| and |f'| from
+one pass: log_abs_f_fprime_batch at points, bound_abs_f_fprime_batch
+over rectangles.  |f| = |sin e^u| and |f'| carries |cos e^u| (u = z or
+z^2), so only the outer sin and cos run twice.  Each element depends on
+its own inputs alone, never on the batch it came in.
+
+Rectangle enclosures (bound_abs_f_fprime_batch, and per cell
+bound_abs_f / bound_abs_fprime) are outward-rounded interval
+computations: monotone pieces are evaluated at the correct cell
 corners, trig ranges account for interior critical points, and every
 computed endpoint is widened outward in one fused pass,
 x -> max(x(1+4*2^-52), x(1-4*2^-52)) + 4*2^-1074 upward and its mirror
@@ -47,10 +54,8 @@ __all__ = [
     "eval_fprime",
     "bound_abs_f",
     "bound_abs_fprime",
-    "log_abs_f_batch",
-    "log_abs_fprime_batch",
-    "bound_abs_f_batch",
-    "bound_abs_fprime_batch",
+    "log_abs_f_fprime_batch",
+    "bound_abs_f_fprime_batch",
 ]
 
 LOG2 = math.log(2.0)
@@ -331,68 +336,55 @@ def eval_fprime(family: GraphFamily, z: complex) -> LogScaledComplex:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized log-magnitudes (single source of truth for |f|, |f'|)
+# Vectorized log-magnitudes: |f| and |f'| from one pass
 # ---------------------------------------------------------------------------
 
-def _log_abs_trig_of_exp(w_log: np.ndarray, w_arg: np.ndarray, use_cos: bool) -> np.ndarray:
-    """log|sin(e^u)| (or cos) elementwise, u = w_log + i*w_arg."""
-    w_log = np.asarray(w_log, dtype=float)
-    w_arg = np.asarray(w_arg, dtype=float)
+def log_abs_f_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray):
+    """Elementwise (log|f(z)|, log|f'(z)|) for arrays of coordinates.
+
+    With u = z (SIN_EXP) or z^2 (SIN_EXP_SQ), only the final hypot/log and
+    log1p steps differ between |sin e^u| and |cos e^u|; they run once on a
+    leading axis of length 2.  For EXP the same array is returned twice.
+    """
+    zre = np.asarray(zre, dtype=float)
+    zim = np.asarray(zim, dtype=float)
+    if family is GraphFamily.EXP:
+        log_mag = zre + 0.0 * zim
+        return log_mag, log_mag
+    if family is GraphFamily.SIN_EXP:
+        w_log, w_arg = zre, zim
+    else:
+        w_log, w_arg = zre * zre - zim * zim, 2.0 * zre * zim
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         scale = np.exp(np.minimum(w_log, _MAX_PLAIN_EXPONENT))
+        sin_arg = np.sin(w_arg)
         x = scale * np.cos(w_arg)
-        y = scale * np.sin(w_arg)
+        y = scale * sin_arg
         ay = np.abs(y)
         ay_small = np.minimum(ay, _ASYMPTOTIC_IM)
-        osc = np.cos(x) if use_cos else np.sin(x)
-        other = np.sin(x) if use_cos else np.cos(x)
+        osc = np.stack([np.sin(x), np.cos(x)])  # |sin w| from sin x, |cos w| from cos x
+        other = osc[::-1]
         small = np.log(np.hypot(osc * np.cosh(ay_small), other * np.sinh(ay_small)))
         ay_clip = np.minimum(ay, 400.0)
         corr = (4.0 * osc * osc - 2.0) * np.exp(-2.0 * ay_clip) + np.exp(-4.0 * ay_clip)
         big = ay - LOG2 + 0.5 * np.log1p(corr)
         plain = np.where(ay <= _ASYMPTOTIC_IM, small, big)
 
-        # e^u not plain-representable: magnitude via log|Im e^u| = Re u + log|sin Im u|.
-        log_im = w_log + np.log(np.abs(np.sin(w_arg)))
+        # e^u not plain-representable: magnitude via log|Im e^u| = Re u + log|sin Im u|,
+        # the same for sin and cos.
+        log_im = w_log + np.log(np.abs(sin_arg))
         m = np.where(log_im > _MAX_LOG, np.inf, np.exp(np.minimum(log_im, _MAX_LOG)))
         scaled = np.where(
             m > _ASYMPTOTIC_IM,
             m - LOG2,
             np.log(np.cosh(np.minimum(m, _ASYMPTOTIC_IM))),
         )
-        return np.where(w_log <= _MAX_PLAIN_EXPONENT, plain, scaled)
-
-
-def _u_components(family: GraphFamily, zre: np.ndarray, zim: np.ndarray):
-    """(Re u, Im u) with u = z for SIN_EXP and u = z^2 for SIN_EXP_SQ."""
+        log_sin, log_cos = np.where(w_log <= _MAX_PLAIN_EXPONENT, plain, scaled)
     if family is GraphFamily.SIN_EXP:
-        return zre, zim
-    return zre * zre - zim * zim, 2.0 * zre * zim
-
-
-def log_abs_f_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray) -> np.ndarray:
-    """Elementwise log|f(z)| for arrays of coordinates."""
-    zre = np.asarray(zre, dtype=float)
-    zim = np.asarray(zim, dtype=float)
-    if family is GraphFamily.EXP:
-        return zre + 0.0 * zim
-    w_log, w_arg = _u_components(family, zre, zim)
-    return _log_abs_trig_of_exp(w_log, w_arg, use_cos=False)
-
-
-def log_abs_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray) -> np.ndarray:
-    """Elementwise log|f'(z)| for arrays of coordinates."""
-    zre = np.asarray(zre, dtype=float)
-    zim = np.asarray(zim, dtype=float)
-    if family is GraphFamily.EXP:
-        return zre + 0.0 * zim
-    w_log, w_arg = _u_components(family, zre, zim)
-    log_cos = _log_abs_trig_of_exp(w_log, w_arg, use_cos=True)
-    if family is GraphFamily.SIN_EXP:
-        return zre + log_cos
+        return log_sin, zre + log_cos
     with np.errstate(divide="ignore"):
         log_2z = LOG2 + 0.5 * np.log(zre * zre + zim * zim)
-    return log_2z + w_log + log_cos
+    return log_sin, log_2z + w_log + log_cos
 
 
 # ---------------------------------------------------------------------------
@@ -439,12 +431,13 @@ def _nudge_down(x: np.ndarray) -> np.ndarray:
     return np.minimum(out, _DOWN_CEIL, out=out)
 
 
-def _interval_trig(lo: np.ndarray, hi: np.ndarray, use_cos: bool):
-    """Range of sin (or cos) over [lo, hi], outward rounded.
+def _interval_trig(lo: np.ndarray, hi: np.ndarray):
+    """Ranges of sin and of cos over [lo, hi], outward rounded.
 
-    Critical-point containment is widened by an absolute slack so that
-    argument-reduction rounding can only make the answer more
-    conservative, never unsound.
+    Returns (t_min, t_max), each stacked as [sin, cos] along a new
+    leading axis.  Critical-point containment is widened by an absolute
+    slack so that argument-reduction rounding can only make the answer
+    more conservative, never unsound.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -452,21 +445,20 @@ def _interval_trig(lo: np.ndarray, hi: np.ndarray, use_cos: bool):
     lo_s = np.where(big, 0.0, lo)
     hi_s = np.where(big, 0.0, hi)
     slack = 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo_s), np.abs(hi_s)))
-    max_loc = 0.0 if use_cos else 0.5 * math.pi
-    min_loc = math.pi if use_cos else -0.5 * math.pi
 
-    def _contains(c):
-        k = np.ceil((lo_s - c - slack) / TWO_PI)
-        return c + k * TWO_PI <= hi_s + slack
+    def _contains(sin_loc, cos_loc):
+        return np.stack([
+            c + np.ceil((lo_s - c - slack) / TWO_PI) * TWO_PI <= hi_s + slack
+            for c in (sin_loc, cos_loc)
+        ]) | big
 
-    f = np.cos if use_cos else np.sin
-    v_lo, v_hi = f(lo_s), f(hi_s)
+    v_lo = np.stack([np.sin(lo_s), np.cos(lo_s)])
+    v_hi = np.stack([np.sin(hi_s), np.cos(hi_s)])
     end_max = _nudge_up(np.maximum(v_lo, v_hi))
     end_min = _nudge_down(np.minimum(v_lo, v_hi))
-    t_max = np.where(_contains(max_loc), 1.0, np.minimum(end_max, 1.0))
-    t_min = np.where(_contains(min_loc), -1.0, np.maximum(end_min, -1.0))
-    t_max = np.where(big, 1.0, t_max)
-    t_min = np.where(big, -1.0, t_min)
+    # sin peaks at pi/2 and bottoms at -pi/2; cos at 0 and pi
+    t_max = np.where(_contains(0.5 * math.pi, 0.0), 1.0, np.minimum(end_max, 1.0))
+    t_min = np.where(_contains(-0.5 * math.pi, math.pi), -1.0, np.maximum(end_min, -1.0))
     return t_min, t_max
 
 
@@ -491,11 +483,13 @@ def _log_sqrt_s2_plus_sinh2(s2: np.ndarray, m: np.ndarray) -> np.ndarray:
         return np.where(m <= _ASYMPTOTIC_IM, small, large)
 
 
-def _bound_trig_of_exp_batch(w_log_lo, w_log_hi, arg_lo, arg_hi, use_cos: bool):
-    """Enclosure of log|sin e^u| (or cos) over a box of u values.
+def _bound_trig_of_exp_batch(w_log_lo, w_log_hi, arg_lo, arg_hi):
+    """Enclosures of log|sin e^u| and log|cos e^u| over a box of u values.
 
-    u ranges over [w_log_lo, w_log_hi] x [arg_lo, arg_hi].  Returns
-    (log_lo, log_hi) arrays; cells whose |e^u| exceeds the plain double
+    u ranges over [w_log_lo, w_log_hi] x [arg_lo, arg_hi].  The box of
+    e^u is built once; its Re range then goes through the outer sin and
+    cos together.  Returns (log_lo, log_hi), each stacked as [sin, cos]
+    along a new leading axis; cells whose |e^u| exceeds the plain double
     range collapse to the trivial enclosure.
     """
     usable = np.asarray(w_log_hi, dtype=float) <= _MAX_PLAIN_EXPONENT
@@ -504,19 +498,16 @@ def _bound_trig_of_exp_batch(w_log_lo, w_log_hi, arg_lo, arg_hi, use_cos: bool):
     with np.errstate(over="ignore", under="ignore"):
         v_lo = _nudge_down(np.exp(w_log_lo))
         v_hi = _nudge_up(np.exp(w_log_hi_s))
-    s_min, s_max = _interval_trig(arg_lo, arg_hi, use_cos=False)
-    c_min, c_max = _interval_trig(arg_lo, arg_hi, use_cos=True)
+    (s_min, c_min), (s_max, c_max) = _interval_trig(arg_lo, arg_hi)
     im_lo, im_hi = _interval_prod(v_lo, v_hi, s_min, s_max)
     re_lo, re_hi = _interval_prod(v_lo, v_hi, c_min, c_max)
     im_lo = _nudge_down(im_lo)
     im_hi = _nudge_up(im_hi)
     m_lo = np.maximum(0.0, np.maximum(im_lo, -im_hi))
     m_hi = np.maximum(np.abs(im_lo), np.abs(im_hi))
-    t_min, t_max = _interval_trig(_nudge_down(re_lo), _nudge_up(re_hi), use_cos=use_cos)
-    straddles = (t_min <= 0.0) & (t_max >= 0.0)
-    s2_min = np.where(straddles, 0.0, np.minimum(t_min * t_min, t_max * t_max))
-    s2_max = np.minimum(np.maximum(t_min * t_min, t_max * t_max), 1.0)
-    log_hi = _nudge_up(_log_sqrt_s2_plus_sinh2(s2_max, m_hi))
+    t_min, t_max = _interval_trig(_nudge_down(re_lo), _nudge_up(re_hi))
+    s2_min, s2_max = _square_range(t_min, t_max)
+    log_hi = _nudge_up(_log_sqrt_s2_plus_sinh2(np.minimum(s2_max, 1.0), m_hi))
     log_lo = _nudge_down(_log_sqrt_s2_plus_sinh2(s2_min, m_lo))
     log_lo = np.where(usable, log_lo, -np.inf)
     log_hi = np.where(usable, log_hi, np.inf)
@@ -543,40 +534,25 @@ def _u_ranges(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     return w_log_lo, w_log_hi, _nudge_down(2.0 * p_lo), _nudge_up(2.0 * p_hi)
 
 
-def _bound_exp_batch(re_lo, re_hi, im_lo):
-    """EXP enclosure of both |f| and |f'| = e^x: the cell's Re edges."""
-    shape = np.broadcast(re_lo, im_lo).shape
-    return (
-        _nudge_down(np.broadcast_to(re_lo, shape)),
-        _nudge_up(np.broadcast_to(re_hi, shape)),
-    )
-
-
-def bound_abs_f_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
-    """(log_lo, log_hi) enclosures of |f| over each cell, vectorized."""
+def bound_abs_f_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
+    """(f_lo, f_hi, fp_lo, fp_hi): log enclosures of |f| and |f'| over
+    each cell, vectorized, from one pass.  For EXP, |f| = |f'| = e^x and
+    the same two arrays are returned for both."""
     re_lo = np.asarray(re_lo, dtype=float)
     re_hi = np.asarray(re_hi, dtype=float)
     im_lo = np.asarray(im_lo, dtype=float)
     im_hi = np.asarray(im_hi, dtype=float)
     if family is GraphFamily.EXP:
-        return _bound_exp_batch(re_lo, re_hi, im_lo)
+        # the cell's Re edges bound e^x
+        shape = np.broadcast(re_lo, im_lo).shape
+        lo = _nudge_down(np.broadcast_to(re_lo, shape))
+        hi = _nudge_up(np.broadcast_to(re_hi, shape))
+        return lo, hi, lo, hi
     w_log_lo, w_log_hi, a_lo, a_hi = _u_ranges(family, re_lo, re_hi, im_lo, im_hi)
-    return _bound_trig_of_exp_batch(w_log_lo, w_log_hi, a_lo, a_hi, use_cos=False)
-
-
-def bound_abs_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
-    """(log_lo, log_hi) enclosures of |f'| over each cell, vectorized."""
-    re_lo = np.asarray(re_lo, dtype=float)
-    re_hi = np.asarray(re_hi, dtype=float)
-    im_lo = np.asarray(im_lo, dtype=float)
-    im_hi = np.asarray(im_hi, dtype=float)
-    if family is GraphFamily.EXP:
-        return _bound_exp_batch(re_lo, re_hi, im_lo)
-    w_log_lo, w_log_hi, a_lo, a_hi = _u_ranges(family, re_lo, re_hi, im_lo, im_hi)
-    c_lo, c_hi = _bound_trig_of_exp_batch(w_log_lo, w_log_hi, a_lo, a_hi, use_cos=True)
+    (f_lo, c_lo), (f_hi, c_hi) = _bound_trig_of_exp_batch(w_log_lo, w_log_hi, a_lo, a_hi)
     if family is GraphFamily.SIN_EXP:
         # |f'| = e^x |cos e^z|: logs add, exponent bounds are the cell edges.
-        return _nudge_down(re_lo + c_lo), _nudge_up(re_hi + c_hi)
+        return f_lo, f_hi, _nudge_down(re_lo + c_lo), _nudge_up(re_hi + c_hi)
     dx = np.maximum(0.0, np.maximum(re_lo, -re_hi))
     dy = np.maximum(0.0, np.maximum(im_lo, -im_hi))
     dmin2 = dx * dx + dy * dy
@@ -587,28 +563,26 @@ def bound_abs_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     lo = _nudge_down(log_2z_lo + w_log_lo + c_lo)
     hi = _nudge_up(log_2z_hi + w_log_hi + c_hi)
     # -inf + -inf stays -inf; guard the impossible inversion from rounding.
-    return np.minimum(lo, hi), hi
+    return f_lo, f_hi, np.minimum(lo, hi), hi
 
 
-def bound_abs_f(family: GraphFamily, cell: RectBounds) -> MagInterval:
-    """Rigorous enclosure of |f| over a rectangle."""
-    lo, hi = bound_abs_f_batch(
+def _bound_cell(family: GraphFamily, cell: RectBounds):
+    return bound_abs_f_fprime_batch(
         family,
         np.array([cell.re_lo]),
         np.array([cell.re_hi]),
         np.array([cell.im_lo]),
         np.array([cell.im_hi]),
     )
+
+
+def bound_abs_f(family: GraphFamily, cell: RectBounds) -> MagInterval:
+    """Rigorous enclosure of |f| over a rectangle."""
+    lo, hi, _, _ = _bound_cell(family, cell)
     return MagInterval(float(lo[0]), float(hi[0]))
 
 
 def bound_abs_fprime(family: GraphFamily, cell: RectBounds) -> MagInterval:
     """Rigorous enclosure of |f'| over a rectangle."""
-    lo, hi = bound_abs_fprime_batch(
-        family,
-        np.array([cell.re_lo]),
-        np.array([cell.re_hi]),
-        np.array([cell.im_lo]),
-        np.array([cell.im_hi]),
-    )
+    _, _, lo, hi = _bound_cell(family, cell)
     return MagInterval(float(lo[0]), float(hi[0]))

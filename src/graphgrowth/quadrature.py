@@ -35,10 +35,8 @@ from .families import (
     GraphFamily,
     RectBounds,
     _nudge_down,
-    bound_abs_f_batch,
-    bound_abs_fprime_batch,
-    log_abs_f_batch,
-    log_abs_fprime_batch,
+    bound_abs_f_fprime_batch,
+    log_abs_f_fprime_batch,
 )
 
 __all__ = [
@@ -139,9 +137,19 @@ class AreaEstimate:
 
 _INSIDE, _OUTSIDE, _BOUNDARY, _UNKNOWN = 0, 1, 2, 3
 
+# Cells or points per kernel call.  The kernels are elementwise, so chunks
+# give the same bits as one call, while their temporaries (up to about 40
+# arrays the size of the batch) stay a few megabytes on the deepest levels.
+_KERNEL_CHUNK = 1 << 14
 
-def _classify_batch(family: GraphFamily, r: float, xlo, xhi, ylo, yhi) -> np.ndarray:
-    """Classify cells against |z|^2 + |f(z)|^2 <= r^2, vectorized."""
+
+def _classify_batch(family: GraphFamily, r: float, xlo, xhi, ylo, yhi):
+    """Classify cells against |z|^2 + |f(z)|^2 <= r^2, vectorized.
+
+    Returns the codes and, from the same enclosure call, the log lower
+    bound of |f'| on each cell (-inf on the far cells, which need no
+    enclosure).
+    """
     r2 = r * r
     dx = np.maximum(0.0, np.maximum(xlo, -xhi))
     dy = np.maximum(0.0, np.maximum(ylo, -yhi))
@@ -151,10 +159,12 @@ def _classify_batch(family: GraphFamily, r: float, xlo, xhi, ylo, yhi) -> np.nda
     out = np.full(xlo.shape, _BOUNDARY, dtype=np.int8)
     far = dmin2 > r2
     out[far] = _OUTSIDE
+    fp_lo_log = np.full(xlo.shape, -np.inf)
 
-    near = np.flatnonzero(~far)
-    if near.size:
-        f_lo_log, f_hi_log = bound_abs_f_batch(
+    near_cells = np.flatnonzero(~far)
+    for start in range(0, near_cells.size, _KERNEL_CHUNK):
+        near = near_cells[start:start + _KERNEL_CHUNK]
+        f_lo_log, f_hi_log, fp_lo_log[near], _ = bound_abs_f_fprime_batch(
             family, xlo[near], xhi[near], ylo[near], yhi[near]
         )
         with np.errstate(over="ignore"):
@@ -168,7 +178,7 @@ def _classify_batch(family: GraphFamily, r: float, xlo, xhi, ylo, yhi) -> np.nda
         sub[outside] = _OUTSIDE
         sub[inside] = _INSIDE
         out[near] = sub
-    return out
+    return out, fp_lo_log
 
 
 def classify_cell(domain: SublevelDomain, cell: RectBounds) -> CellClass:
@@ -178,15 +188,15 @@ def classify_cell(domain: SublevelDomain, cell: RectBounds) -> CellClass:
     means the enclosure straddles the threshold, UNKNOWN that the
     enclosure was trivial (magnitudes beyond the representable range).
     """
-    code = _classify_batch(
+    codes, _ = _classify_batch(
         domain.family,
         domain.r,
         np.array([cell.re_lo]),
         np.array([cell.re_hi]),
         np.array([cell.im_lo]),
         np.array([cell.im_hi]),
-    )[0]
-    return (CellClass.INSIDE, CellClass.OUTSIDE, CellClass.BOUNDARY, CellClass.UNKNOWN)[code]
+    )
+    return (CellClass.INSIDE, CellClass.OUTSIDE, CellClass.BOUNDARY, CellClass.UNKNOWN)[codes[0]]
 
 
 def _split4(xlo, xhi, ylo, yhi):
@@ -200,11 +210,9 @@ def _split4(xlo, xhi, ylo, yhi):
     return cx_lo, cx_hi, cy_lo, cy_hi
 
 
-def _inside_lower_sum(family: GraphFamily, xlo, xhi, ylo, yhi) -> float:
-    """Certified sum of (1 + |f'|^2) over proved-inside cells."""
-    if xlo.size == 0:
-        return 0.0
-    fp_lo_log, _ = bound_abs_fprime_batch(family, xlo, xhi, ylo, yhi)
+def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi) -> float:
+    """Certified sum of (1 + |f'|^2) over proved-inside cells, given the
+    log lower bound of |f'| on each."""
     # A downward widening moves a value by at least 3.5*2^-52 of itself after
     # its own rounding: more than the error of exp (1 ulp on numpy's
     # validation set) or of the five roundings in a term (2.5*2^-52).
@@ -228,14 +236,6 @@ def _sum_down(terms) -> float:
     return max(0.0, math.nextafter(total, -math.inf))
 
 
-def _membership(family: GraphFamily, r: float, zre, zim) -> np.ndarray:
-    """Pointwise membership |z|^2 + |f|^2 <= r^2 (exact evaluation)."""
-    log_f = log_abs_f_batch(family, zre, zim)
-    with np.errstate(over="ignore"):
-        f2 = np.where(np.isneginf(log_f), 0.0, np.exp(2.0 * log_f))
-    return zre * zre + zim * zim + f2 <= r * r
-
-
 def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
                            xlo, xhi, ylo, yhi) -> float:
     """Midgrid-sampled contribution of unresolved boundary cells."""
@@ -246,14 +246,19 @@ def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
     fx, fy = np.meshgrid(frac, frac, indexing="ij")
     fx = fx.ravel()[None, :]
     fy = fy.ravel()[None, :]
-    px = xlo[:, None] + (xhi - xlo)[:, None] * fx
-    py = ylo[:, None] + (yhi - ylo)[:, None] * fy
-    member = _membership(family, r, px, py)
-    log_fp = log_abs_fprime_batch(family, px, py)
-    with np.errstate(over="ignore"):
-        fp2 = np.where(np.isneginf(log_fp), 0.0, np.exp(2.0 * log_fp))
-    integrand = np.where(member, 1.0 + fp2, 0.0)
-    cell_mean = integrand.mean(axis=1)
+    cell_mean = np.empty(xlo.shape)
+    step = max(1, _KERNEL_CHUNK // (k * k))
+    for start in range(0, xlo.size, step):
+        c = slice(start, start + step)
+        px = xlo[c, None] + (xhi[c] - xlo[c])[:, None] * fx
+        py = ylo[c, None] + (yhi[c] - ylo[c])[:, None] * fy
+        log_f, log_fp = log_abs_f_fprime_batch(family, px, py)
+        with np.errstate(over="ignore"):
+            f2 = np.where(np.isneginf(log_f), 0.0, np.exp(2.0 * log_f))
+            fp2 = np.where(np.isneginf(log_fp), 0.0, np.exp(2.0 * log_fp))
+        # pointwise membership |z|^2 + |f|^2 <= r^2
+        member = px * px + py * py + f2 <= r * r
+        cell_mean[c] = np.where(member, 1.0 + fp2, 0.0).mean(axis=1)
     areas = (xhi - xlo) * (yhi - ylo)
     return float(np.sum(areas * cell_mean))
 
@@ -287,12 +292,12 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
         if xlo.size == 0:
             break
         depth_reached = depth
-        codes = _classify_batch(domain.family, domain.r, xlo, xhi, ylo, yhi)
+        codes, fp_lo_log = _classify_batch(domain.family, domain.r, xlo, xhi, ylo, yhi)
         ins = codes == _INSIDE
         und = (codes == _BOUNDARY) | (codes == _UNKNOWN)
         cells_inside += int(np.count_nonzero(ins))
         lower_parts.append(
-            _inside_lower_sum(domain.family, xlo[ins], xhi[ins], ylo[ins], yhi[ins])
+            _inside_lower_sum(fp_lo_log[ins], xlo[ins], xhi[ins], ylo[ins], yhi[ins])
         )
         if depth == cfg.max_depth:
             final_b = (xlo[und], xhi[und], ylo[und], yhi[und])

@@ -42,10 +42,8 @@ from graphgrowth import (
     witness_constants,
 )
 from graphgrowth.families import (
-    bound_abs_f_batch,
-    bound_abs_fprime_batch,
-    log_abs_f_batch,
-    log_abs_fprime_batch,
+    bound_abs_f_fprime_batch,
+    log_abs_f_fprime_batch,
 )
 from conftest import mp_f, run_cli, sample_cell
 
@@ -290,14 +288,12 @@ def test_criterion_8_property_suites():
         half = half_box[family]
         cells = np.array([sample_cell(rng, -half, half) for _ in range(1000)])
         re_lo, re_hi, im_lo, im_hi = cells.T
-        f_lo, f_hi = bound_abs_f_batch(family, re_lo, re_hi, im_lo, im_hi)
-        fp_lo, fp_hi = bound_abs_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
+        f_lo, f_hi, fp_lo, fp_hi = bound_abs_f_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
         u = rng.uniform(size=(1000, 8))
         v = rng.uniform(size=(1000, 8))
         xs = re_lo[:, None] + u * (re_hi - re_lo)[:, None]
         ys = im_lo[:, None] + v * (im_hi - im_lo)[:, None]
-        log_f = log_abs_f_batch(family, xs, ys)
-        log_fp = log_abs_fprime_batch(family, xs, ys)
+        log_f, log_fp = log_abs_f_fprime_batch(family, xs, ys)
         enclosure_ok = enclosure_ok and bool(
             np.all(log_f <= f_hi[:, None] + 1e-9)
             and np.all(log_f >= f_lo[:, None] - 1e-9)

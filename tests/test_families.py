@@ -27,10 +27,8 @@ from graphgrowth import (
 from graphgrowth.families import (
     _nudge_down,
     _nudge_up,
-    bound_abs_f_batch,
-    bound_abs_fprime_batch,
-    log_abs_f_batch,
-    log_abs_fprime_batch,
+    bound_abs_f_fprime_batch,
+    log_abs_f_fprime_batch,
 )
 from conftest import mp_f, mp_fprime, mp_log_abs, sample_cell
 
@@ -167,8 +165,7 @@ def test_cell_enclosures_contain_samples(family, rng):
     n_cells = 1000
     cells = np.array([sample_cell(rng, -half, half) for _ in range(n_cells)])
     re_lo, re_hi, im_lo, im_hi = cells.T
-    f_lo, f_hi = bound_abs_f_batch(family, re_lo, re_hi, im_lo, im_hi)
-    fp_lo, fp_hi = bound_abs_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
+    f_lo, f_hi, fp_lo, fp_hi = bound_abs_f_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
 
     n_pts = 16
     u = rng.uniform(size=(n_cells, n_pts))
@@ -179,8 +176,7 @@ def test_cell_enclosures_contain_samples(family, rng):
     xs = re_lo[:, None] + u * (re_hi - re_lo)[:, None]
     ys = im_lo[:, None] + v * (im_hi - im_lo)[:, None]
 
-    log_f = log_abs_f_batch(family, xs, ys)
-    log_fp = log_abs_fprime_batch(family, xs, ys)
+    log_f, log_fp = log_abs_f_fprime_batch(family, xs, ys)
     tol = 1e-9
     assert np.all(log_f <= f_hi[:, None] + tol)
     assert np.all(log_f >= f_lo[:, None] - tol)
@@ -196,8 +192,7 @@ def test_cell_enclosures_contain_mpmath_values(family):
     half = SAFE_BOX[family]
     cells = np.array([sample_cell(rng, -half, half) for _ in range(300)])
     re_lo, re_hi, im_lo, im_hi = cells.T
-    f_lo, f_hi = bound_abs_f_batch(family, re_lo, re_hi, im_lo, im_hi)
-    fp_lo, fp_hi = bound_abs_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
+    f_lo, f_hi, fp_lo, fp_hi = bound_abs_f_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
     with mpmath.workdps(50):
         for i, (x0, x1, y0, y1) in enumerate(cells):
             centre = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
@@ -214,8 +209,7 @@ def test_point_log_batch_matches_mpmath(family, rng):
     half = SAFE_BOX[family]
     xs = rng.uniform(-half, half, size=200)
     ys = rng.uniform(-half, half, size=200)
-    got_f = log_abs_f_batch(family, xs, ys)
-    got_fp = log_abs_fprime_batch(family, xs, ys)
+    got_f, got_fp = log_abs_f_fprime_batch(family, xs, ys)
     for i in range(0, 200, 7):
         z = complex(xs[i], ys[i])
         want_f = mp_log_abs(mp_f(family, z))
@@ -224,6 +218,48 @@ def test_point_log_batch_matches_mpmath(family, rng):
             assert got_f[i] == pytest.approx(want_f, rel=1e-10, abs=1e-8)
         if math.isfinite(want_fp):
             assert got_fp[i] == pytest.approx(want_fp, rel=1e-10, abs=1e-8)
+
+
+def _log_uniform_coords(rng, size):
+    """Signed coordinates with magnitudes spread over 1e-3..1e13, so that
+    every regime of the kernels appears: plain e^u, |e^u| beyond the
+    plain range, and Im u beyond the trig argument limit."""
+    mag = 10.0 ** rng.uniform(-3.0, 13.0, size)
+    return np.where(rng.uniform(size=size) < 0.5, -mag, mag)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_merged_kernels_are_batch_independent(family):
+    # each element's bits depend on that element alone: the full array, a
+    # boolean subset and the reversed array agree, for lengths that are
+    # not a multiple of a SIMD width
+    rng = np.random.default_rng(20261018)
+    n = 1003
+    x = np.concatenate([rng.uniform(-4.0, 4.0, 300), rng.uniform(690.0, 720.0, 100),
+                        _log_uniform_coords(rng, n - 400)])
+    y = np.concatenate([rng.uniform(-4.0, 4.0, 300), rng.uniform(-3.0, 3.0, 100),
+                        _log_uniform_coords(rng, n - 400)])
+    w = 10.0 ** rng.uniform(-6.0, 0.5, n)
+    h = 10.0 ** rng.uniform(-6.0, 0.5, n)
+    cells = (x - w, x + w, y - h, y + h)
+    u_re, u_im = (x, y) if family is not GraphFamily.SIN_EXP_SQ else (x * x - y * y, 2.0 * x * y)
+    assert np.count_nonzero(u_re > 700.0) > 20
+    assert np.count_nonzero(np.abs(u_im) > 1e12) > 20
+    subset = rng.uniform(size=n) < 0.6
+    assert np.count_nonzero(subset) % 8 != 0
+
+    for kernel, args in ((log_abs_f_fprime_batch, (x, y)),
+                         (bound_abs_f_fprime_batch, cells)):
+        full = kernel(family, *args)
+        part = kernel(family, *(a[subset] for a in args))
+        rev = kernel(family, *(a[::-1] for a in args))
+        for whole, sub, back in zip(full, part, rev):
+            assert np.array_equal(_bits(whole)[subset], _bits(sub))
+            assert np.array_equal(_bits(whole)[::-1], _bits(back))
 
 
 def _nextafter4(x, direction):
@@ -314,10 +350,9 @@ def test_interval_trig_soundness(x0, span, t):
     x = x0 + t * span
     lo = np.array([x0])
     hi = np.array([x0 + span])
-    for use_cos in (False, True):
-        t_min, t_max = _interval_trig(lo, hi, use_cos=use_cos)
-        val = math.cos(x) if use_cos else math.sin(x)
-        assert t_min[0] <= val <= t_max[0]
+    t_min, t_max = _interval_trig(lo, hi)  # rows: sin, cos
+    for row, val in enumerate((math.sin(x), math.cos(x))):
+        assert t_min[row][0] <= val <= t_max[row][0]
 
 
 def test_family_parse():

@@ -109,6 +109,34 @@ def test_center_point_values():
         assert fp.magnitude == pytest.approx(n * PI, rel=1e-12)
 
 
+def _disk_samples_ring_loop(center, radius, count):
+    """Reference: the center, then one ring at a time."""
+    rings = max(4, int(math.sqrt(count)))
+    per_ring = max(8, int(math.ceil((count - 1) / rings)))
+    pts_re = [np.array([center])]
+    pts_im = [np.array([0.0])]
+    for j in range(1, rings + 1):
+        rr = radius * j / rings
+        theta = 2.0 * math.pi * np.arange(per_ring) / per_ring
+        pts_re.append(center + rr * np.cos(theta))
+        pts_im.append(rr * np.sin(theta))
+    return np.concatenate(pts_re), np.concatenate(pts_im)
+
+
+@pytest.mark.parametrize("count", [1, 17, 500, 10000])
+def test_disk_samples_match_ring_loop(count):
+    disks = [(p.center, p.radius) for p in
+             [make_packet(GraphFamily.SIN_EXP, n) for n in (1, 7, 3000)]
+             + [make_packet(GraphFamily.SIN_EXP_SQ, n, delta=0.01) for n in (2, 7, 3000)]]
+    disks.append((0.0, 1.0 / (16.0 * PI * 5)))  # verify_ez_minus_one_bound's disk
+    for center, radius in disks:
+        got = packets._disk_samples(center, radius, count)
+        want = _disk_samples_ring_loop(center, radius, count)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.array_equal(g.view(np.int64), w.view(np.int64)), (center, count)
+
+
 def test_certify_d50_dense_sampling():
     p = certify_packet(make_packet(GraphFamily.SIN_EXP, 50),
                        CertifyMethod.DENSE_SAMPLING, samples=10_000)
@@ -153,7 +181,7 @@ def test_certify_huge_n_reports_failed_proof():
 
 def _proof_extrema_one_packet(p):
     """Reference: the grid-8 interval proof of one packet on its own,
-    one enclosure call per bound and packet."""
+    one enclosure call per packet."""
     grid = 8
     edges = p.center - p.radius + 2.0 * p.radius * np.arange(grid + 1) / grid
     xlo, xhi = np.repeat(edges[:-1], grid), np.repeat(edges[1:], grid)
@@ -162,8 +190,7 @@ def _proof_extrema_one_packet(p):
     dy = np.maximum(0.0, np.maximum(ylo, -yhi))
     keep = dx * dx + dy * dy <= p.radius * p.radius
     cells = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
-    _, f_hi = packets.bound_abs_f_batch(p.family, *cells)
-    fp_lo, _ = packets.bound_abs_fprime_batch(p.family, *cells)
+    _, f_hi, fp_lo, _ = packets.bound_abs_f_fprime_batch(p.family, *cells)
     max_f = float(packets._nudge_up(np.exp(np.max(f_hi))))
     min_fp = float(np.maximum(packets._nudge_down(np.exp(np.min(fp_lo))), 0.0))
     return max_f, min_fp

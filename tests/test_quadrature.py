@@ -23,7 +23,7 @@ from graphgrowth import (
     ez_area_closed_bound,
     graph_area,
 )
-from graphgrowth.families import log_abs_fprime_batch
+from graphgrowth.families import log_abs_f_fprime_batch
 from graphgrowth.quadrature import RADIUS_CAPS
 
 
@@ -131,17 +131,15 @@ def test_soundness_vs_monte_carlo(family, r):
     half = r + 0.5
     xs = rng.uniform(-half, half, size=n)
     ys = rng.uniform(-half, half, size=n)
-    log_f = np.array([])
     member = xs * xs + ys * ys <= r * r
-    from graphgrowth.families import log_abs_f_batch
-    log_f = log_abs_f_batch(family, xs[member], ys[member])
+    log_f, log_fp = log_abs_f_fprime_batch(family, xs[member], ys[member])
     inside = np.zeros(n, dtype=bool)
     with np.errstate(over="ignore"):
         f2 = np.exp(2.0 * np.minimum(log_f, 400.0))
-    inside[member] = xs[member] ** 2 + ys[member] ** 2 + f2 <= r * r
+    inside_member = xs[member] ** 2 + ys[member] ** 2 + f2 <= r * r
+    inside[member] = inside_member
     vals = np.zeros(n)
-    log_fp = log_abs_fprime_batch(family, xs[inside], ys[inside])
-    vals[inside] = 1.0 + np.exp(2.0 * np.minimum(log_fp, 400.0))
+    vals[inside] = 1.0 + np.exp(2.0 * np.minimum(log_fp[inside_member], 400.0))
     box_area = (2 * half) ** 2
     mc = vals.mean() * box_area
     sigma = vals.std(ddof=1) / math.sqrt(n) * box_area
@@ -193,6 +191,21 @@ def test_graph_area_deterministic():
 # ---------------------------------------------------------------------------
 # radius caps
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("family,r", [
+    (GraphFamily.SIN_EXP, 4.2),
+    (GraphFamily.SIN_EXP_SQ, 2.3),
+    (GraphFamily.EXP, 8.0),
+])
+def test_kernel_chunks_do_not_change_results(family, r, monkeypatch):
+    # classification and boundary sampling call the kernels in chunks; a
+    # chunk far smaller than every level must give the same bits as one call
+    from graphgrowth import quadrature
+    domain = SublevelDomain(family, r)
+    whole = graph_area(domain, estimate_cfg(depth=7))
+    monkeypatch.setattr(quadrature, "_KERNEL_CHUNK", 37)
+    assert graph_area(domain, estimate_cfg(depth=7)) == whole
+
 
 def test_radius_caps_values():
     assert RADIUS_CAPS[GraphFamily.SIN_EXP] == 8.0
