@@ -239,8 +239,6 @@ def _sum_down(terms) -> float:
 def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
                            xlo, xhi, ylo, yhi) -> float:
     """Midgrid-sampled contribution of unresolved boundary cells."""
-    if xlo.size == 0:
-        return 0.0
     k = max(2, int(math.isqrt(cfg.samples_per_cell)))
     frac = (np.arange(k) + 0.5) / k
     fx, fy = np.meshgrid(frac, frac, indexing="ij")
