@@ -32,7 +32,9 @@ computed endpoint is widened outward in one fused pass,
 x -> max(x(1+4*2^-52), x(1-4*2^-52)) + 4*2^-1074 upward and its mirror
 image downward, which is never narrower than four ulp steps.  They are
 used by the sublevel-set quadrature to certify cells and by the packet
-certifier.
+certifier.  MIRROR_AXES records, per family, the coordinates in which
+|f| and |f'| are even; the quadrature subdivides one fundamental region
+of those mirror symmetries.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "bound_abs_fprime",
     "log_abs_f_fprime_batch",
     "bound_abs_f_fprime_batch",
+    "MIRROR_AXES",
 ]
 
 LOG2 = math.log(2.0)
@@ -410,6 +413,10 @@ def log_abs_f_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray
 #   F = x + 4 eta.
 # Products never meet inf - inf, so no NaN arises; +inf stays +inf and the
 # final clamp lifts -inf to its own fourth successor.  NaN passes through.
+# Assumption: the kernels widen each computed endpoint once, so the 4-ulp
+# step must also absorb the error of numpy's exp, log, sin and cos behind
+# it.  numpy validates those to 1 ulp, which the step covers; a full proof
+# would need bounds on those kernels themselves.
 _WIDEN_REL = 4.0 * 2.0 ** -52
 _WIDEN_ABS = 4.0 * 2.0 ** -1074
 _DOWN_CEIL = sys.float_info.max - 3.0 * 2.0 ** 971  # nextafter^4(+inf, -inf)
@@ -532,6 +539,19 @@ def _u_ranges(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     w_log_hi = _nudge_up(x2_hi - y2_lo)
     p_lo, p_hi = _interval_prod(re_lo, re_hi, im_lo, im_hi)
     return w_log_lo, w_log_hi, _nudge_down(2.0 * p_lo), _nudge_up(2.0 * p_hi)
+
+
+# Mirror symmetries of |f| and |f'|, and so of the sublevel domains the
+# quadrature integrates over.  Every family is real on the real axis, so
+# f(conj z) = conj f(z) and both magnitudes are even in Im z ("im");
+# sin(e^(z^2)) is also even in z, so for it they are even in Re z ("re")
+# too.  bound_abs_f_fprime_batch returns the same bits on a cell and on its
+# mirror image in each declared coordinate; tests/test_families.py checks it.
+MIRROR_AXES: dict[GraphFamily, tuple[str, ...]] = {
+    GraphFamily.SIN_EXP: ("im",),
+    GraphFamily.SIN_EXP_SQ: ("im", "re"),
+    GraphFamily.EXP: ("im",),
+}
 
 
 def bound_abs_f_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):

@@ -17,6 +17,24 @@ graph area.  ESTIMATE mode additionally samples the unresolved boundary
 cells on a fixed centered subgrid, giving a convergent point estimate
 that still never counts anything outside the proved-or-sampled region.
 
+Only one fundamental region of the domain's mirror symmetry is
+subdivided.  |f| and |f'| are even in Im z for every family, and in Re z
+too for sin(e^(z^2)) (families.MIRROR_AXES), so Omega_r is symmetric
+about those axes, and so is the seed box [-h, h]^2, which is split at
+exactly 0.0.  The seed box itself is classified whole; of its children
+only those with Im z >= 0 are kept, and also Re z >= 0 when both axes
+apply.  Each kept cell stands for itself and its mirror images, so
+everything summed over the kept cells carries the weight w = 2 (upper
+half plane) or w = 4 (first quadrant): the inside terms, the cell
+counts, the leftover boundary area and the sampled boundary sum.  The
+inside terms are multiplied by w before their correctly rounded sum, and
+multiplying by 2 or 4 is exact, so every per-depth part and the lower
+bound equal the whole-domain sums bit for bit whenever the enclosure
+kernels return the same bits on mirrored cells (a sum past the double
+range still ends at the largest double).  Soundness does not rest on
+those bits: the magnitudes and Omega_r are exactly symmetric, so a sound
+enclosure of a kept cell also encloses its mirror images.
+
 Cell traversal, subdivision and accumulation follow a fixed
 deterministic order, so results are bit-identical from run to run
 regardless of any ambient threading configuration.
@@ -32,6 +50,7 @@ from enum import Enum
 import numpy as np
 
 from .families import (
+    MIRROR_AXES,
     GraphFamily,
     RectBounds,
     _nudge_down,
@@ -116,6 +135,9 @@ class AreaEstimate:
 
     lower is always a certified lower bound of the graph area; estimate
     is present in ESTIMATE mode only and is >= lower by construction.
+    cells_inside and cells_boundary count cells of the whole domain,
+    mirror images included, although only one fundamental region is
+    subdivided.
     depth_exceeded flags that the unresolved boundary area still exceeds
     tol_rel relative to the result when max_depth was reached (a warning,
     not a failure).
@@ -210,16 +232,23 @@ def _split4(xlo, xhi, ylo, yhi):
     return cx_lo, cx_hi, cy_lo, cy_hi
 
 
-def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi) -> float:
+def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi, weight: int) -> float:
     """Certified sum of (1 + |f'|^2) over proved-inside cells, given the
-    log lower bound of |f'| on each."""
+    log lower bound of |f'| on each, with each cell counted weight times.
+
+    The weight scales each term before the sum: that is exact, and fsum
+    is correctly rounded, so the result is the sum over all weight
+    copies of the cells.  A term past half the double range becomes inf
+    and the sum the largest double, as the copies' sum would.
+    """
     # A downward widening moves a value by at least 3.5*2^-52 of itself after
     # its own rounding: more than the error of exp (1 ulp on numpy's
     # validation set) or of the five roundings in a term (2.5*2^-52).
     with np.errstate(over="ignore"):
         fp_lo2 = np.maximum(_nudge_down(np.exp(2.0 * fp_lo_log)), 0.0)
     terms = _nudge_down((xhi - xlo) * (yhi - ylo) * (1.0 + fp_lo2))
-    return _sum_down(terms)
+    with np.errstate(over="ignore"):
+        return _sum_down(weight * terms)
 
 
 def _sum_down(terms) -> float:
@@ -285,6 +314,7 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
     cells_inside = 0
     depth_reached = 0
     final_b = (np.empty(0),) * 4
+    weight = 1  # copies of each cell in the whole domain; see the module docstring
 
     for depth in range(cfg.max_depth + 1):
         if xlo.size == 0:
@@ -293,24 +323,30 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
         codes, fp_lo_log = _classify_batch(domain.family, domain.r, xlo, xhi, ylo, yhi)
         ins = codes == _INSIDE
         und = (codes == _BOUNDARY) | (codes == _UNKNOWN)
-        cells_inside += int(np.count_nonzero(ins))
-        lower_parts.append(
-            _inside_lower_sum(fp_lo_log[ins], xlo[ins], xhi[ins], ylo[ins], yhi[ins])
-        )
+        cells_inside += weight * int(np.count_nonzero(ins))
+        lower_parts.append(_inside_lower_sum(
+            fp_lo_log[ins], xlo[ins], xhi[ins], ylo[ins], yhi[ins], weight
+        ))
         if depth == cfg.max_depth:
             final_b = (xlo[und], xhi[und], ylo[und], yhi[und])
             break
         xlo, xhi, ylo, yhi = _split4(xlo[und], xhi[und], ylo[und], yhi[und])
+        if depth == 0:
+            axes = MIRROR_AXES[domain.family]
+            lows = {"re": xlo, "im": ylo}
+            keep = np.logical_and.reduce([lows[axis] >= 0.0 for axis in axes])
+            xlo, xhi, ylo, yhi = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+            weight = 2 ** len(axes)
 
     lower = _sum_down(lower_parts)
     bx_lo, bx_hi, by_lo, by_hi = final_b
-    cells_boundary = int(bx_lo.size)
-    leftover_area = float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo))) if cells_boundary else 0.0
+    cells_boundary = weight * int(bx_lo.size)
+    leftover_area = weight * float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
     depth_exceeded = leftover_area > cfg.tol_rel * max(lower, 1e-12)
 
     estimate = None
     if cfg.mode is QuadMode.ESTIMATE:
-        estimate = lower + _boundary_estimate_sum(
+        estimate = lower + weight * _boundary_estimate_sum(
             domain.family, domain.r, cfg, bx_lo, bx_hi, by_lo, by_hi
         )
     return AreaEstimate(

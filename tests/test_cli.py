@@ -66,6 +66,17 @@ def test_area_cap_override():
     assert proc.returncode == 0
 
 
+@pytest.mark.parametrize("family", ["exp", "sin-exp-sq"])
+def test_area_huge_radius_prints_largest_lower(family):
+    # r*r overflows, so the whole seed box is classified inside at depth 0
+    # and its area sum rounds down to the top of the double range
+    proc = run_cli("area", "--family", family, "--r", "1e200", "--allow-large-r")
+    assert proc.returncode == 0
+    rows = parse_csv(proc.stdout)
+    assert len(rows) == 1
+    assert rows[0]["area_lower"] == "1.7976931348623147e+308"
+
+
 def test_area_real_list_syntax():
     # reals ride comma lists; the lo..hi range form is for integer n
     proc = run_cli("area", "--family", "exp", "--r", "2,3,4",

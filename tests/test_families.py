@@ -25,6 +25,7 @@ from graphgrowth import (
     eval_fprime,
 )
 from graphgrowth.families import (
+    MIRROR_AXES,
     _nudge_down,
     _nudge_up,
     bound_abs_f_fprime_batch,
@@ -236,7 +237,9 @@ def _bits(a):
 def test_merged_kernels_are_batch_independent(family):
     # each element's bits depend on that element alone: the full array, a
     # boolean subset and the reversed array agree, for lengths that are
-    # not a multiple of a SIMD width
+    # not a multiple of a SIMD width; and a cell's mirror image across each
+    # axis the family declares gives the cell's bits, which keeps the
+    # quadrature over one fundamental region bit-identical to the whole box
     rng = np.random.default_rng(20261018)
     n = 1003
     x = np.concatenate([rng.uniform(-4.0, 4.0, 300), rng.uniform(690.0, 720.0, 100),
@@ -260,6 +263,20 @@ def test_merged_kernels_are_batch_independent(family):
         for whole, sub, back in zip(full, part, rev):
             assert np.array_equal(_bits(whole)[subset], _bits(sub))
             assert np.array_equal(_bits(whole)[::-1], _bits(back))
+
+    assert "im" in MIRROR_AXES[family]
+    assert ("re" in MIRROR_AXES[family]) == (family is GraphFamily.SIN_EXP_SQ)
+    xlo, xhi, ylo, yhi = cells
+    zero = np.zeros(n)
+    mirrors = {"im": lambda c: (c[0], c[1], -c[3], -c[2]),
+               "re": lambda c: (-c[1], -c[0], c[2], c[3])}
+    on_axis = {"im": (xlo, xhi, zero, 2.0 * h), "re": (zero, 2.0 * w, ylo, yhi)}
+    for axis in MIRROR_AXES[family]:
+        for box in (cells, on_axis[axis]):
+            whole = bound_abs_f_fprime_batch(family, *box)
+            mirrored = bound_abs_f_fprime_batch(family, *mirrors[axis](box))
+            for a, b in zip(whole, mirrored):
+                assert np.array_equal(_bits(a), _bits(b))
 
 
 def _nextafter4(x, direction):

@@ -24,7 +24,17 @@ from graphgrowth import (
     graph_area,
 )
 from graphgrowth.families import log_abs_f_fprime_batch
-from graphgrowth.quadrature import RADIUS_CAPS
+from graphgrowth.quadrature import (
+    _BOUNDARY,
+    _INSIDE,
+    _UNKNOWN,
+    RADIUS_CAPS,
+    _boundary_estimate_sum,
+    _classify_batch,
+    _inside_lower_sum,
+    _split4,
+    _sum_down,
+)
 
 
 def lower_cfg(depth=10, **kw):
@@ -186,6 +196,76 @@ def test_graph_area_deterministic():
     a = graph_area(dom, cfg)
     b = graph_area(dom, cfg)
     assert a == b  # dataclass equality is fieldwise and bit-exact on floats
+
+
+# ---------------------------------------------------------------------------
+# one fundamental region of the mirror symmetry against the whole seed box
+# ---------------------------------------------------------------------------
+
+def _whole_box_area(domain, cfg):
+    """Reference: the quadtree over the whole seed box, every cell
+    classified and summed once, as graph_area ran before it kept one
+    fundamental region of the mirror symmetry."""
+    half = domain.r + cfg.seed_box_pad
+    xlo, xhi, ylo, yhi = (np.array([v]) for v in (-half, half, -half, half))
+    parts = []
+    cells_inside = depth_reached = 0
+    final_b = (np.empty(0),) * 4
+    for depth in range(cfg.max_depth + 1):
+        if xlo.size == 0:
+            break
+        depth_reached = depth
+        codes, fp_lo_log = _classify_batch(domain.family, domain.r, xlo, xhi, ylo, yhi)
+        ins = codes == _INSIDE
+        und = (codes == _BOUNDARY) | (codes == _UNKNOWN)
+        cells_inside += int(np.count_nonzero(ins))
+        parts.append(_inside_lower_sum(fp_lo_log[ins], xlo[ins], xhi[ins], ylo[ins], yhi[ins], 1))
+        if depth == cfg.max_depth:
+            final_b = (xlo[und], xhi[und], ylo[und], yhi[und])
+            break
+        xlo, xhi, ylo, yhi = _split4(xlo[und], xhi[und], ylo[und], yhi[und])
+    lower = _sum_down(parts)
+    bx_lo, bx_hi, by_lo, by_hi = final_b
+    leftover_area = float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
+    estimate = None
+    if cfg.mode is QuadMode.ESTIMATE:
+        estimate = lower + _boundary_estimate_sum(domain.family, domain.r, cfg, *final_b)
+    return AreaEstimate(
+        lower=lower,
+        estimate=estimate,
+        cells_inside=cells_inside,
+        cells_boundary=int(bx_lo.size),
+        depth_reached=depth_reached,
+        depth_exceeded=leftover_area > cfg.tol_rel * max(lower, 1e-12),
+    )
+
+
+@pytest.mark.parametrize("mode", list(QuadMode))
+@pytest.mark.parametrize("family,r,extra", [
+    (GraphFamily.EXP, 2.0, {}),
+    (GraphFamily.EXP, 16.0, {"seed_box_pad": 0.0}),
+    (GraphFamily.SIN_EXP, 2.7, {"samples_per_cell": 9}),
+    (GraphFamily.SIN_EXP, 4.6, {}),
+    (GraphFamily.SIN_EXP_SQ, 1.8, {"seed_box_pad": 0.0, "samples_per_cell": 9}),
+    (GraphFamily.SIN_EXP_SQ, 2.8, {}),
+])
+def test_fundamental_region_matches_whole_box(family, r, extra, mode):
+    # the certified outputs are bit-identical to the whole-box quadtree;
+    # the sampled boundary sum is summed pairwise over another set of
+    # cells, so the estimate may move in its last bits
+    domain = SublevelDomain(family, r)
+    cfg = QuadConfig(mode=mode, max_depth=11, **extra)
+    got = graph_area(domain, cfg)
+    ref = _whole_box_area(domain, cfg)
+    assert got.lower == ref.lower
+    assert got.cells_inside == ref.cells_inside
+    assert got.cells_boundary == ref.cells_boundary
+    assert got.depth_reached == ref.depth_reached
+    assert got.depth_exceeded == ref.depth_exceeded
+    if mode is QuadMode.ESTIMATE:
+        assert got.estimate == pytest.approx(ref.estimate, rel=1e-12, abs=0.0)
+    else:
+        assert got.estimate is None and ref.estimate is None
 
 
 # ---------------------------------------------------------------------------
