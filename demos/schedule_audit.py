@@ -43,7 +43,7 @@ for variant, N, n0 in ((RadiiVariant.EXP_RADII, 10_000, 10_000),
     )
     print(f"all rows feasible: {flags}; worst sigma residual {worst:.2e}")
 
-    lo, hi = queryable_range(rows, cfg)
+    lo, hi = queryable_range(rows)
     grid = list(np.linspace(lo, hi, 8))
     diag = diagnostics(rows, cfg, grid)
     print(f"queryable R in [{lo:.4f}, {hi:.4f}]")

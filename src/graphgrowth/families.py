@@ -471,7 +471,8 @@ def _interval_trig(lo: np.ndarray, hi: np.ndarray):
 
 def _interval_prod(alo, ahi, blo, bhi):
     """Interval product; endpoints are already outward rounded upstream."""
-    c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
+    with np.errstate(over="ignore"):
+        c1, c2, c3, c4 = alo * blo, alo * bhi, ahi * blo, ahi * bhi
     lo = np.minimum(np.minimum(c1, c2), np.minimum(c3, c4))
     hi = np.maximum(np.maximum(c1, c2), np.maximum(c3, c4))
     return lo, hi
@@ -524,8 +525,9 @@ def _bound_trig_of_exp_batch(w_log_lo, w_log_hi, arg_lo, arg_hi):
 def _square_range(lo, hi):
     """Range of t^2 for t in [lo, hi]."""
     straddles = (lo <= 0.0) & (hi >= 0.0)
-    lo2 = np.where(straddles, 0.0, np.minimum(lo * lo, hi * hi))
-    hi2 = np.maximum(lo * lo, hi * hi)
+    with np.errstate(over="ignore"):
+        lo2 = np.where(straddles, 0.0, np.minimum(lo * lo, hi * hi))
+        hi2 = np.maximum(lo * lo, hi * hi)
     return lo2, hi2
 
 
@@ -576,7 +578,8 @@ def bound_abs_f_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     dx = np.maximum(0.0, np.maximum(re_lo, -re_hi))
     dy = np.maximum(0.0, np.maximum(im_lo, -im_hi))
     dmin2 = dx * dx + dy * dy
-    dmax2 = np.maximum(re_lo * re_lo, re_hi * re_hi) + np.maximum(im_lo * im_lo, im_hi * im_hi)
+    with np.errstate(over="ignore"):
+        dmax2 = np.maximum(re_lo * re_lo, re_hi * re_hi) + np.maximum(im_lo * im_lo, im_hi * im_hi)
     with np.errstate(divide="ignore"):
         log_2z_lo = LOG2 + 0.5 * np.log(dmin2)
         log_2z_hi = LOG2 + 0.5 * np.log(dmax2)

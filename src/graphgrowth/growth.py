@@ -8,7 +8,10 @@ Given samples (r, area(r)) the three candidate laws are
 
 Each model is fit by ordinary least squares in its linearizing
 coordinates; classification picks the model with the smallest RMS
-residual.  witness_constants then turns a fit into a checked inequality
+residual.  The fit (_least_squares, which also gives the schedule trend
+and the plot title) is exact over math.log values, with slope, intercept
+and RMS each rounded once, so it does not depend on the host's numpy.
+witness_constants then turns a fit into a checked inequality
 
     area(r) >= C * exp(c * m(r))   for all samples with r >= r0
 
@@ -21,6 +24,7 @@ inequality holds at every sample beyond some r0.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -96,35 +100,88 @@ class GrowthFit:
             raise ValueError("residual_rms must be nonnegative")
 
 
-def _model_coord(model: GrowthModel, rs: np.ndarray) -> np.ndarray:
+def _scaled_ints(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integers M_i and a common k with values[i] == M_i * 2**k exactly.
+
+    frexp mantissas scaled by 2**53 are integers that fit in int64 (for
+    subnormals too); shifting each to the smallest exponent is exact."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("least squares needs finite values")
+    mant, exp = np.frexp(arr)
+    ints = (mant * 2.0**53).astype(np.int64).tolist()
+    low = int(exp.min())
+    return list(map(operator.lshift, ints, (exp - low).tolist())), low - 53
+
+
+def _rounded_ratio(num: int, den: int, shift: int) -> float:
+    """num / den * 2**shift for den > 0, rounded once (+-inf past the range)."""
+    try:
+        return (num << shift) / den if shift >= 0 else num / (den << -shift)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _least_squares(x: Sequence[float], y: Sequence[float]) -> tuple[float, float, float]:
+    """(slope, intercept, rms residual) of the least-squares line of y on x.
+
+    With x = X*2**kx, y = Y*2**ky for integers X, Y and S for sums, the
+    slope num/den (num = n*SXY - SX*SY, den = n*SXX - SX^2), intercept
+    (SY*SXX - SX*SXY)/den and rms^2 ((n*SYY - SY^2)*den - num^2)/(n^2*den)
+    are exact rationals, each rounded once: by int division, and by an
+    isqrt of at least 55 bits with a sticky last bit.  Raises ValueError
+    when den = 0 (all x equal) or a value is not finite.
+    """
+    X, kx = _scaled_ints(x)
+    Y, ky = _scaled_ints(y)
+    n = len(X)
+    sx, sy = sum(X), sum(Y)
+    sxx = sum(map(operator.mul, X, X))
+    sxy = sum(map(operator.mul, X, Y))
+    den = n * sxx - sx * sx
+    if den == 0:
+        raise ValueError("degenerate abscissae: all x values equal")
+    num = n * sxy - sx * sy
+    p = (n * sum(map(operator.mul, Y, Y)) - sy * sy) * den - num * num
+    q = n * n * den
+    # rms = sqrt(p/q) * 2**ky; scale p/q by 4**m so its root has >= 55 bits
+    m = max(0, (q.bit_length() - p.bit_length() + 112) // 2)
+    scaled = p << (2 * m)
+    root = math.isqrt(scaled // q)
+    if root * root * q != scaled:
+        root |= 1
+    return (_rounded_ratio(num, den, ky - kx),
+            _rounded_ratio(sy * sxx - sx * sxy, den, ky),
+            _rounded_ratio(root, 1, ky - m))
+
+
+def _model_coord(model: GrowthModel, rs: Sequence[float]) -> list[float]:
     if model is GrowthModel.POLYNOMIAL:
-        return np.log(rs)
+        return list(map(math.log, rs))
     if model is GrowthModel.EXPONENTIAL:
-        return rs.copy()
-    return rs * rs
+        return rs
+    return [r * r for r in rs]
 
 
-def _areas(samples: Sequence[GrowthSample], use_estimate: bool) -> np.ndarray:
-    if use_estimate:
-        vals = [s.area_estimate for s in samples]
-        if any(v is None for v in vals):
-            raise ValueError("use_estimate requires every sample to carry an estimate")
-        return np.array(vals, dtype=float)
-    return np.array([s.area_lower for s in samples], dtype=float)
-
-
-def _validate(samples: Sequence[GrowthSample], use_estimate: bool):
+def _fit(samples: Sequence[GrowthSample], model: GrowthModel, use_estimate: bool):
+    """The fit with the coordinates it was made in: (fit, rs, x, y)."""
     if len(samples) < MIN_SAMPLES:
         raise InsufficientSamplesError(
             f"need at least {MIN_SAMPLES} samples, got {len(samples)}"
         )
-    rs = np.array([s.r for s in samples], dtype=float)
-    if not np.all(np.diff(rs) > 0):
+    rs = [float(s.r) for s in samples]
+    if not all(map(operator.lt, rs, rs[1:])):
         raise ValueError("samples must be sorted by strictly increasing r")
-    areas = _areas(samples, use_estimate)
-    if not np.all(areas > 0):
+    areas = [s.area_estimate if use_estimate else s.area_lower for s in samples]
+    if any(a is None for a in areas):
+        raise ValueError("use_estimate requires every sample to carry an estimate")
+    if not all(a > 0 for a in areas):
         raise NonPositiveAreaError("all areas must be strictly positive")
-    return rs, areas
+    x = _model_coord(model, rs)
+    y = list(map(math.log, areas))
+    # _least_squares gives (rate, log_intercept, residual_rms) in field order
+    fit = GrowthFit(model, *_least_squares(x, y), r_range=(rs[0], rs[-1]))
+    return fit, rs, x, y
 
 
 def fit_growth(samples: Sequence[GrowthSample], model: GrowthModel,
@@ -134,25 +191,7 @@ def fit_growth(samples: Sequence[GrowthSample], model: GrowthModel,
     rate is the slope (the exponent p for POLYNOMIAL, the rate c
     otherwise); log_intercept is the fitted log C.
     """
-    rs, areas = _validate(samples, use_estimate)
-    x = _model_coord(model, rs)
-    y = np.log(areas)
-    xbar = float(np.mean(x))
-    ybar = float(np.mean(y))
-    sxx = float(np.sum((x - xbar) ** 2))
-    if sxx == 0.0:
-        raise ValueError("degenerate abscissae: all model coordinates equal")
-    slope = float(np.sum((x - xbar) * (y - ybar)) / sxx)
-    intercept = ybar - slope * xbar
-    resid = y - (intercept + slope * x)
-    rms = float(math.sqrt(float(np.mean(resid * resid))))
-    return GrowthFit(
-        model=model,
-        rate=slope,
-        log_intercept=intercept,
-        residual_rms=rms,
-        r_range=(float(rs[0]), float(rs[-1])),
-    )
+    return _fit(samples, model, use_estimate)[0]
 
 
 # Tie preference when residuals coincide: simpler model wins.
@@ -162,12 +201,8 @@ _MODEL_ORDER = (GrowthModel.POLYNOMIAL, GrowthModel.EXPONENTIAL, GrowthModel.GAU
 def classify_growth(samples: Sequence[GrowthSample],
                     use_estimate: bool = False) -> GrowthFit:
     """Fit all three models and return the one with smallest RMS residual."""
-    fits = [fit_growth(samples, m, use_estimate) for m in _MODEL_ORDER]
-    best = fits[0]
-    for fit in fits[1:]:
-        if fit.residual_rms < best.residual_rms:
-            best = fit
-    return best
+    return min((fit_growth(samples, m, use_estimate) for m in _MODEL_ORDER),
+               key=operator.attrgetter("residual_rms"))
 
 
 def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
@@ -187,11 +222,9 @@ def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
     """
     if not (granularity > 0):
         raise ValueError("granularity must be positive")
-    rs, areas = _validate(samples, use_estimate)
-    fit = fit_growth(samples, model, use_estimate)
+    fit, rs, m, y = _fit(samples, model, use_estimate)
     log_c_const = fit.log_intercept
-    m = _model_coord(model, rs)
-    y = np.log(areas)
+    m, y = np.array(m), np.array(y)
     if np.any(m <= 0):
         raise ValueError(
             "witness search needs positive model coordinates "
@@ -211,7 +244,7 @@ def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
         while k >= 1 and not np.all(yi >= log_c_const + k * granularity * mi):
             k -= 1
         if k >= 1:
-            return (k * granularity, float(rs[i]))
+            return (k * granularity, rs[i])
     raise NoWitnessError(
         f"no positive witness rate at granularity {granularity} for {model.value}"
     )

@@ -176,7 +176,8 @@ def _classify_batch(family: GraphFamily, r: float, xlo, xhi, ylo, yhi):
     dx = np.maximum(0.0, np.maximum(xlo, -xhi))
     dy = np.maximum(0.0, np.maximum(ylo, -yhi))
     dmin2 = dx * dx + dy * dy
-    dmax2 = np.maximum(xlo * xlo, xhi * xhi) + np.maximum(ylo * ylo, yhi * yhi)
+    with np.errstate(over="ignore"):
+        dmax2 = np.maximum(xlo * xlo, xhi * xhi) + np.maximum(ylo * ylo, yhi * yhi)
 
     out = np.full(xlo.shape, _BOUNDARY, dtype=np.int8)
     far = dmin2 > r2
@@ -246,8 +247,7 @@ def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi, weight: int) -> float:
     # validation set) or of the five roundings in a term (2.5*2^-52).
     with np.errstate(over="ignore"):
         fp_lo2 = np.maximum(_nudge_down(np.exp(2.0 * fp_lo_log)), 0.0)
-    terms = _nudge_down((xhi - xlo) * (yhi - ylo) * (1.0 + fp_lo2))
-    with np.errstate(over="ignore"):
+        terms = _nudge_down((xhi - xlo) * (yhi - ylo) * (1.0 + fp_lo2))
         return _sum_down(weight * terms)
 
 

@@ -43,7 +43,6 @@ a plain row list into a Schedule once.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -51,6 +50,8 @@ from enum import Enum
 from itertools import repeat
 
 import numpy as np
+
+from .growth import _least_squares
 
 __all__ = [
     "RadiiVariant",
@@ -341,10 +342,8 @@ def _count_stages_below(T: np.ndarray, R: float) -> int:
     return int(hits[-1]) + 1 if hits.size else 0
 
 
-def queryable_range(rows: Sequence[ScheduleRow], cfg: ScheduleConfig) -> tuple[float, float]:
-    """Radii between which stage counting is informative (1 <= N(R) <= N).
-
-    The radii come from the rows alone; cfg is not consulted."""
+def queryable_range(rows: Sequence[ScheduleRow]) -> tuple[float, float]:
+    """Radii between which stage counting is informative (1 <= N(R) <= N)."""
     T = _thickened_outer_radii(_as_schedule(rows))
     return float(np.min(T)), float(T[-1])
 
@@ -389,35 +388,6 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
     )
 
 
-def _scaled_ints(values: Sequence[float]) -> tuple[list[int], int]:
-    """Integers M_i and a common k with values[i] == M_i * 2**k exactly.
-
-    frexp mantissas scaled by 2**53 are integers that fit in int64 (for
-    subnormals too); shifting each to the smallest exponent is exact."""
-    mant, exp = np.frexp(np.asarray(values, dtype=float))
-    ints = (mant * 2.0**53).astype(np.int64).tolist()
-    low = int(exp.min())
-    return list(map(operator.lshift, ints, (exp - low).tolist())), low - 53
-
-
-def _least_squares_slope(x: Sequence[float], y: Sequence[float]) -> float:
-    """Correctly rounded slope of the least-squares line of y on x.
-
-    With x = X*2**kx and y = Y*2**ky for integers X, Y, the slope is
-    (n*sum XY - sum X * sum Y) / (n*sum X^2 - (sum X)^2) * 2**(ky-kx),
-    an exact rational that Python's int division rounds once."""
-    X, kx = _scaled_ints(x)
-    Y, ky = _scaled_ints(y)
-    n = len(X)
-    sx, sy = sum(X), sum(Y)
-    num = n * sum(map(operator.mul, X, Y)) - sx * sy
-    den = n * sum(map(operator.mul, X, X)) - sx * sx
-    shift = ky - kx
-    if shift >= 0:
-        return (num << shift) / den
-    return num / (den << -shift)
-
-
 def completeness_trend(rows: Sequence[ScheduleRow],
                        cfg: ScheduleConfig | None = None,
                        min_rows: int = 20) -> tuple[float, bool]:
@@ -432,8 +402,8 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     offset by n0, and the expected -1/2 law holds in that counter.  With
     no cfg the raw row number is used (apt for synthetic rows).
 
-    The logs come from libm (math.log); the fit over them is exact and p
-    is rounded once, so it is the correctly rounded slope and does not
+    The logs come from libm (math.log) and p is the exact least-squares
+    slope over them rounded once (growth._least_squares), so it does not
     depend on numpy's log kernels or on any summation order.
     """
     schedule = _as_schedule(rows)
@@ -445,6 +415,6 @@ def completeness_trend(rows: Sequence[ScheduleRow],
         )
     offset = cfg.n0 if cfg is not None else 0
     stages = [n + offset for n in schedule.n[keep].tolist()]
-    exponent = _least_squares_slope(list(map(math.log, stages)),
-                                    list(map(math.log, schedule.sigma[keep].tolist())))
+    exponent = _least_squares(list(map(math.log, stages)),
+                              list(map(math.log, schedule.sigma[keep].tolist())))[0]
     return exponent, exponent > -1.0

@@ -4,7 +4,8 @@ No plotting dependency: the chart is a polyline in transformed
 coordinates plus a frame, tick labels at the corners, and a <title>
 element carrying machine-readable metadata (the axes mode and the
 least-squares slope of the transformed data, which is the growth rate
-under the matching model).  Output is deterministic text.
+under the matching model, exact and rounded once by growth's fit).
+Output is deterministic text that does not depend on numpy.
 
 Axes modes and their coordinate transforms:
 
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import math
 from typing import Sequence
+
+from .growth import _least_squares
 
 __all__ = ["AXES_MODES", "render_line_chart"]
 
@@ -57,16 +60,6 @@ def _transform(mode: str, xs: Sequence[float], ys: Sequence[float]):
     return tx, ty
 
 
-def _fit_slope(tx: Sequence[float], ty: Sequence[float]) -> float:
-    n = len(tx)
-    xbar = sum(tx) / n
-    ybar = sum(ty) / n
-    sxx = sum((x - xbar) ** 2 for x in tx)
-    if sxx == 0.0:
-        return float("nan")
-    return sum((x - xbar) * (y - ybar) for x, y in zip(tx, ty)) / sxx
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
@@ -83,14 +76,17 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
 
     The <title> carries "<label>; mode=<mode>; fitted slope=<slope>"
     where slope is the least-squares slope in the transformed
-    coordinates (17 significant digits).
+    coordinates (17 significant digits), nan when there is none.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     if len(xs) < 2:
         raise ValueError("need at least 2 points to plot")
     tx, ty = _transform(mode, xs, ys)
-    slope = _fit_slope(tx, ty)
+    try:
+        slope = _least_squares(tx, ty)[0]
+    except ValueError:  # all transformed x equal, or a value not finite
+        slope = math.nan
 
     x_lo, x_hi = min(tx), max(tx)
     y_lo, y_hi = min(ty), max(ty)

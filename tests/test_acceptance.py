@@ -220,7 +220,7 @@ def test_criterion_6_exponential_schedule():
               + eps + tail) / mu
     small_ok = float(ratios.max()) < 0.1
 
-    lo, hi = queryable_range(rows, cfg)
+    lo, hi = queryable_range(rows)
     diag = diagnostics(rows, cfg, list(np.linspace(lo, hi, 16)))
     Rs = np.array(sorted(diag.N_of_R))
     Ns = np.array([diag.N_of_R[R] for R in Rs], dtype=float)
@@ -255,7 +255,7 @@ def test_criterion_7_gaussian_schedule():
     factor = float(v.max() / v.min())
     factor_ok = factor <= 3.0
 
-    lo, hi = queryable_range(rows, cfg)
+    lo, hi = queryable_range(rows)
     grid = list(np.linspace(lo, hi, 16))
     diag = diagnostics(rows, cfg, grid)
     top = sorted(diag.N_of_R)[-3:]

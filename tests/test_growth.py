@@ -218,6 +218,18 @@ def test_non_positive_area():
         fit_growth(samples, GrowthModel.EXPONENTIAL)
 
 
+def test_equal_model_coordinates_rejected():
+    # distinct radii one ulp apart near 1e300 share one double log
+    rs = [1e300]
+    for _ in range(3):
+        rs.append(math.nextafter(rs[-1], math.inf))
+    assert len(set(map(math.log, rs))) == 1
+    samples = synth(lambda r: 2.0, rs)
+    with pytest.raises(ValueError, match="degenerate"):
+        fit_growth(samples, GrowthModel.POLYNOMIAL)
+    assert fit_growth(samples, GrowthModel.EXPONENTIAL).rate == 0.0
+
+
 def test_sample_validation():
     with pytest.raises(ValueError):
         GrowthSample(r=-1.0, area_lower=1.0)

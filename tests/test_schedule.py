@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from graphgrowth import (
+    GrowthModel,
+    GrowthSample,
     InsufficientRowsError,
     RadiiVariant,
     Schedule,
@@ -23,10 +25,13 @@ from graphgrowth import (
     check_hyp2,
     completeness_trend,
     diagnostics,
+    fit_growth,
     queryable_range,
     sigma_residual,
     solve_sigma,
 )
+from graphgrowth.growth import _least_squares
+from graphgrowth.svgplot import render_line_chart
 
 
 @pytest.fixture(scope="module")
@@ -313,7 +318,7 @@ def test_row_list_input_matches_schedule(variant, N, n0):
     grid = [1.0, 2.0, 3.0, 9.5, 9.9]
     assert diagnostics(rows, cfg) == diagnostics(schedule, cfg)
     assert diagnostics(rows, cfg, grid) == diagnostics(schedule, cfg, grid)
-    assert queryable_range(rows, cfg) == queryable_range(schedule, cfg)
+    assert queryable_range(rows) == queryable_range(schedule)
     assert completeness_trend(rows, cfg) == completeness_trend(schedule, cfg)
 
 
@@ -366,7 +371,7 @@ def test_n_of_r_definition(exp_100):
 
 def test_area_lower_equals_quantum_times_count(exp_100):
     cfg, rows = exp_100
-    lo, hi = queryable_range(rows, cfg)
+    lo, hi = queryable_range(rows)
     grid = list(np.linspace(lo, hi, 9))
     diag = diagnostics(rows, cfg, grid)
     counts = [diag.N_of_R[R] for R in grid]
@@ -396,7 +401,7 @@ def test_exp_counting_slope_near_one():
     # the e^R law emerges once the count dwarfs the index offset n0
     cfg = ScheduleConfig(RadiiVariant.EXP_RADII, N=10_000, n0=1)
     rows = build_schedule(cfg)
-    lo, hi = queryable_range(rows, cfg)
+    lo, hi = queryable_range(rows)
     diag = diagnostics(rows, cfg, list(np.linspace(lo, hi, 16)))
     Rs = np.array(sorted(diag.N_of_R))
     Ns = np.array([diag.N_of_R[R] for R in Rs], dtype=float)
@@ -409,7 +414,7 @@ def test_exp_counting_slope_near_one():
 def test_exp_counting_slope_scaled_radii():
     cfg = ScheduleConfig(RadiiVariant.EXP_RADII, N=10_000, n0=1, theta=2.0)
     rows = build_schedule(cfg)
-    lo, hi = queryable_range(rows, cfg)
+    lo, hi = queryable_range(rows)
     diag = diagnostics(rows, cfg, list(np.linspace(lo, hi, 16)))
     Rs = np.array(sorted(diag.N_of_R))
     Ns = np.array([diag.N_of_R[R] for R in Rs], dtype=float)
@@ -423,7 +428,7 @@ def test_gaussian_counting_quotient(gauss_big):
     # is still offset-dominated (N(R) <= n0 there), so the asymptotic
     # check applies to the upper half
     cfg, rows = gauss_big
-    lo, hi = queryable_range(rows, cfg)
+    lo, hi = queryable_range(rows)
     grid = list(np.linspace(lo, hi, 16))
     diag = diagnostics(rows, cfg, grid)
     upper = [R for R in grid if R >= 0.5 * (lo + hi)]
@@ -482,8 +487,9 @@ def test_trend_insufficient_rows():
         completeness_trend(rows)
 
 
-def _mp_slope(x, y):
-    """The least-squares slope of y on x at 60 digits, rounded to a double."""
+def _mp_fit(x, y):
+    """Least-squares slope, intercept and rms residual of y on x at 60
+    digits, each rounded to a double."""
     with mpmath.workdps(60):
         xs = [mpmath.mpf(v) for v in x]
         ys = [mpmath.mpf(v) for v in y]
@@ -491,7 +497,10 @@ def _mp_slope(x, y):
         ybar = mpmath.fsum(ys) / len(ys)
         num = mpmath.fsum((a - xbar) * (b - ybar) for a, b in zip(xs, ys))
         den = mpmath.fsum((a - xbar) ** 2 for a in xs)
-        return float(num / den)
+        slope = num / den
+        intercept = ybar - slope * xbar
+        ssr = mpmath.fsum((b - intercept - slope * a) ** 2 for a, b in zip(xs, ys))
+        return float(slope), float(intercept), float(mpmath.sqrt(ssr / len(xs)))
 
 
 def _synthetic_rows(seed):
@@ -514,21 +523,58 @@ def _synthetic_rows(seed):
             for n, s in zip(ns, sigmas)]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_trend_correctly_rounded_synthetic(seed):
-    rows = _synthetic_rows(seed)
-    exponent, _ = completeness_trend(rows)
-    oracle = _mp_slope([math.log(r.n) for r in rows],
-                       [math.log(r.sigma_n) for r in rows])
-    assert exponent == oracle
+def _growth_samples(n_points):
+    # growth-sized data: radii in [1.5, 15], areas from about e^1.4 to
+    # e^15, off every model's line by a mixed law and up to 20% noise
+    rng = np.random.default_rng(n_points)
+    rs = sorted(rng.uniform(1.5, 15.0, n_points).tolist())
+    return [GrowthSample(r=r, area_lower=math.exp(0.6 * r + 1.2 * math.log(r) + 0.01 * r * r)
+                         * (1.0 + 0.2 * float(rng.random())))
+            for r in rs]
+
+
+def _no_np_log(*args, **kwargs):
+    raise AssertionError("the fit must take its logs from libm")
+
+
+@pytest.mark.parametrize(
+    "case", [*range(12), *(f"growth-{k}pt" for k in range(4, 10)), "no-np-log"])
+def test_trend_correctly_rounded_synthetic(case, monkeypatch):
+    # one exact fit serves the trend, fit_growth and the plot title; its
+    # slope, intercept and rms each equal the 60-digit value rounded once
+    if isinstance(case, int):
+        rows = _synthetic_rows(case)
+        x = [math.log(r.n) for r in rows]
+        y = [math.log(r.sigma_n) for r in rows]
+        oracle = _mp_fit(x, y)
+        exponent, _ = completeness_trend(rows)
+        assert exponent == oracle[0]
+        assert _least_squares(x, y) == oracle
+        return
+    if case == "no-np-log":
+        monkeypatch.setattr(np, "log", _no_np_log)
+        samples = _growth_samples(9)
+    else:
+        samples = _growth_samples(int(case.removeprefix("growth-").removesuffix("pt")))
+    rs = [s.r for s in samples]
+    areas = [s.area_lower for s in samples]
+    y = list(map(math.log, areas))
+    for model, x in ((GrowthModel.POLYNOMIAL, list(map(math.log, rs))),
+                     (GrowthModel.EXPONENTIAL, rs),
+                     (GrowthModel.GAUSSIAN, [r * r for r in rs])):
+        fit = fit_growth(samples, model)
+        assert (fit.rate, fit.log_intercept, fit.residual_rms) == _mp_fit(x, y)
+    svg = render_line_chart(rs, areas, "log-log")
+    slope = _mp_fit(list(map(math.log10, rs)), list(map(math.log10, areas)))[0]
+    assert f"fitted slope={slope:.17g}</title>" in svg
 
 
 def test_trend_correctly_rounded_gaussian(monkeypatch):
     cfg = ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=3000, n0=1)
     rows = build_schedule(cfg)
     feas = [r for r in rows if r.sigma_feasible]
-    oracle = _mp_slope([math.log(r.n + cfg.n0) for r in feas],
-                       [math.log(r.sigma_n) for r in feas])
+    oracle = _mp_fit([math.log(r.n + cfg.n0) for r in feas],
+                     [math.log(r.sigma_n) for r in feas])[0]
 
     def no_np_log(*args, **kwargs):
         raise AssertionError("completeness_trend must take its logs from libm")
