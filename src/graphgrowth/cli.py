@@ -55,6 +55,7 @@ from .quadrature import (
 from .schedule import (
     InsufficientRowsError,
     RadiiVariant,
+    Schedule,
     ScheduleConfig,
     build_schedule,
     completeness_trend,
@@ -75,6 +76,8 @@ def _fmt_bool(b: bool) -> str:
 
 def _json_dump(value) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
+    if type(value) is float:  # the common case first: long float lists
+        return "%.17g" % value
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -90,16 +93,18 @@ def _json_dump(value) -> str:
         inner = ", ".join(f"{_json_dump(str(k))}: {_json_dump(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_json_dump(v) for v in value) + "]"
+        return "[" + ", ".join(map(_json_dump, value)) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write_output(path: str, text: str) -> None:
+def _write_output(path: str, text: str | Iterable[str]) -> None:
+    """Write text, or each of its pieces in order, to path ("-": stdout)."""
+    pieces = [text] if isinstance(text, str) else text
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
         return
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.writelines(pieces)
 
 
 def _csv_text(header: list[str], rows: Iterable[Sequence[str]]) -> str:
@@ -296,6 +301,36 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------ schedule
 
+# Rows of the schedule CSV formatted and written per piece.  The text of
+# a 1e5-stage table is 17 MB; a block of 4096 rows is under 1 MB, and the
+# table's text is never held whole.
+_CSV_BLOCK = 4096
+_SCHEDULE_HEADER = "n,r_n,mu_n,a_n,b_n,eps_n,sigma_n,eta_n,hyp2_ok,sigma_feasible\n"
+_SCHEDULE_ROW = "%d,%.17g,%.17g,%s,%s,%s,%s,%.17g,%s,%s\n"
+
+
+def _schedule_csv(schedule: Schedule) -> Iterator[str]:
+    """The schedule CSV: the header, then one string per _CSV_BLOCK rows.
+
+    a_n, b_n and eps_n are the one a column, formatted once per row;
+    sigma_n is an empty cell where the stage is infeasible."""
+    yield _SCHEDULE_HEADER
+    r = schedule.r[:-1]
+    for lo in range(0, len(schedule.n), _CSV_BLOCK):
+        block = slice(lo, lo + _CSV_BLOCK)
+        yield "".join([
+            _SCHEDULE_ROW % (n, r_n, mu, a, a, a, "%.17g" % sigma if ok else "",
+                             eta, "true" if hyp2 else "false", "true" if ok else "false")
+            for n, r_n, mu, a, sigma, eta, hyp2, ok in zip(
+                schedule.n[block].tolist(), r[block].tolist(),
+                schedule.mu[block].tolist(),
+                map("%.17g".__mod__, schedule.a[block].tolist()),
+                schedule.sigma[block].tolist(), schedule.eta[block].tolist(),
+                schedule.hyp2_ok[block].tolist(),
+                schedule.sigma_feasible[block].tolist())
+        ])
+
+
 def _cmd_schedule(args: argparse.Namespace) -> int:
     variant = RadiiVariant.parse(args.variant)
     cfg = ScheduleConfig(
@@ -309,23 +344,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
     schedule = build_schedule(cfg)
 
     if args.format == "csv":
-        header = ["n", "r_n", "mu_n", "a_n", "b_n", "eps_n",
-                  "sigma_n", "eta_n", "hyp2_ok", "sigma_feasible"]
-        fmt = "%.17g".__mod__  # the same text as _fmt, one column at a time
-        a = list(map(fmt, schedule.a.tolist()))
-        sigma = [fmt(s) if ok else "" for s, ok in
-                 zip(schedule.sigma.tolist(), schedule.sigma_feasible.tolist())]
-        table = zip(
-            map(str, schedule.n.tolist()),
-            map(fmt, schedule.r[:-1].tolist()),
-            map(fmt, schedule.mu.tolist()),
-            a, a, a,
-            sigma,
-            map(fmt, schedule.eta.tolist()),
-            map(_fmt_bool, schedule.hyp2_ok.tolist()),
-            map(_fmt_bool, schedule.sigma_feasible.tolist()),
-        )
-        _write_output(args.output, _csv_text(header, table))
+        _write_output(args.output, _schedule_csv(schedule))
         return 0
 
     queries = _parse_reals(args.query_R) if args.query_R else None

@@ -200,9 +200,20 @@ _MODEL_ORDER = (GrowthModel.POLYNOMIAL, GrowthModel.EXPONENTIAL, GrowthModel.GAU
 
 def classify_growth(samples: Sequence[GrowthSample],
                     use_estimate: bool = False) -> GrowthFit:
-    """Fit all three models and return the one with smallest RMS residual."""
-    return min((fit_growth(samples, m, use_estimate) for m in _MODEL_ORDER),
-               key=operator.attrgetter("residual_rms"))
+    """Of the models that can be fit, the one with smallest RMS residual.
+
+    A model is skipped when its coordinates or fit leave the double
+    range (say r^2 overflowing for the Gaussian model); the ValueError
+    of the first model is raised when none can be fit."""
+    fits, errors = [], []
+    for model in _MODEL_ORDER:
+        try:
+            fits.append(fit_growth(samples, model, use_estimate))
+        except ValueError as exc:
+            errors.append(exc)
+    if not fits:
+        raise errors[0]
+    return min(fits, key=operator.attrgetter("residual_rms"))
 
 
 def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,

@@ -16,7 +16,9 @@ Axes modes and their coordinate transforms:
   log-log    (log10 x, log10 y)  straight for power laws
 
 For semilog-y / log-log the y values must be positive, likewise x for
-log-log.
+log-log.  Every transformed value must be finite (an inf or nan in the
+input, or an x^2 past the double range, raises ValueError), so the
+polyline and the tick labels are always plain numbers.
 """
 
 from __future__ import annotations
@@ -36,27 +38,22 @@ _MARGIN = 60.0
 
 
 def _transform(mode: str, xs: Sequence[float], ys: Sequence[float]):
-    if mode not in AXES_MODES:
+    if mode == "linear":
+        tx, ty = list(xs), list(ys)
+    elif mode == "semilog-y":
+        if any(y <= 0 for y in ys):
+            raise ValueError("semilog-y requires positive y values")
+        tx, ty = list(xs), list(map(math.log10, ys))
+    elif mode == "y-vs-r2":
+        tx, ty = [x * x for x in xs], list(ys)
+    elif mode == "log-log":
+        if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
+            raise ValueError("log-log requires positive x and y values")
+        tx, ty = list(map(math.log10, xs)), list(map(math.log10, ys))
+    else:
         raise ValueError(f"unknown axes mode {mode!r}")
-    tx = []
-    ty = []
-    for x, y in zip(xs, ys):
-        if mode == "linear":
-            tx.append(x)
-            ty.append(y)
-        elif mode == "semilog-y":
-            if y <= 0:
-                raise ValueError("semilog-y requires positive y values")
-            tx.append(x)
-            ty.append(math.log10(y))
-        elif mode == "y-vs-r2":
-            tx.append(x * x)
-            ty.append(y)
-        else:
-            if x <= 0 or y <= 0:
-                raise ValueError("log-log requires positive x and y values")
-            tx.append(math.log10(x))
-            ty.append(math.log10(y))
+    if not (all(map(math.isfinite, tx)) and all(map(math.isfinite, ty))):
+        raise ValueError(f"{mode} plot needs finite transformed values")
     return tx, ty
 
 
@@ -64,10 +61,16 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _pix(v: float, lo: float, hi: float, out_lo: float, out_hi: float) -> float:
+def _pixels(values: list[float], lo: float, hi: float,
+            out_lo: float, out_hi: float) -> list[float]:
+    """values mapped linearly from [lo, hi] onto [out_lo, out_hi]."""
     if hi == lo:
-        return 0.5 * (out_lo + out_hi)
-    return out_lo + (v - lo) * (out_hi - out_lo) / (hi - lo)
+        return [0.5 * (out_lo + out_hi)] * len(values)
+    span = hi - lo
+    if not math.isfinite(span):
+        raise ValueError("plot range is wider than the double range")
+    out_span = out_hi - out_lo
+    return [out_lo + (v - lo) * out_span / span for v in values]
 
 
 def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
@@ -85,15 +88,15 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
     tx, ty = _transform(mode, xs, ys)
     try:
         slope = _least_squares(tx, ty)[0]
-    except ValueError:  # all transformed x equal, or a value not finite
+    except ValueError:  # all transformed x equal
         slope = math.nan
 
     x_lo, x_hi = min(tx), max(tx)
     y_lo, y_hi = min(ty), max(ty)
-    px = [_pix(v, x_lo, x_hi, _MARGIN, _WIDTH - _MARGIN) for v in tx]
+    px = _pixels(tx, x_lo, x_hi, _MARGIN, _WIDTH - _MARGIN)
     # SVG y axis points down
-    py = [_pix(v, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN) for v in ty]
-    points = " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(px, py))
+    py = _pixels(ty, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN)
+    points = " ".join(map("%.3f,%.3f".__mod__, zip(px, py)))
 
     title = f"{label}; mode={mode}; fitted slope={_fmt(slope)}"
     frame = (

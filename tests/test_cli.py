@@ -1,18 +1,21 @@
 """End-to-end command-line surface: flags, formats, exit codes, bytes.
 
-Every invocation runs the installed entry point in a subprocess, so
+Most invocations run the installed entry point in a subprocess, so
 these tests cover argument parsing, serialization, and determinism
-exactly as a shell user sees them.
+exactly as a shell user sees them.  The schedule CSV block tests call
+cli.main in this process, to shrink the block size and to trace memory.
 """
 
 import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
 from conftest import run_cli
+from graphgrowth import cli
 from graphgrowth import (
     RadiiVariant,
     ScheduleConfig,
@@ -279,16 +282,8 @@ def _flag(b):
     return "true" if b else "false"
 
 
-@pytest.mark.parametrize("variant, theta", [("gaussian", 1.0), ("exp", 0.3)])
-def test_schedule_writers_match_field_formatting(variant, theta):
-    # the writers format whole columns; the reference formats each field
-    # of each row, and diagnoses the plain row list
-    cfg = ScheduleConfig(RadiiVariant.parse(variant), N=3000, n0=1, theta=theta)
-    rows = list(build_schedule(cfg))
-    assert any(row.sigma_n is None for row in rows)
-    base = ("schedule", "--variant", variant, "--n0", "1", "--N", "3000",
-            "--theta", repr(theta))
-
+def _schedule_csv_reference(rows):
+    """The schedule CSV built row by row, each field formatted alone."""
     lines = ["n,r_n,mu_n,a_n,b_n,eps_n,sigma_n,eta_n,hyp2_ok,sigma_feasible"]
     for row in rows:
         cells = [str(row.n)]
@@ -296,9 +291,23 @@ def test_schedule_writers_match_field_formatting(variant, theta):
         cells.append("" if row.sigma_n is None else _f17(row.sigma_n))
         cells += [_f17(row.eta_n), _flag(row.hyp2_ok), _flag(row.sigma_feasible)]
         lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("variant, theta", [("gaussian", 1.0), ("exp", 0.3)])
+def test_schedule_writers_match_field_formatting(variant, theta):
+    # the writers format columns, one row template at a time for the CSV;
+    # the reference formats each field of each row, and diagnoses the plain
+    # row list
+    cfg = ScheduleConfig(RadiiVariant.parse(variant), N=3000, n0=1, theta=theta)
+    rows = list(build_schedule(cfg))
+    assert any(row.sigma_n is None for row in rows)
+    base = ("schedule", "--variant", variant, "--n0", "1", "--N", "3000",
+            "--theta", repr(theta))
+
     proc = run_cli(*base)
     assert proc.returncode == 0
-    assert proc.stdout == "\n".join(lines) + "\n"
+    assert proc.stdout == _schedule_csv_reference(rows)
 
     queries = [1.5, 2.0]
     diag = diagnostics(rows, cfg, queries)
@@ -316,6 +325,37 @@ def test_schedule_writers_match_field_formatting(variant, theta):
     proc = run_cli(*base, "--format", "json", "--query-R", "1.5,2")
     assert proc.returncode == 0
     assert proc.stdout == want
+
+
+@pytest.mark.parametrize("N", [1, 6, 7, 8, 3000])
+@pytest.mark.parametrize("variant, theta", [("gaussian", 1.0), ("exp", 0.3)])
+def test_schedule_csv_blocks_do_not_change_output(monkeypatch, capsys, tmp_path,
+                                                  variant, theta, N):
+    # blocks of 7 rows: one short block, exactly one block, one row past it
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    cfg = ScheduleConfig(RadiiVariant.parse(variant), N=N, n0=1, theta=theta)
+    want = _schedule_csv_reference(list(build_schedule(cfg)))
+    argv = ["schedule", "--variant", variant, "--n0", "1", "--N", str(N),
+            "--theta", repr(theta)]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    path = tmp_path / "table.csv"
+    assert cli.main(argv + ["--output", str(path)]) == 0
+    assert path.read_bytes() == want.encode()
+
+
+def test_schedule_csv_memory_is_bounded(tmp_path):
+    # the table is written in blocks: its 20000 rows (3.4 MB of text,
+    # 18 MB traced when held whole) never sit in memory at once
+    argv = ["schedule", "--variant", "gaussian", "--N", "20000",
+            "--output", str(tmp_path / "table.csv")]
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +418,46 @@ def test_short_csv_row_exit_2(tmp_path, command):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "line 3 has 1 fields" in proc.stderr
+
+
+@pytest.mark.parametrize("rows, mode", [
+    ("1,2\n2,inf\n3,5\n", "linear"),
+    ("1,2\n2,nan\n3,5\n", "linear"),
+    ("1,2\n-inf,4\n3,5\n", "semilog-y"),
+    ("1,2\n2,4\n1e200,5\n", "y-vs-r2"),
+], ids=["inf", "nan", "x-inf", "x2-overflow"])
+def test_plot_non_finite_exit_2(tmp_path, rows, mode):
+    src = tmp_path / "curve.csv"
+    src.write_text("r,area_lower\n" + rows)
+    proc = run_cli("plot", "--input", str(src), "--mode", mode)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "finite" in proc.stderr
+
+
+def test_plot_range_past_double_range_exit_2(tmp_path):
+    # every value is finite, but max - min is not
+    src = tmp_path / "curve.csv"
+    src.write_text("r,area_lower\n-1e308,1\n0,2\n1e308,3\n")
+    proc = run_cli("plot", "--input", str(src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+
+
+def test_growth_classifies_over_fittable_models(tmp_path):
+    # the Gaussian coordinate r^2 of 2e154 overflows; the other two fit
+    src = tmp_path / "samples.csv"
+    src.write_text("r,area_lower\n1,2\n2,5\n3,9\n2e154,1e10\n")
+    proc = run_cli("growth", "--input", str(src))
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["model"] == "polynomial"
+    forced = run_cli("growth", "--input", str(src), "--model", "gaussian")
+    assert forced.returncode == 2
+    assert forced.stdout == ""
+    assert "Traceback" not in forced.stderr
+    assert "finite" in forced.stderr
 
 
 @pytest.mark.parametrize("args", [

@@ -87,6 +87,25 @@ def test_classify_exact_models():
     assert classify_growth(synth(lambda r: math.exp(0.8 * r**2), rs)).model is GrowthModel.GAUSSIAN
 
 
+def test_classify_skips_models_that_cannot_be_fit():
+    # r^2 of 2e154 overflows, so only the Gaussian model has no fit
+    samples = synth(lambda r: 2.0 + math.log(r), [1.0, 2.0, 3.0, 2e154])
+    with pytest.raises(ValueError, match="finite"):
+        fit_growth(samples, GrowthModel.GAUSSIAN)
+    fits = [fit_growth(samples, m) for m in (GrowthModel.POLYNOMIAL,
+                                              GrowthModel.EXPONENTIAL)]
+    assert classify_growth(samples) == min(fits, key=lambda f: f.residual_rms)
+
+
+def test_classify_raises_when_no_model_fits():
+    # all areas equal to 0 fail every model with the first model's error
+    samples = [GrowthSample(r=float(k), area_lower=0.0) for k in range(1, 5)]
+    with pytest.raises(NonPositiveAreaError):
+        classify_growth(samples)
+    with pytest.raises(InsufficientSamplesError):
+        classify_growth(synth(lambda r: r, [1.0, 2.0, 3.0]))
+
+
 # ---------------------------------------------------------------------------
 # measured samples
 # ---------------------------------------------------------------------------
