@@ -40,8 +40,9 @@ from .growth import (
 )
 from .packets import (
     CertifyMethod,
+    DiskPacket,
+    _layout,
     certify_packets,
-    make_packet,
     packet_growth_lower_bound,
     verify_disjoint,
 )
@@ -160,7 +161,6 @@ def _cmd_area(args: argparse.Namespace) -> int:
     cfg = QuadConfig(
         mode=mode,
         max_depth=args.max_depth,
-        tol_rel=args.tol_rel,
         seed_box_pad=args.pad,
         samples_per_cell=args.samples_per_cell,
     )
@@ -189,7 +189,10 @@ def _cmd_packets(args: argparse.Namespace) -> int:
     n_lo, n_hi = _parse_range(args.n)
     method = (CertifyMethod.INTERVAL_PROOF if args.method == "interval"
               else CertifyMethod.DENSE_SAMPLING)
-    packets = [make_packet(family, n, args.delta) for n in range(n_lo, n_hi + 1)]
+    centers, radii = _layout(family, n_lo, n_hi, args.delta)
+    packets = [DiskPacket(family, n, center, radius, args.delta)
+               for n, center, radius in zip(range(n_lo, n_hi + 1),
+                                            centers.tolist(), radii.tolist())]
 
     # a packet is disjoint when the gaps on both of its sides are positive
     gap_ok = verify_disjoint(family, n_lo, n_hi, args.delta).gaps > 0
@@ -417,7 +420,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_area.add_argument("--r", required=True, help="comma-separated radii")
     p_area.add_argument("--mode", choices=("lower", "estimate"), default="estimate")
     p_area.add_argument("--max-depth", type=int, default=12)
-    p_area.add_argument("--tol-rel", type=float, default=1e-3)
     p_area.add_argument("--pad", type=float, default=0.5)
     p_area.add_argument("--samples-per-cell", type=int, default=4)
     p_area.add_argument("--allow-large-r", action="store_true")

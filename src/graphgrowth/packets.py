@@ -152,36 +152,44 @@ class DisjointnessReport:
     gaps: np.ndarray
 
 
-def make_packet(family: GraphFamily, n: int, delta: float | None = None) -> DiskPacket:
-    """Construct the n-th packet disk (without certificate)."""
+def _layout(family: GraphFamily, n_lo: int, n_hi: int,
+            delta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of packets n_lo..n_hi, the one place the layout
+    in the module docstring is written.
+
+    It makes every check a packet index and delta must pass, n*pi
+    overflow first, before any float array is built.  The logs come from
+    libm, once per packet, and the rest is IEEE-exact numpy arithmetic,
+    so each element equals the scalar formula bit for bit on any host.
+    """
     if family is GraphFamily.EXP:
         raise ValueError("e^z has monotone magnitude and no packet structure")
-    if n > sys.float_info.max / math.pi:
+    if n_hi > sys.float_info.max / math.pi:
         raise ValueError("packet index too large: n*pi overflows a double")
     if family is GraphFamily.SIN_EXP:
-        if n < 1:
+        if n_lo < 1:
             raise ValueError("sin(e^z) packets start at n=1")
         if delta is not None:
             raise ValueError("delta applies only to the sin(e^(z^2)) family")
-        return DiskPacket(
-            family=family,
-            n=n,
-            center=math.log(n * math.pi),
-            radius=1.0 / (16.0 * math.pi * n),
-        )
-    if n < 2:
-        raise ValueError("sin(e^(z^2)) packets start at n=2")
-    if delta is None:
-        raise ValueError("sin(e^(z^2)) packets require delta")
-    if not (0 < delta <= DELTA_MAX):
-        raise ValueError(f"delta must lie in (0, {DELTA_MAX}], got {delta}")
-    return DiskPacket(
-        family=family,
-        n=n,
-        center=math.sqrt(math.log(n * math.pi)),
-        radius=delta / (n * math.sqrt(math.log(n))),
-        delta=delta,
-    )
+    else:
+        if n_lo < 2:
+            raise ValueError("sin(e^(z^2)) packets start at n=2")
+        if delta is None:
+            raise ValueError("sin(e^(z^2)) packets require delta")
+        if not (0 < delta <= DELTA_MAX):
+            raise ValueError(f"delta must lie in (0, {DELTA_MAX}], got {delta}")
+    ns = np.fromiter(map(float, range(n_lo, n_hi + 1)), float)
+    log_npi = np.fromiter(map(math.log, (ns * math.pi).tolist()), float, ns.size)
+    if family is GraphFamily.SIN_EXP:
+        return log_npi, 1.0 / (16.0 * math.pi * ns)
+    log_n = np.fromiter(map(math.log, ns.tolist()), float, ns.size)
+    return np.sqrt(log_npi), delta / (ns * np.sqrt(log_n))
+
+
+def make_packet(family: GraphFamily, n: int, delta: float | None = None) -> DiskPacket:
+    """Construct the n-th packet disk (without certificate)."""
+    centers, radii = _layout(family, n, n, delta)
+    return DiskPacket(family, n, float(centers[0]), float(radii[0]), delta)
 
 
 def fprime_target(packet: DiskPacket) -> float:
@@ -191,8 +199,8 @@ def fprime_target(packet: DiskPacket) -> float:
     return math.pi * packet.n * packet.center / 2.0
 
 
-def _gaussian_margins(n: int, delta: float) -> tuple[float, float, float, float]:
-    """Closed-form packet margins for sin(e^(z^2)).
+def _gaussian_margins(packet: DiskPacket) -> tuple[float, float, float, float]:
+    """Closed-form margins of a sin(e^(z^2)) packet.
 
     Returns (t, U, max_f, min_cos) where t bounds |q| on the disk,
     U = n*pi*t*e^t bounds the inner-argument drift u away from the hit
@@ -200,10 +208,8 @@ def _gaussian_margins(n: int, delta: float) -> tuple[float, float, float, float]
     termwise), and min_cos = c_n = 1 - U*sinh(U) is the certified lower
     bound for |cos(n*pi + u)| = |cos u| via |cos u - 1| <= |u|*sinh|u|.
     """
-    z = math.sqrt(math.log(n * math.pi))
-    rho = delta / (n * math.sqrt(math.log(n)))
-    t = rho * (rho + 2.0 * z)
-    U = math.pi * n * t * math.exp(t)
+    t = packet.radius * (packet.radius + 2.0 * packet.center)
+    U = math.pi * packet.n * t * math.exp(t)
     max_f = math.sinh(U)
     c = max(0.0, 1.0 - U * math.sinh(U))
     return t, U, max_f, c
@@ -322,9 +328,7 @@ def verify_ez_minus_one_bound(n: int, samples: int = 10000) -> bool:
     deterministic ring sample set (boundary circle included), where the
     maximum of the convex modulus is attained up to discretization.
     """
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    rho = 1.0 / (16.0 * math.pi * n)
+    rho = make_packet(GraphFamily.SIN_EXP, n).radius
     target = 1.0 / (4.0 * math.pi * n)
     zre, zim = _disk_samples(0.0, rho, samples)
     zeta = zre + 1j * zim
@@ -344,22 +348,8 @@ def verify_disjoint(family: GraphFamily, n_lo: int, n_hi: int,
     """
     if n_hi < n_lo:
         raise ValueError("need n_hi >= n_lo")
-    ns = np.arange(n_lo, n_hi + 1, dtype=float)
-    if family is GraphFamily.SIN_EXP:
-        if n_lo < 1:
-            raise ValueError("sin(e^z) packets start at n=1")
-        centers = np.log(ns * math.pi)
-        radii = 1.0 / (16.0 * math.pi * ns)
-    elif family is GraphFamily.SIN_EXP_SQ:
-        if n_lo < 2:
-            raise ValueError("sin(e^(z^2)) packets start at n=2")
-        if delta is None or not (0 < delta <= DELTA_MAX):
-            raise ValueError("valid delta required")
-        centers = np.sqrt(np.log(ns * math.pi))
-        radii = delta / (ns * np.sqrt(np.log(ns)))
-    else:
-        raise ValueError("e^z has no packets")
-    if ns.size < 2:
+    centers, radii = _layout(family, n_lo, n_hi, delta)
+    if centers.size < 2:
         return DisjointnessReport(family, n_lo, n_hi, True, math.inf, np.empty(0))
     if not (np.all(np.diff(centers) > 0) and np.all(np.diff(radii) <= 0)):
         raise ValueError(
@@ -371,24 +361,21 @@ def verify_disjoint(family: GraphFamily, n_lo: int, n_hi: int,
     return DisjointnessReport(family, n_lo, n_hi, bool(min_gap > 0), min_gap, gaps)
 
 
-def _gaussian_in_ball(n: int, delta: float, r: float) -> bool:
-    """Certified containment of the graph over packet n in B_r.
+def _gaussian_in_ball(packet: DiskPacket, r: float) -> bool:
+    """Certified containment of the graph over a sin(e^(z^2)) packet in B_r.
 
     Every parameter point obeys |z| <= center + radius and the closed
     margin |f| <= sinh(U) + U from the drift analysis, so the graph
     point norm is at most sqrt((center+radius)^2 + max_f^2).
     """
-    z = math.sqrt(math.log(n * math.pi))
-    rho = delta / (n * math.sqrt(math.log(n)))
-    _, _, max_f, _ = _gaussian_margins(n, delta)
+    _, _, max_f, _ = _gaussian_margins(packet)
     if not math.isfinite(max_f):
         return False
-    return (z + rho) ** 2 + max_f * max_f <= r * r
+    return (packet.center + packet.radius) ** 2 + max_f * max_f <= r * r
 
 
 def count_packets_in_ball(family: GraphFamily, r: float,
-                          delta: float | None = None,
-                          margin_policy: str = "certified") -> int:
+                          delta: float | None = None) -> int:
     """Count packets whose graph provably lies inside the ball B_r.
 
     sin(e^z): packet n qualifies iff center + 2 <= r, i.e. log(n*pi) <= r-2
@@ -397,40 +384,36 @@ def count_packets_in_ball(family: GraphFamily, r: float,
     such n, computed in closed form and then nudged against the exact
     predicate to kill floating-point fencepost errors.
 
-    sin(e^(z^2)): policy "certified" uses the closed-form drift margin
-    (containment test (center+radius)^2 + max_f^2 <= r^2, monotone in n);
-    policy "conservative" uses the cruder center + 2/center <= r test
-    (also monotone over the integer packet range).  Both are resolved by
-    binary search.
+    sin(e^(z^2)): the closed-form drift margin decides containment,
+    (center+radius)^2 + max_f^2 <= r^2, which is monotone in n and is
+    resolved by binary search.
+
+    A radius whose count no double index can reach raises ValueError.
     """
     if r <= 0 or not math.isfinite(r):
         raise ValueError("r must be positive and finite")
-    if family is GraphFamily.EXP:
-        raise ValueError("e^z has no packets")
     if family is GraphFamily.SIN_EXP:
-        if r <= 2.0:
+        def ok(n: int) -> bool:
+            return make_packet(family, n, delta).center + 2.0 <= r
+
+        if not ok(1):  # also refuses a delta
             return 0
-        n = int(math.floor(math.exp(r - 2.0) / math.pi))
-        # nudge against the exact predicate log(n*pi) + 2 <= r
-        while n >= 1 and math.log(n * math.pi) + 2.0 > r:
+        try:
+            n = math.floor(math.exp(r - 2.0) / math.pi)
+        except OverflowError:
+            raise ValueError(f"r = {r} holds more packets than a double "
+                             "can index") from None
+        # nudge against the exact predicate
+        while n >= 1 and not ok(n):
             n -= 1
-        while math.log((n + 1) * math.pi) + 2.0 <= r:
+        while ok(n + 1):
             n += 1
-        return max(0, n)
+        return n
 
-    if delta is None or not (0 < delta <= DELTA_MAX):
-        raise ValueError("valid delta required")
-    if margin_policy == "certified":
-        def ok(n: int) -> bool:
-            return _gaussian_in_ball(n, delta, r)
-    elif margin_policy == "conservative":
-        def ok(n: int) -> bool:
-            z = math.sqrt(math.log(n * math.pi))
-            return z + 2.0 / z <= r
-    else:
-        raise ValueError(f"unknown margin_policy {margin_policy!r}")
+    def ok(n: int) -> bool:
+        return _gaussian_in_ball(make_packet(family, n, delta), r)
 
-    if not ok(2):
+    if not ok(2):  # also refuses e^z and a bad delta
         return 0
     lo = 2  # ok
     hi = 4
@@ -438,7 +421,8 @@ def count_packets_in_ball(family: GraphFamily, r: float,
         lo = hi
         hi *= 2
         if hi > 10 ** 18:
-            raise OverflowError("packet count exceeds supported range")
+            raise ValueError(f"r = {r} holds more than 10**18 packets, "
+                             "beyond the supported range")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if ok(mid):
@@ -479,12 +463,9 @@ def packet_growth_lower_bound(family: GraphFamily, r: float,
         return 0.0
     if family is GraphFamily.SIN_EXP:
         return count * (math.pi / 4096.0)
-    assert delta is not None
-    n_last = count + 1  # packets run n = 2 .. count+1
-    z_last = math.sqrt(math.log(n_last * math.pi))
-    rho_last = delta / (n_last * math.sqrt(math.log(n_last)))
-    factor_growth = (z_last - rho_last) ** 2 / math.log(n_last)
-    t2, _, _, c2 = _gaussian_margins(2, delta)
+    last = make_packet(family, count + 1, delta)  # packets run n = 2 .. count+1
+    factor_growth = (last.center - last.radius) ** 2 / math.log(last.n)
+    t2, _, _, c2 = _gaussian_margins(make_packet(family, 2, delta))
     quantum = (
         4.0 * math.pi ** 3 * delta * delta
         * factor_growth * math.exp(-2.0 * t2) * c2 * c2

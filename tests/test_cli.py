@@ -148,6 +148,19 @@ def test_packets_huge_n_exit_2(n, message):
 # growth
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("args, message", [
+    (("--family", "sin-exp", "--r", "6,7,8,800"), "r = 800.0"),
+    (("--family", "sin-exp-sq", "--delta", "0.01", "--r", "3,4,5,300"), "r = 300.0"),
+    (("--family", "sin-exp", "--delta", "0.01", "--r", "6,7,8,9"), "delta"),
+])
+def test_growth_bad_packet_input_exit_2(args, message):
+    proc = run_cli("growth", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_growth_packet_samples_exponential():
     proc = run_cli("growth", "--family", "sin-exp", "--r",
                    "6,7,8,9,10,11,12,13,14")
@@ -543,6 +556,15 @@ def test_bad_range_exit_2():
 ])
 def test_format_command_compatibility(args):
     assert run_cli(*args).returncode == 2
+
+
+def test_area_tol_rel_is_unknown():
+    # the flag fed only depth_exceeded, which no output prints
+    proc = run_cli("area", "--family", "exp", "--r", "2", "--max-depth", "4",
+                   "--tol-rel", "5")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "unrecognized arguments: --tol-rel" in proc.stderr
 
 
 def test_missing_subcommand_exit_2():

@@ -290,6 +290,50 @@ def test_disjoint_large_range():
     assert rep.all_disjoint
 
 
+@pytest.mark.parametrize("family, n_lo, delta", [
+    (GraphFamily.SIN_EXP, 1, None),
+    (GraphFamily.SIN_EXP_SQ, 2, 0.01),
+])
+def test_disjoint_gaps_match_make_packet(family, n_lo, delta):
+    # one layout serves both: the gaps are those of the printed packets,
+    # bit for bit, on every host
+    n_hi = 100_000
+    ledger = [make_packet(family, n, delta) for n in range(n_lo, n_hi + 1)]
+    centers, radii = packets._layout(family, n_lo, n_hi, delta)
+    assert centers.tolist() == [p.center for p in ledger]
+    assert radii.tolist() == [p.radius for p in ledger]
+    want = np.array([b.center - a.center - b.radius - a.radius
+                     for a, b in zip(ledger, ledger[1:])])
+    got = verify_disjoint(family, n_lo, n_hi, delta).gaps
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _no_np_log(*args, **kwargs):
+    raise AssertionError("the packet layout must take its logs from libm")
+
+
+def test_layout_takes_no_numpy_log(monkeypatch):
+    monkeypatch.setattr(np, "log", _no_np_log)
+    for family, n_lo, delta in ((GraphFamily.SIN_EXP, 1, None),
+                                (GraphFamily.SIN_EXP_SQ, 2, 0.01)):
+        packets._layout(family, n_lo, 500, delta)
+        assert verify_disjoint(family, n_lo, 500, delta).all_disjoint
+        assert count_packets_in_ball(family, 4.0, delta) > 0
+        assert packet_growth_lower_bound(family, 4.0, delta) > 0
+
+
+def test_sin_exp_refuses_delta():
+    # one validation rule: a delta is refused for sin(e^z) everywhere
+    with pytest.raises(ValueError, match="delta"):
+        verify_disjoint(GraphFamily.SIN_EXP, 1, 5, delta=0.01)
+    with pytest.raises(ValueError, match="delta"):
+        count_packets_in_ball(GraphFamily.SIN_EXP, 6.0, delta=0.01)
+    with pytest.raises(ValueError, match="delta"):
+        count_packets_in_ball(GraphFamily.SIN_EXP, 1.0, delta=0.01)
+    with pytest.raises(ValueError, match="delta"):
+        packet_growth_lower_bound(GraphFamily.SIN_EXP, 6.0, delta=0.01)
+
+
 # ---------------------------------------------------------------------------
 # counting
 # ---------------------------------------------------------------------------
@@ -324,14 +368,15 @@ def test_count_gaussian_trend():
         assert abs(q - mid) <= 0.15 * mid
 
 
-def test_count_gaussian_conservative_policy():
-    # the shrinking 2/center margin is stricter, so it never counts more
-    for r in (2.5, 3.0, 3.5, 4.0):
-        certified = count_packets_in_ball(GraphFamily.SIN_EXP_SQ, r, delta=0.01)
-        conservative = count_packets_in_ball(GraphFamily.SIN_EXP_SQ, r,
-                                             delta=0.01,
-                                             margin_policy="conservative")
-        assert conservative <= certified
+@pytest.mark.parametrize("family, r, delta", [
+    (GraphFamily.SIN_EXP, 800.0, None),  # e^(r-2) overflows a double
+    (GraphFamily.SIN_EXP_SQ, 300.0, 0.01),  # more than 10**18 packets
+])
+def test_count_huge_radius_raises_value_error(family, r, delta):
+    with pytest.raises(ValueError, match=f"r = {r}"):
+        count_packets_in_ball(family, r, delta)
+    with pytest.raises(ValueError, match=f"r = {r}"):
+        packet_growth_lower_bound(family, r, delta)
 
 
 # ---------------------------------------------------------------------------
