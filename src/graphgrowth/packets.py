@@ -217,19 +217,34 @@ def _gaussian_margins(packet: DiskPacket) -> tuple[float, float, float, float]:
 
 def _disk_cells(centers: np.ndarray, radii: np.ndarray, grid: int):
     """Cells of a grid x grid subdivision of each packet's bounding box
-    that meet its disk (conservative: keeps a cell when its nearest point
-    is within the radius), concatenated packet by packet, plus the
-    number of cells kept per packet."""
+    that meet its disk, concatenated packet by packet, plus the number of
+    cells kept per packet.
+
+    The cells cover the closed disk in exact arithmetic.  The outermost
+    edges move outward only: x to the next double past c -/+ r, y to
+    exactly -r and r where the rounded edge falls inside, so no cell
+    shrinks.  Adjacent cells share their interior edges, and a cell is
+    dropped only when its distance from the center, rounded down,
+    exceeds the radius, rounded up.
+    """
     c = centers[:, None]
     r = radii[:, None]
     edges = c - r + 2.0 * r * np.arange(grid + 1) / grid
+    ys = edges - c
+    edges[:, 0] = np.nextafter(edges[:, 0], -np.inf)  # c - r, rounded
+    edges[:, -1] = np.maximum(edges[:, -1], np.nextafter(centers + radii, np.inf))
+    ys[:, 0] = np.minimum(ys[:, 0], -radii)
+    ys[:, -1] = np.maximum(ys[:, -1], radii)
     xlo = np.repeat(edges[:, :-1], grid, axis=1)
     xhi = np.repeat(edges[:, 1:], grid, axis=1)
-    ylo = np.tile(edges[:, :-1] - c, (1, grid))
-    yhi = np.tile(edges[:, 1:] - c, (1, grid))
+    ylo = np.tile(ys[:, :-1], (1, grid))
+    yhi = np.tile(ys[:, 1:], (1, grid))
+    # dx carries at most one rounding and dy none, so the squared sum is
+    # within four half-ulps of its true value; _nudge_down's four ulps
+    # take it below
     dx = np.maximum(0.0, np.maximum(xlo - c, c - xhi))
     dy = np.maximum(0.0, np.maximum(ylo, -yhi))
-    keep = dx * dx + dy * dy <= r * r
+    keep = _nudge_down(dx * dx + dy * dy) <= _nudge_up(r * r)
     return xlo[keep], xhi[keep], ylo[keep], yhi[keep], np.count_nonzero(keep, axis=1)
 
 

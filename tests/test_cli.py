@@ -112,7 +112,7 @@ def test_packets_frozen_first_row():
     proc = run_cli("packets", "--family", "sin-exp", "--n", "1..1")
     assert proc.stdout.splitlines()[1] == (
         "1,1.1447298858494002,0.019894367886486918,"
-        "0.079042209552705398,3.0738081045980721,true,true,true"
+        "0.079042209552706091,3.0738081045980707,true,true,true"
     )
 
 

@@ -6,6 +6,7 @@ check them to the bit where the arithmetic is closed-form.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -184,16 +185,58 @@ def _proof_extrema_one_packet(p):
     one enclosure call per packet."""
     grid = 8
     edges = p.center - p.radius + 2.0 * p.radius * np.arange(grid + 1) / grid
+    ys = edges - p.center
+    # the outer edges move outward only, until they enclose the disk
+    edges[0] = np.nextafter(p.center - p.radius, -np.inf)
+    edges[-1] = max(edges[-1], np.nextafter(p.center + p.radius, np.inf))
+    ys[0], ys[-1] = min(ys[0], -p.radius), max(ys[-1], p.radius)
     xlo, xhi = np.repeat(edges[:-1], grid), np.repeat(edges[1:], grid)
-    ylo, yhi = np.tile(edges[:-1] - p.center, grid), np.tile(edges[1:] - p.center, grid)
+    ylo, yhi = np.tile(ys[:-1], grid), np.tile(ys[1:], grid)
     dx = np.maximum(0.0, np.maximum(xlo - p.center, p.center - xhi))
     dy = np.maximum(0.0, np.maximum(ylo, -yhi))
-    keep = dx * dx + dy * dy <= p.radius * p.radius
+    keep = (packets._nudge_down(dx * dx + dy * dy)
+            <= packets._nudge_up(p.radius * p.radius))
     cells = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
     _, f_hi, fp_lo, _ = packets.bound_abs_f_fprime_batch(p.family, *cells)
     max_f = float(packets._nudge_up(np.exp(np.max(f_hi))))
     min_fp = float(np.maximum(packets._nudge_down(np.exp(np.min(fp_lo))), 0.0))
     return max_f, min_fp
+
+
+@pytest.mark.parametrize("family, n_lo, delta", [
+    (GraphFamily.SIN_EXP, 1, None),
+    (GraphFamily.SIN_EXP_SQ, 2, 0.01),
+])
+def test_disk_cells_cover_disk_exactly(family, n_lo, delta):
+    # in exact rational arithmetic, per packet: the kept cells are cells
+    # of one gapless grid, the grid's outer edges enclose the disk, and
+    # every grid cell that meets the closed disk is kept
+    grid = packets._PROOF_GRID
+    centers, radii = packets._layout(family, n_lo, 3000, delta)
+    xlo, xhi, ylo, yhi, counts = packets._disk_cells(centers, radii, grid)
+    ends = np.cumsum(counts).tolist()
+    uncovered = []
+    for n, c, r, end, count in zip(range(n_lo, 3001), centers.tolist(),
+                                   radii.tolist(), ends, counts.tolist()):
+        part = slice(end - count, end)
+        cells = set(zip(xlo[part].tolist(), xhi[part].tolist(),
+                        ylo[part].tolist(), yhi[part].tolist()))
+        xs = sorted(set(xlo[part].tolist()) | set(xhi[part].tolist()))
+        ys = sorted(set(ylo[part].tolist()) | set(yhi[part].tolist()))
+        assert len(xs) == len(ys) == grid + 1, n
+        assert cells <= {(a, b, e, f) for a, b in zip(xs, xs[1:])
+                         for e, f in zip(ys, ys[1:])}, n
+        C, R = Fraction(c), Fraction(r)
+        X, Y = list(map(Fraction, xs)), list(map(Fraction, ys))
+        dx2 = [max(0, a - C, C - b) ** 2 for a, b in zip(X, X[1:])]
+        dy2 = [max(0, e, -f) ** 2 for e, f in zip(Y, Y[1:])]
+        missed = [(i, j) for i in range(grid) for j in range(grid)
+                  if dx2[i] + dy2[j] <= R * R
+                  and (xs[i], xs[i + 1], ys[j], ys[j + 1]) not in cells]
+        if missed or not (X[0] <= C - R and X[-1] >= C + R
+                          and Y[0] <= -R and Y[-1] >= R):
+            uncovered.append(n)
+    assert not uncovered, f"{len(uncovered)} disks not covered, first {uncovered[:5]}"
 
 
 def test_batched_certificates_match_single_packets():
