@@ -154,13 +154,13 @@ class DisjointnessReport:
 
 def _layout(family: GraphFamily, n_lo: int, n_hi: int,
             delta: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and radii of packets n_lo..n_hi, the one place the layout
-    in the module docstring is written.
+    """Centers and radii of packets n_lo..n_hi as float arrays: the one
+    place the layout in the module docstring is written.
 
-    It makes every check a packet index and delta must pass, n*pi
-    overflow first, before any float array is built.  The logs come from
-    libm, once per packet, and the rest is IEEE-exact numpy arithmetic,
-    so each element equals the scalar formula bit for bit on any host.
+    Every check on the family, the indices and delta runs before any
+    float array is built.  The logs come from libm, once per packet, and
+    the rest is IEEE-exact numpy arithmetic, so each element equals the
+    scalar formula bit for bit, on any host with the same libm.
     """
     if family is GraphFamily.EXP:
         raise ValueError("e^z has monotone magnitude and no packet structure")
@@ -380,7 +380,7 @@ def _gaussian_in_ball(packet: DiskPacket, r: float) -> bool:
     """Certified containment of the graph over a sin(e^(z^2)) packet in B_r.
 
     Every parameter point obeys |z| <= center + radius and the closed
-    margin |f| <= sinh(U) + U from the drift analysis, so the graph
+    margin |f| <= sinh(U) from the drift analysis, so the graph
     point norm is at most sqrt((center+radius)^2 + max_f^2).
     """
     _, _, max_f, _ = _gaussian_margins(packet)
