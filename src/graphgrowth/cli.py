@@ -40,9 +40,8 @@ from .growth import (
 )
 from .packets import (
     CertifyMethod,
-    DiskPacket,
+    _certify_columns,
     _layout,
-    certify_packets,
     packet_growth_lower_bound,
     verify_disjoint,
 )
@@ -69,10 +68,6 @@ __all__ = ["main"]
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
 
 
 def _json_dump(value) -> str:
@@ -184,38 +179,36 @@ def _cmd_area(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------- packets
 
+_PACKET_HEADER = ("n,center,radius,max_abs_f,min_abs_fprime,"
+                  "f_bound_ok,fprime_bound_ok,disjoint_ok\n")
+_PACKET_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%s,%s,%s\n"
+
+
 def _cmd_packets(args: argparse.Namespace) -> int:
+    """The packet ledger, read column by column from _layout and the
+    certifier; no per-packet object is built."""
     family = GraphFamily.parse(args.family)
     n_lo, n_hi = _parse_range(args.n)
     method = (CertifyMethod.INTERVAL_PROOF if args.method == "interval"
               else CertifyMethod.DENSE_SAMPLING)
     centers, radii = _layout(family, n_lo, n_hi, args.delta)
-    packets = [DiskPacket(family, n, center, radius, args.delta)
-               for n, center, radius in zip(range(n_lo, n_hi + 1),
-                                            centers.tolist(), radii.tolist())]
+    ns = np.fromiter(map(float, range(n_lo, n_hi + 1)), float, centers.size)
+    max_f, min_fp, f_ok, fp_ok = _certify_columns(family, ns, centers, radii,
+                                                  method, args.samples)
 
     # a packet is disjoint when the gaps on both of its sides are positive
     gap_ok = verify_disjoint(family, n_lo, n_hi, args.delta).gaps > 0
     disjoint = np.append(gap_ok, True) & np.insert(gap_ok, 0, True)
 
-    rows = []
-    for packet, row_disjoint in zip(certify_packets(packets, method, args.samples),
-                                    disjoint.tolist()):
-        cert = packet.certificate
-        assert cert is not None
-        rows.append([
-            str(packet.n),
-            _fmt(packet.center),
-            _fmt(packet.radius),
-            _fmt(cert.max_abs_f),
-            _fmt(cert.min_abs_fprime),
-            _fmt_bool(cert.f_bound_ok),
-            _fmt_bool(cert.fprime_bound_ok),
-            _fmt_bool(row_disjoint),
-        ])
-    header = ["n", "center", "radius", "max_abs_f", "min_abs_fprime",
-              "f_bound_ok", "fprime_bound_ok", "disjoint_ok"]
-    _write_output(args.output, _csv_text(header, rows))
+    rows = [
+        _PACKET_ROW % (n, center, radius, hi, lo, "true" if f else "false",
+                       "true" if fp else "false", "true" if apart else "false")
+        for n, center, radius, hi, lo, f, fp, apart in zip(
+            range(n_lo, n_hi + 1), centers.tolist(), radii.tolist(),
+            max_f.tolist(), min_fp.tolist(), f_ok.tolist(), fp_ok.tolist(),
+            disjoint.tolist())
+    ]
+    _write_output(args.output, [_PACKET_HEADER, *rows])
     return 0
 
 

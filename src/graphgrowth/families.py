@@ -348,46 +348,58 @@ def log_abs_f_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray
     With u = z (SIN_EXP) or z^2 (SIN_EXP_SQ), only the final hypot/log and
     log1p steps differ between |sin e^u| and |cos e^u|; they run once on a
     leading axis of length 2.  For EXP the same array is returned twice.
+
+    Every point gets the plain small-|Im e^u| form.  The asymptotic form
+    (|Im e^u| > 36, or NaN) and the form for e^u past the plain double
+    range (Re u > 700, or NaN) are computed only on the points their
+    boolean masks select, and written in by those masks; a branch whose
+    mask is empty costs one reduction.  Each element still sees the same
+    operations as in an evaluate-everything-then-select kernel, so the
+    bits agree with it.
     """
     zre = np.asarray(zre, dtype=float)
     zim = np.asarray(zim, dtype=float)
-    if family is GraphFamily.EXP:
-        log_mag = zre + 0.0 * zim
-        return log_mag, log_mag
-    if family is GraphFamily.SIN_EXP:
-        w_log, w_arg = zre, zim
-    else:
-        w_log, w_arg = zre * zre - zim * zim, 2.0 * zre * zim
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        if family is GraphFamily.EXP:
+            log_mag = zre + 0.0 * zim
+            return log_mag, log_mag
+        if family is GraphFamily.SIN_EXP:
+            zre, zim = np.broadcast_arrays(zre, zim)  # full-shape masks below
+            w_log, w_arg = zre, zim
+        else:
+            w_log, w_arg = zre * zre - zim * zim, 2.0 * zre * zim
         scale = np.exp(np.minimum(w_log, _MAX_PLAIN_EXPONENT))
         sin_arg = np.sin(w_arg)
         x = scale * np.cos(w_arg)
-        y = scale * sin_arg
-        ay = np.abs(y)
+        ay = np.abs(scale * sin_arg)
         ay_small = np.minimum(ay, _ASYMPTOTIC_IM)
         osc = np.stack([np.sin(x), np.cos(x)])  # |sin w| from sin x, |cos w| from cos x
         other = osc[::-1]
-        small = np.log(np.hypot(osc * np.cosh(ay_small), other * np.sinh(ay_small)))
-        ay_clip = np.minimum(ay, 400.0)
-        corr = (4.0 * osc * osc - 2.0) * np.exp(-2.0 * ay_clip) + np.exp(-4.0 * ay_clip)
-        big = ay - LOG2 + 0.5 * np.log1p(corr)
-        plain = np.where(ay <= _ASYMPTOTIC_IM, small, big)
+        out = np.log(np.hypot(osc * np.cosh(ay_small), other * np.sinh(ay_small)))
 
-        # e^u not plain-representable: magnitude via log|Im e^u| = Re u + log|sin Im u|,
-        # the same for sin and cos.
-        log_im = w_log + np.log(np.abs(sin_arg))
-        m = np.where(log_im > _MAX_LOG, np.inf, np.exp(np.minimum(log_im, _MAX_LOG)))
-        scaled = np.where(
-            m > _ASYMPTOTIC_IM,
-            m - LOG2,
-            np.log(np.cosh(np.minimum(m, _ASYMPTOTIC_IM))),
-        )
-        log_sin, log_cos = np.where(w_log <= _MAX_PLAIN_EXPONENT, plain, scaled)
-    if family is GraphFamily.SIN_EXP:
-        return log_sin, zre + log_cos
-    with np.errstate(divide="ignore"):
+        far = ~(w_log <= _MAX_PLAIN_EXPONENT)
+        asym = ~(ay <= _ASYMPTOTIC_IM) & ~far  # far points are overwritten below
+        if asym.any():
+            ay_a = ay[asym]
+            ay_clip = np.minimum(ay_a, 400.0)
+            osc_a = osc[:, asym]
+            corr = (4.0 * osc_a * osc_a - 2.0) * np.exp(-2.0 * ay_clip) + np.exp(-4.0 * ay_clip)
+            out[:, asym] = ay_a - LOG2 + 0.5 * np.log1p(corr)
+        if far.any():
+            # e^u not plain-representable: magnitude via log|Im e^u| =
+            # Re u + log|sin Im u|, the same for sin and cos.
+            log_im = w_log[far] + np.log(np.abs(sin_arg[far]))
+            m = np.where(log_im > _MAX_LOG, np.inf, np.exp(np.minimum(log_im, _MAX_LOG)))
+            out[:, far] = np.where(
+                m > _ASYMPTOTIC_IM,
+                m - LOG2,
+                np.log(np.cosh(np.minimum(m, _ASYMPTOTIC_IM))),
+            )
+        log_sin, log_cos = out
+        if family is GraphFamily.SIN_EXP:
+            return log_sin, zre + log_cos
         log_2z = LOG2 + 0.5 * np.log(zre * zre + zim * zim)
-    return log_sin, log_2z + w_log + log_cos
+        return log_sin, log_2z + w_log + log_cos
 
 
 # ---------------------------------------------------------------------------
@@ -479,16 +491,24 @@ def _interval_prod(alo, ahi, blo, bhi):
 
 
 def _log_sqrt_s2_plus_sinh2(s2: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """0.5*log(s2 + sinh(m)^2) without overflow; s2 in [0,1], m >= 0."""
+    """0.5*log(s2 + sinh(m)^2) without overflow; s2 in [0,1], m >= 0.
+
+    s2 has m's shape, or m's shape behind leading axes (the stacked
+    [sin, cos] ranges).  The large-m form (m > 36, or NaN) is computed
+    only where its mask selects it, as in log_abs_f_fprime_batch.
+    """
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         m_small = np.minimum(m, _ASYMPTOTIC_IM)
         sh = np.sinh(m_small)
         v = s2 + sh * sh
-        small = np.where(v > 0.0, 0.5 * np.log(v), -np.inf)
-        m_clip = np.minimum(m, 400.0)
-        corr = (4.0 * s2 - 2.0) * np.exp(-2.0 * m_clip) + np.exp(-4.0 * m_clip)
-        large = m - LOG2 + 0.5 * np.log1p(corr)
-        return np.where(m <= _ASYMPTOTIC_IM, small, large)
+        out = np.where(v > 0.0, 0.5 * np.log(v), -np.inf)
+        large = ~(m <= _ASYMPTOTIC_IM)
+        if large.any():
+            m_large = m[large]
+            m_clip = np.minimum(m_large, 400.0)
+            corr = (4.0 * s2[..., large] - 2.0) * np.exp(-2.0 * m_clip) + np.exp(-4.0 * m_clip)
+            out[..., large] = m_large - LOG2 + 0.5 * np.log1p(corr)
+        return out
 
 
 def _bound_trig_of_exp_batch(w_log_lo, w_log_hi, arg_lo, arg_hi):
@@ -540,7 +560,8 @@ def _u_ranges(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     w_log_lo = _nudge_down(x2_lo - y2_hi)
     w_log_hi = _nudge_up(x2_hi - y2_lo)
     p_lo, p_hi = _interval_prod(re_lo, re_hi, im_lo, im_hi)
-    return w_log_lo, w_log_hi, _nudge_down(2.0 * p_lo), _nudge_up(2.0 * p_hi)
+    with np.errstate(over="ignore"):
+        return w_log_lo, w_log_hi, _nudge_down(2.0 * p_lo), _nudge_up(2.0 * p_hi)
 
 
 # Mirror symmetries of |f| and |f'|, and so of the sublevel domains the

@@ -30,16 +30,22 @@ caller asks for it, by dense sampling (DenseSampling, not rigorous,
 reported as such).  Interval proofs run batched: the disk cells of a
 fixed-size group of packets go through one enclosure call for both
 bounds, in the array-wide style of Rump, "Fast and parallel interval
-arithmetic", BIT 39 (1999).  A proof that does not close is reported as
-a failed IntervalProof, never replaced by sampling.  For both families
-this happens from n = 318309886184 on: there the inner argument n*pi
-passes the enclosure kernels' trigonometric argument limit (1e12) and
-the enclosures turn trivial.
+arithmetic", BIT 39 (1999).  A proof that does not close is reported
+as a failed IntervalProof, never replaced by sampling.  For both
+families this happens from n = 318309886184 on: there the inner
+argument n*pi passes the enclosure kernels' trigonometric argument
+limit (1e12) and the enclosures turn trivial.
+
+One columnar certifier, _certify_columns, does both methods: it returns
+max |f|, min |f'| and both flags as arrays over a run of same-family
+packets.  The CLI ledger reads those columns directly; certify_packets
+wraps them in DiskPacket objects for the list API only.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -248,11 +254,18 @@ def _disk_cells(centers: np.ndarray, radii: np.ndarray, grid: int):
     return xlo[keep], xhi[keep], ylo[keep], yhi[keep], np.count_nonzero(keep, axis=1)
 
 
+def _ring_layout(count: int) -> tuple[int, int]:
+    """(rings, points per ring) of the disk sample set for `count` samples."""
+    if not isinstance(count, numbers.Integral) or count < 1:
+        raise ValueError("samples must be a positive integer")
+    rings = max(4, int(math.sqrt(count)))
+    return rings, max(8, int(math.ceil((count - 1) / rings)))
+
+
 def _disk_samples(center: float, radius: float, count: int):
     """Deterministic center-plus-rings sampling covering the closed disk
     including its boundary circle."""
-    rings = max(4, int(math.sqrt(count)))
-    per_ring = max(8, int(math.ceil((count - 1) / rings)))
+    rings, per_ring = _ring_layout(count)
     rr = (radius * np.arange(1, rings + 1) / rings)[:, None]
     theta = 2.0 * math.pi * np.arange(per_ring) / per_ring
     pts_re = center + rr * np.cos(theta)
@@ -260,47 +273,42 @@ def _disk_samples(center: float, radius: float, count: int):
     return np.append(center, pts_re), np.append(0.0, pts_im)
 
 
-def _certificate(packet: DiskPacket, method: CertifyMethod, max_f: float,
-                 min_fp: float, samples: int) -> DiskPacket:
-    fp_target = fprime_target(packet)
-    cert = PacketCertificate(
-        n=packet.n,
-        method=method,
-        max_abs_f=max_f,
-        min_abs_fprime=min_fp,
-        f_target=F_TARGET,
-        fprime_target=fp_target,
-        f_bound_ok=max_f < F_TARGET,
-        fprime_bound_ok=min_fp >= fp_target,
-        samples=samples,
-    )
-    return replace(packet, certificate=cert)
+def _certify_columns(family: GraphFamily, ns: np.ndarray, centers: np.ndarray,
+                     radii: np.ndarray, method: CertifyMethod, samples: int):
+    """Certificate columns of same-family packets: arrays of max_abs_f,
+    min_abs_fprime, f_bound_ok and fprime_bound_ok.
 
-
-def _prove_group(family: GraphFamily, group: list[DiskPacket]) -> list[DiskPacket]:
-    """Interval proof for same-family packets: one enclosure call for
-    |f| and |f'| over all their disk cells, reduced per packet."""
-    centers = np.array([p.center for p in group])
-    radii = np.array([p.radius for p in group])
-    xlo, xhi, ylo, yhi, counts = _disk_cells(centers, radii, _PROOF_GRID)
-    _, f_hi, fp_lo, _ = bound_abs_f_fprime_batch(family, xlo, xhi, ylo, yhi)
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    with np.errstate(over="ignore"):
-        max_f = _nudge_up(np.exp(np.maximum.reduceat(f_hi, starts)))
-        min_fp = np.maximum(_nudge_down(np.exp(np.minimum.reduceat(fp_lo, starts))), 0.0)
-    return [
-        _certificate(p, CertifyMethod.INTERVAL_PROOF, hi, lo, 0)
-        for p, hi, lo in zip(group, max_f.tolist(), min_fp.tolist())
-    ]
-
-
-def _sample_packet(packet: DiskPacket, samples: int) -> DiskPacket:
-    zre, zim = _disk_samples(packet.center, packet.radius, samples)
-    log_f, log_fp = log_abs_f_fprime_batch(packet.family, zre, zim)
-    max_f = float(np.exp(np.max(log_f)))
-    min_fp = float(np.exp(np.min(log_fp)))
-    return _certificate(packet, CertifyMethod.DENSE_SAMPLING, max_f, min_fp,
-                        int(zre.size))
+    ns holds the packet indices as floats.  INTERVAL_PROOF makes one
+    enclosure call for |f| and |f'| over the disk cells of each
+    _CERTIFY_GROUP consecutive packets and reduces them per packet.
+    DENSE_SAMPLING makes one point-kernel call per packet, on `samples`
+    points or a few more.  fprime_target is evaluated as the scalar
+    formula is, so every element has its bits.
+    """
+    max_f = np.empty(ns.size)
+    min_fp = np.empty(ns.size)
+    if method is CertifyMethod.DENSE_SAMPLING:
+        for i, (center, radius) in enumerate(zip(centers.tolist(), radii.tolist())):
+            log_f, log_fp = log_abs_f_fprime_batch(
+                family, *_disk_samples(center, radius, samples))
+            max_f[i] = np.exp(np.max(log_f))
+            min_fp[i] = np.exp(np.min(log_fp))
+    else:
+        for lo in range(0, ns.size, _CERTIFY_GROUP):
+            group = slice(lo, lo + _CERTIFY_GROUP)
+            xlo, xhi, ylo, yhi, counts = _disk_cells(centers[group], radii[group],
+                                                     _PROOF_GRID)
+            _, f_hi, fp_lo, _ = bound_abs_f_fprime_batch(family, xlo, xhi, ylo, yhi)
+            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+            with np.errstate(over="ignore"):
+                max_f[group] = _nudge_up(np.exp(np.maximum.reduceat(f_hi, starts)))
+                min_fp[group] = np.maximum(
+                    _nudge_down(np.exp(np.minimum.reduceat(fp_lo, starts))), 0.0)
+    if family is GraphFamily.SIN_EXP:
+        fp_target = math.pi * ns / 4.0
+    else:
+        fp_target = math.pi * ns * centers / 2.0
+    return max_f, min_fp, max_f < F_TARGET, min_fp >= fp_target
 
 
 def certify_packets(packets, method: CertifyMethod | None = None,
@@ -312,18 +320,32 @@ def certify_packets(packets, method: CertifyMethod | None = None,
     _CERTIFY_GROUP consecutive same-family packets at a time.  A packet
     whose proof does not close keeps its IntervalProof certificate with
     the failing flag false.  DENSE_SAMPLING, only on request, takes
-    `samples` points per packet and is explicitly non-rigorous.
+    `samples` points per packet (a positive integer) and is explicitly
+    non-rigorous.  Each run of same-family packets goes through
+    _certify_columns, the certifier the CLI ledger calls directly.
     """
     packets = list(packets)
     if any(p.family is GraphFamily.EXP for p in packets):
         raise ValueError("e^z has no packets to certify")
     if method is CertifyMethod.DENSE_SAMPLING:
-        return [_sample_packet(p, samples) for p in packets]
+        rings, per_ring = _ring_layout(samples)
+        taken = 1 + rings * per_ring
+    else:
+        method, taken = CertifyMethod.INTERVAL_PROOF, 0
     out: list[DiskPacket] = []
     for family, run in groupby(packets, key=lambda p: p.family):
         run = list(run)
-        for i in range(0, len(run), _CERTIFY_GROUP):
-            out.extend(_prove_group(family, run[i:i + _CERTIFY_GROUP]))
+        columns = _certify_columns(
+            family,
+            np.fromiter((float(p.n) for p in run), float, len(run)),
+            np.array([p.center for p in run], dtype=float),
+            np.array([p.radius for p in run], dtype=float),
+            method, samples)
+        for p, max_f, min_fp, f_ok, fp_ok in zip(run, *(c.tolist() for c in columns)):
+            out.append(replace(p, certificate=PacketCertificate(
+                n=p.n, method=method, max_abs_f=max_f, min_abs_fprime=min_fp,
+                f_target=F_TARGET, fprime_target=fprime_target(p),
+                f_bound_ok=f_ok, fprime_bound_ok=fp_ok, samples=taken)))
     return out
 
 

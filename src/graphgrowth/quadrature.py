@@ -175,8 +175,8 @@ def _classify_batch(family: GraphFamily, r: float, xlo, xhi, ylo, yhi):
     r2 = r * r
     dx = np.maximum(0.0, np.maximum(xlo, -xhi))
     dy = np.maximum(0.0, np.maximum(ylo, -yhi))
-    dmin2 = dx * dx + dy * dy
     with np.errstate(over="ignore"):
+        dmin2 = dx * dx + dy * dy
         dmax2 = np.maximum(xlo * xlo, xhi * xhi) + np.maximum(ylo * ylo, yhi * yhi)
 
     out = np.full(xlo.shape, _BOUNDARY, dtype=np.int8)
@@ -283,11 +283,12 @@ def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
         with np.errstate(over="ignore"):
             f2 = np.where(np.isneginf(log_f), 0.0, np.exp(2.0 * log_f))
             fp2 = np.where(np.isneginf(log_fp), 0.0, np.exp(2.0 * log_fp))
-        # pointwise membership |z|^2 + |f|^2 <= r^2
-        member = px * px + py * py + f2 <= r * r
-        cell_mean[c] = np.where(member, 1.0 + fp2, 0.0).mean(axis=1)
+            # pointwise membership |z|^2 + |f|^2 <= r^2
+            member = px * px + py * py + f2 <= r * r
+            cell_mean[c] = np.where(member, 1.0 + fp2, 0.0).mean(axis=1)
     areas = (xhi - xlo) * (yhi - ylo)
-    return float(np.sum(areas * cell_mean))
+    with np.errstate(over="ignore"):
+        return float(np.sum(areas * cell_mean))
 
 
 def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
@@ -341,7 +342,8 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
     lower = _sum_down(lower_parts)
     bx_lo, bx_hi, by_lo, by_hi = final_b
     cells_boundary = weight * int(bx_lo.size)
-    leftover_area = weight * float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
+    with np.errstate(over="ignore"):
+        leftover_area = weight * float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
     depth_exceeded = leftover_area > cfg.tol_rel * max(lower, 1e-12)
 
     estimate = None

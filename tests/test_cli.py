@@ -17,11 +17,16 @@ import pytest
 from conftest import run_cli
 from graphgrowth import cli
 from graphgrowth import (
+    CertifyMethod,
+    GraphFamily,
     RadiiVariant,
     ScheduleConfig,
     build_schedule,
+    certify_packets,
     completeness_trend,
     diagnostics,
+    make_packet,
+    verify_disjoint,
 )
 
 
@@ -80,6 +85,21 @@ def test_area_huge_radius_prints_largest_lower(family):
     rows = parse_csv(proc.stdout)
     assert len(rows) == 1
     assert rows[0]["area_lower"] == "1.7976931348623147e+308"
+
+
+@pytest.mark.parametrize("family, row", [
+    ("exp", "1.2999999999999999e+154,1.6899999999999978e+308,inf,Quadrature,10,22,3"),
+    ("sin-exp", "1.2999999999999999e+154,1.6899999999999978e+308,inf,Quadrature,10,44,3"),
+    ("sin-exp-sq", "1.2999999999999999e+154,1.2674999999999981e+308,inf,Quadrature,12,48,3"),
+])
+def test_area_near_square_overflow_is_quiet(family, row):
+    # r^2 and the cell corners' squares overflow here; the overflows are
+    # handled, so no numpy RuntimeWarning may reach stderr
+    proc = run_cli("area", "--family", family, "--r", "1.3e154",
+                   "--allow-large-r", "--max-depth", "3")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[1] == row
 
 
 def test_area_real_list_syntax():
@@ -141,6 +161,60 @@ def test_packets_huge_n_exit_2(n, message):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def _packets_csv_reference(family, n_lo, n_hi, delta, method, samples):
+    """The packet ledger built from certify_packets' DiskPacket list, each
+    field of each row formatted alone."""
+    ledger = [make_packet(family, n, delta) for n in range(n_lo, n_hi + 1)]
+    gaps = verify_disjoint(family, n_lo, n_hi, delta).gaps.tolist()
+    lines = ["n,center,radius,max_abs_f,min_abs_fprime,"
+             "f_bound_ok,fprime_bound_ok,disjoint_ok"]
+    for i, p in enumerate(certify_packets(ledger, method, samples)):
+        cert = p.certificate
+        disjoint = (i == 0 or gaps[i - 1] > 0) and (i == len(gaps) or gaps[i] > 0)
+        lines.append(",".join([
+            str(p.n), _f17(p.center), _f17(p.radius), _f17(cert.max_abs_f),
+            _f17(cert.min_abs_fprime), _flag(cert.f_bound_ok),
+            _flag(cert.fprime_bound_ok), _flag(disjoint),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family, n_lo, n_hi, delta", [
+    ("sin-exp", 1, 300, None),
+    ("sin-exp-sq", 2, 300, 0.01),
+    # the interval proofs stop closing at n = 318309886184
+    ("sin-exp", 318309886180, 318309886190, None),
+    ("sin-exp-sq", 318309886180, 318309886190, 0.01),
+])
+@pytest.mark.parametrize("method", ["interval", "sampling"])
+def test_packets_columns_match_field_formatting(capsys, family, n_lo, n_hi,
+                                                delta, method):
+    # the CLI reads the certifier's columns, one row template at a time;
+    # the reference formats the list API's certificates field by field
+    argv = ["packets", "--family", family, "--n", f"{n_lo}..{n_hi}",
+            "--method", method, "--samples", "40"]
+    if delta is not None:
+        argv += ["--delta", repr(delta)]
+    want = _packets_csv_reference(
+        GraphFamily.parse(family), n_lo, n_hi, delta,
+        CertifyMethod.INTERVAL_PROOF if method == "interval"
+        else CertifyMethod.DENSE_SAMPLING, 40)
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    if method == "interval" and n_lo > 1000:
+        assert "false" in want and "true,true,true" in want
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_packets_bad_samples_exit_2(samples):
+    proc = run_cli("packets", "--family", "sin-exp", "--n", "1..5",
+                   "--method", "sampling", "--samples", samples)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "samples must be a positive integer" in proc.stderr
     assert "Traceback" not in proc.stderr
 
 

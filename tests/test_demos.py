@@ -1,0 +1,29 @@
+"""The demos run clean: each exits 0 and writes nothing to stderr, with
+numpy RuntimeWarnings turned into errors.
+
+demos/plot_growth_curves.py is left out: it rewrites the tracked SVGs in
+demos/out/, and a test must not change the checkout.
+"""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+
+
+@pytest.mark.parametrize("demo", [
+    "area_growth_walkthrough.py",
+    "packet_ledger.py",  # drives the certify_packet / make_packet list API
+    "schedule_audit.py",
+])
+def test_demo_runs_clean(demo):
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(DEMOS / demo)],
+        capture_output=True, text=True, timeout=300.0,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout

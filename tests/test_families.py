@@ -25,7 +25,9 @@ from graphgrowth import (
     eval_fprime,
 )
 from graphgrowth.families import (
+    LOG2,
     MIRROR_AXES,
+    _log_sqrt_s2_plus_sinh2,
     _nudge_down,
     _nudge_up,
     bound_abs_f_fprime_batch,
@@ -277,6 +279,161 @@ def test_merged_kernels_are_batch_independent(family):
             mirrored = bound_abs_f_fprime_batch(family, *mirrors[axis](box))
             for a, b in zip(whole, mirrored):
                 assert np.array_equal(_bits(a), _bits(b))
+
+
+# ---------------------------------------------------------------------------
+# branch-only kernels against evaluate-everything-then-select references
+# ---------------------------------------------------------------------------
+
+def _point_kernel_reference(family, zre, zim):
+    """log_abs_f_fprime_batch as it was before it computed each branch
+    only where taken: every form on every point, then np.where."""
+    zre = np.asarray(zre, dtype=float)
+    zim = np.asarray(zim, dtype=float)
+    with np.errstate(all="ignore"):
+        if family is GraphFamily.EXP:
+            log_mag = zre + 0.0 * zim
+            return log_mag, log_mag
+        if family is GraphFamily.SIN_EXP:
+            w_log, w_arg = zre, zim
+        else:
+            w_log, w_arg = zre * zre - zim * zim, 2.0 * zre * zim
+        scale = np.exp(np.minimum(w_log, 700.0))
+        sin_arg = np.sin(w_arg)
+        x = scale * np.cos(w_arg)
+        y = scale * sin_arg
+        ay = np.abs(y)
+        ay_small = np.minimum(ay, 36.0)
+        osc = np.stack([np.sin(x), np.cos(x)])
+        other = osc[::-1]
+        small = np.log(np.hypot(osc * np.cosh(ay_small), other * np.sinh(ay_small)))
+        ay_clip = np.minimum(ay, 400.0)
+        corr = (4.0 * osc * osc - 2.0) * np.exp(-2.0 * ay_clip) + np.exp(-4.0 * ay_clip)
+        big = ay - LOG2 + 0.5 * np.log1p(corr)
+        plain = np.where(ay <= 36.0, small, big)
+        log_im = w_log + np.log(np.abs(sin_arg))
+        m = np.where(log_im > 709.0, np.inf, np.exp(np.minimum(log_im, 709.0)))
+        scaled = np.where(m > 36.0, m - LOG2, np.log(np.cosh(np.minimum(m, 36.0))))
+        log_sin, log_cos = np.where(w_log <= 700.0, plain, scaled)
+        if family is GraphFamily.SIN_EXP:
+            return log_sin, zre + log_cos
+        log_2z = LOG2 + 0.5 * np.log(zre * zre + zim * zim)
+        return log_sin, log_2z + w_log + log_cos
+
+
+def _log_sqrt_reference(s2, m):
+    """_log_sqrt_s2_plus_sinh2 with both forms on every element."""
+    with np.errstate(all="ignore"):
+        sh = np.sinh(np.minimum(m, 36.0))
+        v = s2 + sh * sh
+        small = np.where(v > 0.0, 0.5 * np.log(v), -np.inf)
+        m_clip = np.minimum(m, 400.0)
+        corr = (4.0 * s2 - 2.0) * np.exp(-2.0 * m_clip) + np.exp(-4.0 * m_clip)
+        return np.where(m <= 36.0, small, m - LOG2 + 0.5 * np.log1p(corr))
+
+
+def _branch_points(rng):
+    """Points u = Re u + i Im u, one block per branch of the point kernel:
+    |Im e^u| <= 36, in (36, 400] and beyond 400 while Re u <= 700; then
+    Re u > 700 with log|Im e^u| beyond 709, with |Im e^u| > 36 and with
+    the thin band |Im e^u| <= 36; then NaN, +-inf and +-0 coordinates."""
+    re_u = np.concatenate([
+        rng.uniform(-5.0, 3.0, 40), rng.uniform(3.7, 5.9, 40),
+        rng.uniform(6.5, 690.0, 40), rng.uniform(712.0, 1.0e4, 20),
+        rng.uniform(700.5, 708.0, 20), np.full(20, 701.0),
+    ])
+    im_u = np.concatenate([
+        rng.uniform(-3.1, 3.1, 160), 10.0 ** rng.uniform(-290.0, -280.0, 10),
+        -(10.0 ** rng.uniform(-306.0, -304.0, 10)),
+    ])
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, 1.5]
+    grid_re, grid_im = np.meshgrid(special, special)
+    return re_u, im_u, grid_re.ravel(), grid_im.ravel()
+
+
+def _branch_coords(family, rng):
+    """Coordinates z whose u (z, or z^2 for SIN_EXP_SQ) take every branch;
+    returns them with the u the kernel computes from them."""
+    re_u, im_u, sp_re, sp_im = _branch_points(rng)
+    if family is GraphFamily.SIN_EXP_SQ:
+        z = np.sqrt(re_u + 1j * im_u)
+        zre, zim = z.real, z.imag
+    else:
+        zre, zim = re_u, im_u
+    zre, zim = np.concatenate([zre, sp_re]), np.concatenate([zim, sp_im])
+    if family is GraphFamily.SIN_EXP_SQ:
+        with np.errstate(invalid="ignore"):
+            return zre, zim, zre * zre - zim * zim, 2.0 * zre * zim
+    return zre, zim, zre, zim
+
+
+def _assert_same_bits(got, want):
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(_bits(g), _bits(w))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_point_kernel_matches_select_everything_reference(family):
+    rng = np.random.default_rng(20261101)
+    zre, zim, w_log, w_arg = _branch_coords(family, rng)
+    if family is not GraphFamily.EXP:
+        with np.errstate(all="ignore"):
+            ay = np.abs(np.exp(np.minimum(w_log, 700.0)) * np.sin(w_arg))
+            im = np.exp(w_log + np.log(np.abs(np.sin(w_arg))))
+        plain = w_log <= 700.0
+        for taken in (plain & (ay <= 36.0), plain & (ay > 36.0) & (ay <= 400.0),
+                      plain & (ay > 400.0), (w_log > 700.0) & np.isinf(im),
+                      (w_log > 700.0) & (im > 36.0) & np.isfinite(im),
+                      (w_log > 700.0) & (im <= 36.0)):
+            assert np.count_nonzero(taken) >= 5
+    special = np.isnan(zre) | np.isnan(zim) | np.isinf(zre) | np.isinf(zim)
+    assert np.count_nonzero(special) >= 20
+    n = zre.size
+    cases = [(zre, zim)]
+    # every branch alone, and the (cells, k^2) shapes of boundary sampling
+    for block in (slice(0, 40), slice(40, 80), slice(80, 120), slice(120, 140),
+                  slice(140, 180), slice(180, n)):
+        cases.append((zre[block], zim[block]))
+    for k2 in (4, 9):
+        cut = n - n % k2
+        cases.append((zre[:cut].reshape(-1, k2), zim[:cut].reshape(-1, k2)))
+    cases.append((zre[:1].reshape(()), zim[:1].reshape(())))
+    for args in cases:
+        _assert_same_bits(log_abs_f_fprime_batch(family, *args),
+                          _point_kernel_reference(family, *args))
+
+
+def test_log_sqrt_s2_plus_sinh2_matches_select_everything_reference():
+    rng = np.random.default_rng(20261102)
+    m = np.concatenate([
+        [0.0, 5e-324, 1e-8, 1.0, 35.9, 36.0, np.nextafter(36.0, 40.0), 100.0,
+         399.0, 400.0, 401.0, 1e5, 1e300, np.inf, np.nan],
+        rng.uniform(0.0, 36.0, 40), rng.uniform(36.0, 500.0, 40),
+    ])
+    s2 = np.stack([rng.uniform(0.0, 1.0, m.size), rng.uniform(0.0, 1.0, m.size)])
+    s2[:, :4] = [[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0]]
+    small, large = m <= 36.0, ~(m <= 36.0)
+    cut = 90
+    cases = [(s2, m), (s2[0], m), (s2[:, small], m[small]), (s2[:, large], m[large]),
+             (s2[:, :cut].reshape(2, 9, 10), m[:cut].reshape(9, 10)),
+             (s2[:, 5], m[5]), (s2[:, 7], m[7])]
+    for s2_case, m_case in cases:
+        got = _log_sqrt_s2_plus_sinh2(s2_case, m_case)
+        want = _log_sqrt_reference(s2_case, m_case)
+        assert got.shape == want.shape
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_point_kernel_is_quiet_on_huge_finite_inputs(family):
+    # tier-1 turns a RuntimeWarning into an error; the overflows here are
+    # handled (inf or NaN, as in the reference), so none may be raised
+    big = np.array([1e200, 1e200, 0.0, -1e300, 1.7e308, 1.3e154, 2e154, 1e308])
+    other = np.array([1e200, 0.0, 1e200, 3.0, 1.7e308, 1.0, 2e154, -1e-308])
+    for zre, zim in ((big, other), (other, big), (-big, big)):
+        _assert_same_bits(log_abs_f_fprime_batch(family, zre, zim),
+                          _point_kernel_reference(family, zre, zim))
 
 
 def _nextafter4(x, direction):

@@ -6,6 +6,7 @@ check them to the bit where the arithmetic is closed-form.
 """
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -254,6 +255,65 @@ def test_batched_certificates_match_single_packets():
         cert = got.certificate
         assert (cert.max_abs_f, cert.min_abs_fprime) == _proof_extrema_one_packet(base)
         assert cert.certified, base.n
+
+
+def _sampled_extrema_one_packet(p, samples):
+    """Reference: the sampled extrema of one packet on its own, with the
+    number of points taken."""
+    zre, zim = packets._disk_samples(p.center, p.radius, samples)
+    log_f, log_fp = packets.log_abs_f_fprime_batch(p.family, zre, zim)
+    return float(np.exp(np.max(log_f))), float(np.exp(np.min(log_fp))), int(zre.size)
+
+
+# the first index whose interval proof fails, for both families
+FAILED_PROOF_N = 318309886184
+
+
+@pytest.mark.parametrize("method, samples", [
+    (CertifyMethod.INTERVAL_PROOF, 10000),
+    (CertifyMethod.DENSE_SAMPLING, 40),
+])
+def test_columnar_certifier_matches_certify_packets(method, samples):
+    # the list API and the columns the CLI reads agree field for field and
+    # with a one-packet reference; the columns are cut at offset 7, off
+    # the list API's 128-packet grid, and the ledger changes family
+    ledger = ([make_packet(GraphFamily.SIN_EXP, n) for n in range(1, 301)]
+              + [make_packet(GraphFamily.SIN_EXP, FAILED_PROOF_N)]
+              + [make_packet(GraphFamily.SIN_EXP_SQ, n, delta=0.01) for n in range(2, 301)]
+              + [make_packet(GraphFamily.SIN_EXP_SQ, FAILED_PROOF_N, delta=0.01)])
+    listed = certify_packets(ledger, method, samples)
+    assert [p.n for p in listed] == [p.n for p in ledger]
+    for family in (GraphFamily.SIN_EXP, GraphFamily.SIN_EXP_SQ):
+        run = [(p, got) for p, got in zip(ledger, listed) if p.family is family]
+        assert len(run) > packets._CERTIFY_GROUP + 7
+        for part in (run[:7], run[7:]):
+            columns = packets._certify_columns(
+                family, np.array([float(p.n) for p, _ in part]),
+                np.array([p.center for p, _ in part]),
+                np.array([p.radius for p, _ in part]), method, samples)
+            for (p, got), *fields in zip(part, *(c.tolist() for c in columns)):
+                cert = got.certificate
+                assert got == replace(p, certificate=cert)
+                assert [cert.max_abs_f, cert.min_abs_fprime,
+                        cert.f_bound_ok, cert.fprime_bound_ok] == fields, p.n
+                assert (cert.method, cert.f_target, cert.fprime_target) == (
+                    method, F_TARGET, fprime_target(p))
+                if method is CertifyMethod.INTERVAL_PROOF:
+                    assert fields[:2] == list(_proof_extrema_one_packet(p)), p.n
+                    assert cert.samples == 0
+                    assert cert.certified == (p.n != FAILED_PROOF_N), p.n
+                else:
+                    want = _sampled_extrema_one_packet(p, samples)
+                    assert (*fields[:2], cert.samples) == want, p.n
+
+
+@pytest.mark.parametrize("samples", [0, -1, 2.5])
+def test_sampling_refuses_bad_sample_counts(samples):
+    p = make_packet(GraphFamily.SIN_EXP, 3)
+    with pytest.raises(ValueError, match="samples must be a positive integer"):
+        certify_packet(p, CertifyMethod.DENSE_SAMPLING, samples=samples)
+    # the interval proof takes no samples
+    assert certify_packet(p, samples=samples).certificate.certified
 
 
 def test_certify_packets_sampling_on_request_only():
