@@ -24,6 +24,7 @@ import csv
 import math
 import sys
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from operator import itemgetter
 
 import numpy as np
@@ -70,6 +71,13 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Values of a float list formatted per % in _json_dump.  Pieces of a
+# bounded size are joined once at their exact total length; one % over
+# a whole 1e5-value list would grow its text by repeated reallocation
+# and leave the heap several MB larger.
+_FLOAT_BLOCK = 4096
+
+
 def _json_dump(value) -> str:
     """Deterministic JSON with 17-significant-digit floats."""
     if type(value) is float:  # the common case first: long float lists
@@ -89,6 +97,10 @@ def _json_dump(value) -> str:
         inner = ", ".join(f"{_json_dump(str(k))}: {_json_dump(v)}" for k, v in value.items())
         return "{" + inner + "}"
     if isinstance(value, (list, tuple)):
+        if {*map(type, value)} == {float}:  # long float lists: one % per block
+            blocks = [value[i:i + _FLOAT_BLOCK] for i in range(0, len(value), _FLOAT_BLOCK)]
+            return "[" + ", ".join([", ".join(["%.17g"] * len(block)) % tuple(block)
+                                    for block in blocks]) + "]"
         return "[" + ", ".join(map(_json_dump, value)) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
@@ -303,28 +315,28 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 _CSV_BLOCK = 4096
 _SCHEDULE_HEADER = "n,r_n,mu_n,a_n,b_n,eps_n,sigma_n,eta_n,hyp2_ok,sigma_feasible\n"
 _SCHEDULE_ROW = "%d,%.17g,%.17g,%s,%s,%s,%s,%.17g,%s,%s\n"
+_BOOL = ("false", "true")
 
 
 def _schedule_csv(schedule: Schedule) -> Iterator[str]:
     """The schedule CSV: the header, then one string per _CSV_BLOCK rows.
 
-    a_n, b_n and eps_n are the one a column, formatted once per row;
-    sigma_n is an empty cell where the stage is infeasible."""
+    Each block is one % of _SCHEDULE_ROW * k over the block's fields,
+    laid out row after row.  a_n, b_n and eps_n are the one a column,
+    formatted once per row; sigma_n is an empty cell where the stage is
+    infeasible."""
     yield _SCHEDULE_HEADER
     r = schedule.r[:-1]
     for lo in range(0, len(schedule.n), _CSV_BLOCK):
         block = slice(lo, lo + _CSV_BLOCK)
-        yield "".join([
-            _SCHEDULE_ROW % (n, r_n, mu, a, a, a, "%.17g" % sigma if ok else "",
-                             eta, "true" if hyp2 else "false", "true" if ok else "false")
-            for n, r_n, mu, a, sigma, eta, hyp2, ok in zip(
-                schedule.n[block].tolist(), r[block].tolist(),
-                schedule.mu[block].tolist(),
-                map("%.17g".__mod__, schedule.a[block].tolist()),
-                schedule.sigma[block].tolist(), schedule.eta[block].tolist(),
-                schedule.hyp2_ok[block].tolist(),
-                schedule.sigma_feasible[block].tolist())
-        ])
+        ok = schedule.sigma_feasible[block].tolist()
+        a = list(map("%.17g".__mod__, schedule.a[block].tolist()))
+        sigma = ["%.17g" % s if f else "" for s, f in zip(schedule.sigma[block].tolist(), ok)]
+        yield (_SCHEDULE_ROW * len(ok)) % tuple(chain.from_iterable(zip(
+            schedule.n[block].tolist(), r[block].tolist(), schedule.mu[block].tolist(),
+            a, a, a, sigma, schedule.eta[block].tolist(),
+            map(_BOOL.__getitem__, schedule.hyp2_ok[block].tolist()),
+            map(_BOOL.__getitem__, ok))))
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
@@ -382,12 +394,15 @@ def _read_plot_columns(path: str) -> tuple[list[float], list[float]]:
             picks = [0, 1]
         else:
             raise ValueError("CSV needs at least two columns")
-        columns = list(zip(*map(itemgetter(*picks), _csv_body(reader, len(header)))))
-    if not columns:
+        # the picked fields, row after row: no tuple per row is kept
+        cells = list(chain.from_iterable(
+            map(itemgetter(*picks), _csv_body(reader, len(header)))))
+    if not cells:
         raise ValueError("CSV has no data rows")
-    xs, ys = columns[0], columns[1]
-    if len(columns) == 3 and all(text.strip() for text in columns[2]):
-        ys = columns[2]
+    k = len(picks)
+    xs, ys = cells[0::k], cells[1::k]
+    if k == 3 and all(text.strip() for text in cells[2::k]):
+        ys = cells[2::k]
     return list(map(float, xs)), list(map(float, ys))
 
 

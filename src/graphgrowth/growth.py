@@ -11,6 +11,19 @@ coordinates; classification picks the model with the smallest RMS
 residual.  The fit (_least_squares, which also gives the schedule trend
 and the plot title) is exact over math.log values, with slope, intercept
 and RMS each rounded once, so it does not depend on the host's numpy.
+
+Its five sums (of X, Y, X^2, XY and Y^2, with each value written as an
+integer X = M * 2**(e - min e) from its int64 frexp mantissa |M| < 2**53)
+are exact integers computed in numpy.  Each M is split into three
+18-bit limbs, two unsigned and the top one signed, so a limb product is
+below 2**36 in magnitude and a column of products of equal limb weight
+is below 3 * 2**36.  np.bincount sums each column per exponent over
+chunks of at most _FIT_CHUNK = 2**14 terms, so every float64 partial
+sum is an integer below 3 * 2**50 < 2**52: each addition is exact
+and the order does not matter.  The nonzero bins are then shifted into
+Python ints.  No transcendental and no SIMD-dependent rounding is
+involved, so the fit is portable as well as exact.
+
 witness_constants then turns a fit into a checked inequality
 
     area(r) >= C * exp(c * m(r))   for all samples with r >= r0
@@ -100,18 +113,36 @@ class GrowthFit:
             raise ValueError("residual_rms must be nonnegative")
 
 
-def _scaled_ints(values: Sequence[float]) -> tuple[list[int], int]:
-    """Integers M_i and a common k with values[i] == M_i * 2**k exactly.
+# Terms per bincount in _least_squares (the bound in the module docstring)
+_FIT_CHUNK = 1 << 14
+_LIMB = (1 << 18) - 1
 
-    frexp mantissas scaled by 2**53 are integers that fit in int64 (for
-    subnormals too); shifting each to the smallest exponent is exact."""
-    arr = np.asarray(values, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ValueError("least squares needs finite values")
-    mant, exp = np.frexp(arr)
-    ints = (mant * 2.0**53).astype(np.int64).tolist()
-    low = int(exp.min())
-    return list(map(operator.lshift, ints, (exp - low).tolist())), low - 53
+
+def _limbs(mant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """frexp mantissas as integers M = L0 + L1*2**18 + L2*2**36 below 2**53,
+    split into float64 limbs: L0, L1 in [0, 2**18), L2 in [-2**17, 2**17)."""
+    m = (mant * 2.0**53).astype(np.int64)
+    return ((m & _LIMB).astype(float), ((m >> 18) & _LIMB).astype(float),
+            (m >> 36).astype(float))
+
+
+def _limb_products(a, b) -> tuple[np.ndarray, ...]:
+    """Columns c = 0..4 of the limb products a_j*b_k with j + k = c."""
+    a0, a1, a2 = a
+    b0, b1, b2 = b
+    return (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
+            a1 * b2 + a2 * b1, a2 * b2)
+
+
+def _fold(shift: np.ndarray, columns) -> int:
+    """Sum over c and i of columns[c][i] * 2**(18*c + shift[i]), exactly.
+
+    Every bin of each bincount is an integer below 2**52 (see the module
+    docstring), so its float64 sum is exact in any order."""
+    bins = np.stack([np.bincount(shift, weights=column) for column in columns])
+    column, at = np.nonzero(bins)
+    return sum(map(operator.lshift, bins[column, at].astype(np.int64).tolist(),
+                   (at + 18 * column).tolist()))
 
 
 def _rounded_ratio(num: int, den: int, shift: int) -> float:
@@ -132,17 +163,34 @@ def _least_squares(x: Sequence[float], y: Sequence[float]) -> tuple[float, float
     isqrt of at least 55 bits with a sticky last bit.  Raises ValueError
     when den = 0 (all x equal) or a value is not finite.
     """
-    X, kx = _scaled_ints(x)
-    Y, ky = _scaled_ints(y)
-    n = len(X)
-    sx, sy = sum(X), sum(Y)
-    sxx = sum(map(operator.mul, X, X))
-    sxy = sum(map(operator.mul, X, Y))
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("least squares needs finite values")
+    n = x.size
+    # frexp runs per chunk, so no temporary is longer than a chunk
+    parts = [slice(lo, lo + _FIT_CHUNK) for lo in range(0, n, _FIT_CHUNK)]
+    # X_i = M_i << (ex_i - low) with x_i = X_i * 2**kx, kx = low - 53
+    low_x = min(int(np.frexp(x[part])[1].min()) for part in parts)
+    low_y = min(int(np.frexp(y[part])[1].min()) for part in parts)
+    kx, ky = low_x - 53, low_y - 53
+    sx = sy = sxx = sxy = syy = 0
+    for part in parts:
+        mx, ex = np.frexp(x[part])
+        my, ey = np.frexp(y[part])
+        dx = (ex - low_x).astype(np.intp)
+        dy = (ey - low_y).astype(np.intp)
+        X, Y = _limbs(mx), _limbs(my)
+        sx += _fold(dx, X)
+        sy += _fold(dy, Y)
+        sxx += _fold(2 * dx, _limb_products(X, X))
+        sxy += _fold(dx + dy, _limb_products(X, Y))
+        syy += _fold(2 * dy, _limb_products(Y, Y))
     den = n * sxx - sx * sx
     if den == 0:
         raise ValueError("degenerate abscissae: all x values equal")
     num = n * sxy - sx * sy
-    p = (n * sum(map(operator.mul, Y, Y)) - sy * sy) * den - num * num
+    p = (n * syy - sy * sy) * den - num * num
     q = n * n * den
     # rms = sqrt(p/q) * 2**ky; scale p/q by 4**m so its root has >= 55 bits
     m = max(0, (q.bit_length() - p.bit_length() + 112) // 2)

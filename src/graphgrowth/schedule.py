@@ -358,7 +358,8 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
     per-stage area quantum a0.  The default query grid is 16 evenly
     spaced radii across the queryable range.  eta_max_tail is the
     largest eta over the last quarter of the table.  A row list is
-    read as a Schedule of consecutive stages.
+    read as a Schedule of consecutive stages.  A NaN query radius raises
+    ValueError; inf and negative radii count all stages and none.
     """
     if not rows:
         raise ValueError("diagnostics needs at least one row")
@@ -366,6 +367,8 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
     T = _thickened_outer_radii(schedule)
     if radii_query is None:
         radii_query = np.linspace(np.min(T), T[-1], 16).tolist()
+    elif any(math.isnan(R) for R in radii_query):
+        raise ValueError("query radius must not be nan")
 
     sigma_vals = np.where(np.isnan(schedule.sigma), 0.0, schedule.sigma)
     partial = tuple(np.cumsum(sigma_vals).tolist())
@@ -414,7 +417,8 @@ def completeness_trend(rows: Sequence[ScheduleRow],
             f"need at least {min_rows} feasible rows, got {count}"
         )
     offset = cfg.n0 if cfg is not None else 0
-    stages = [n + offset for n in schedule.n[keep].tolist()]
-    exponent = _least_squares(list(map(math.log, stages)),
-                              list(map(math.log, schedule.sigma[keep].tolist())))[0]
+    x = np.fromiter(map(math.log, map(offset.__add__, schedule.n[keep].tolist())),
+                    float, count)
+    y = np.fromiter(map(math.log, schedule.sigma[keep].tolist()), float, count)
+    exponent = _least_squares(x, y)[0]
     return exponent, exponent > -1.0

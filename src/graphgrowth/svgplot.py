@@ -24,6 +24,7 @@ polyline and the tick labels are always plain numbers.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Sequence
 
 from .growth import _least_squares
@@ -35,6 +36,7 @@ AXES_MODES = ("linear", "semilog-y", "y-vs-r2", "log-log")
 _WIDTH = 640.0
 _HEIGHT = 480.0
 _MARGIN = 60.0
+_POINT_BLOCK = 4096  # points per % (see cli._FLOAT_BLOCK for why blocks)
 
 
 def _transform(mode: str, xs: Sequence[float], ys: Sequence[float]):
@@ -79,7 +81,8 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
 
     The <title> carries "<label>; mode=<mode>; fitted slope=<slope>"
     where slope is the least-squares slope in the transformed
-    coordinates (17 significant digits), nan when there is none.
+    coordinates (17 significant digits), nan when there is none.  The
+    label is XML-escaped (&, <, >) there and in the caption.
     """
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
@@ -96,9 +99,16 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
     px = _pixels(tx, x_lo, x_hi, _MARGIN, _WIDTH - _MARGIN)
     # SVG y axis points down
     py = _pixels(ty, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN)
-    points = " ".join(map("%.3f,%.3f".__mod__, zip(px, py)))
+    # one % per block of points, the blocks joined at their exact length
+    blocks = []
+    for i in range(0, len(px), _POINT_BLOCK):
+        bx, by = px[i:i + _POINT_BLOCK], py[i:i + _POINT_BLOCK]
+        blocks.append(" ".join(["%.3f,%.3f"] * len(bx)) % tuple(chain.from_iterable(zip(bx, by))))
+    points = " ".join(blocks)
 
-    title = f"{label}; mode={mode}; fitted slope={_fmt(slope)}"
+    # escaped as xml.sax.saxutils.escape does, without importing urllib
+    text = label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+    title = f"{text}; mode={mode}; fitted slope={_fmt(slope)}"
     frame = (
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" '
         f'height="{_HEIGHT - 2 * _MARGIN}" fill="none" stroke="#888" stroke-width="1"/>'

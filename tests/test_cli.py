@@ -2,20 +2,24 @@
 
 Most invocations run the installed entry point in a subprocess, so
 these tests cover argument parsing, serialization, and determinism
-exactly as a shell user sees them.  The schedule CSV block tests call
-cli.main in this process, to shrink the block size and to trace memory.
+exactly as a shell user sees them.  The schedule CSV and polyline block
+tests call cli.main in this process, to shrink the block size and to
+trace memory.
 """
 
 import csv
 import io
 import json
 import math
+import re
 import tracemalloc
+from xml.dom import minidom
 
+import numpy as np
 import pytest
 
 from conftest import run_cli
-from graphgrowth import cli
+from graphgrowth import cli, svgplot
 from graphgrowth import (
     CertifyMethod,
     GraphFamily,
@@ -361,8 +365,46 @@ def test_schedule_area_lower_scales_with_a0():
     assert d["area_lower_of_R"][key] == 2.0 * count
 
 
+def test_schedule_nan_query_exit_2():
+    base = ("schedule", "--variant", "exp", "--n0", "100", "--N", "50",
+            "--format", "json", "--query-R")
+    proc = run_cli(*base, "5.1,nan")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "query radius must not be nan" in proc.stderr
+    # inf counts every stage and a negative radius none
+    proc = run_cli(*base, "inf,-1")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["N_of_R"] == {"inf": 50, "-1": 0}
+
+
 def _f17(x):
     return format(x, ".17g")
+
+
+@pytest.mark.parametrize("block", [7, cli._FLOAT_BLOCK])
+@pytest.mark.parametrize("value", [
+    [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 0.1],
+    [],
+    [2.5],
+    (1.0, -2.0, 1e-300),
+    [k / 7.0 for k in range(9000)],
+    [1.0, 2, 3.5],
+    [True, 0.5],
+    [None, 1.5],
+    [np.float64(0.1), 0.1],
+    [[0.25, 1e-7], {"a": [0.5]}],
+], ids=["specials", "empty", "one", "tuple", "long", "int", "bool", "none",
+        "np-float64", "nested"])
+def test_json_float_lists_match_per_element_join(monkeypatch, value, block):
+    # all-float lists are written with one % per block of values; every
+    # other list takes the per-item path; both equal the per-element join
+    monkeypatch.setattr(cli, "_FLOAT_BLOCK", block)
+    want = "[" + ", ".join(["%.17g" % v if type(v) is float else cli._json_dump(v)
+                            for v in value]) + "]"
+    assert cli._json_dump(value) == want
+    assert cli._json_dump({"k": value}) == '{"k": ' + want + "}"
 
 
 def _flag(b):
@@ -487,6 +529,54 @@ def test_plot_degenerate_slope(tmp_path, rows, slope):
     proc = run_cli("plot", "--input", str(src))
     assert proc.returncode == 0
     assert f"mode=linear; fitted slope={slope}</title>" in proc.stdout
+
+
+@pytest.mark.parametrize("block", [7, svgplot._POINT_BLOCK])
+def test_plot_points_match_per_pair_formatting(monkeypatch, capsys, tmp_path, block):
+    # the polyline is one % per block of pixel pairs; the reference
+    # formats pair by pair
+    monkeypatch.setattr(svgplot, "_POINT_BLOCK", block)
+    src = tmp_path / "table.csv"
+    assert cli.main(["schedule", "--variant", "gaussian", "--N", "3000",
+                     "--output", str(src)]) == 0
+    assert cli.main(["plot", "--input", str(src)]) == 0
+    svg = capsys.readouterr().out
+    tx, ty = cli._read_plot_columns(str(src))
+    px = svgplot._pixels(tx, min(tx), max(tx), 60.0, 580.0)
+    py = svgplot._pixels(ty, min(ty), max(ty), 420.0, 60.0)
+    points = " ".join(map("%.3f,%.3f".__mod__, zip(px, py)))
+    assert len(tx) == 3000
+    assert re.search(r'points="([^"]*)"', svg).group(1) == points
+
+
+@pytest.mark.parametrize("text, want", [
+    # area CSV: r against area_estimate when every row has one
+    ("area_lower,r,area_estimate,source\n5,1,6,Quadrature\n7,2,8.5,Quadrature\n",
+     ([1.0, 2.0], [6.0, 8.5])),
+    # one blank estimate: area_lower for every row; blank lines are skipped
+    ("r,area_lower,area_estimate\n1,5,6\n\n2,7, \n", ([1.0, 2.0], [5.0, 7.0])),
+    # any other CSV: its first two columns, quoted fields as csv reads them
+    ('n,r_n,mu_n\n1,"0.5",x\n2,0.75,"y,z"\n', ([1.0, 2.0], [0.5, 0.75])),
+], ids=["estimate", "lower", "first-two"])
+def test_plot_reads_columns(tmp_path, text, want):
+    src = tmp_path / "curve.csv"
+    src.write_text(text)
+    assert cli._read_plot_columns(str(src)) == want
+
+
+def test_plot_label_is_escaped(tmp_path):
+    src = tmp_path / "curve.csv"
+    src.write_text("r,area_lower\n1,2\n2,3\n")
+    label = 'A<B & "C"'
+    proc = run_cli("plot", "--input", str(src), "--label", label)
+    assert proc.returncode == 0
+    doc = minidom.parseString(proc.stdout)
+    title = doc.getElementsByTagName("title")[0].firstChild.data
+    caption = doc.getElementsByTagName("text")[-1].firstChild.data
+    assert title == caption == f"{label}; mode=linear; fitted slope=1"
+    # the default label has nothing to escape: its bytes do not move
+    default = run_cli("plot", "--input", str(src))
+    assert "<title>growth curve; mode=linear; fitted slope=1</title>" in default.stdout
 
 
 def test_plot_empty_csv_exit_2(tmp_path):

@@ -1,7 +1,9 @@
 """Growth-model fitting, classification, and witness extraction."""
 
 import math
+import operator
 
+import numpy as np
 import pytest
 
 from graphgrowth import (
@@ -22,6 +24,7 @@ from graphgrowth import (
     packet_growth_lower_bound,
     witness_constants,
 )
+from graphgrowth.growth import _least_squares
 
 
 def synth(fn, rs):
@@ -271,3 +274,92 @@ def test_growth_fit_validation():
     with pytest.raises(ValueError):
         GrowthFit(model=GrowthModel.EXPONENTIAL, rate=1.0,
                   log_intercept=0.0, residual_rms=-1.0, r_range=(1.0, 2.0))
+
+
+# ---------------------------------------------------------------------------
+# the exact fit against a Python-int reference
+# ---------------------------------------------------------------------------
+
+def _scaled_ints(values):
+    """Integers M_i and a common k with values[i] == M_i * 2**k exactly."""
+    arr = np.asarray(values, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ValueError("least squares needs finite values")
+    mant, exp = np.frexp(arr)
+    ints = (mant * 2.0**53).astype(np.int64).tolist()
+    low = int(exp.min())
+    return list(map(operator.lshift, ints, (exp - low).tolist())), low - 53
+
+
+def _rounded_ratio(num, den, shift):
+    try:
+        return (num << shift) / den if shift >= 0 else num / (den << -shift)
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
+def _least_squares_reference(x, y):
+    """The fit with its five sums taken over Python ints, term by term."""
+    X, kx = _scaled_ints(x)
+    Y, ky = _scaled_ints(y)
+    n = len(X)
+    sx, sy = sum(X), sum(Y)
+    sxx = sum(map(operator.mul, X, X))
+    sxy = sum(map(operator.mul, X, Y))
+    den = n * sxx - sx * sx
+    if den == 0:
+        raise ValueError("degenerate abscissae: all x values equal")
+    num = n * sxy - sx * sy
+    p = (n * sum(map(operator.mul, Y, Y)) - sy * sy) * den - num * num
+    q = n * n * den
+    m = max(0, (q.bit_length() - p.bit_length() + 112) // 2)
+    scaled = p << (2 * m)
+    root = math.isqrt(scaled // q)
+    if root * root * q != scaled:
+        root |= 1
+    return (_rounded_ratio(num, den, ky - kx),
+            _rounded_ratio(sy * sxx - sx * sxy, den, ky),
+            _rounded_ratio(root, 1, ky - m))
+
+
+_EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                         1.0, -3.5, 1e308, -1e308, 2.0**-1000, -(2.0**1000)])
+
+
+_FIT_KINDS = ("logs", "normal", "spread", "edge")
+
+
+def _fit_inputs(kind, n, rng):
+    if kind == "logs":  # the trend: libm logs of stages and of sigma
+        x = np.fromiter(map(math.log, range(2, n + 2)), float, n)
+        return x, -0.5 * x + np.log(rng.uniform(0.5, 2.0, n))
+    columns = []
+    for _ in range(2):
+        v = rng.standard_normal(n)
+        if kind == "spread":  # binary exponents over -1000..1000, both signs
+            v = np.ldexp(v, rng.integers(-1000, 1001, n))
+        elif kind == "edge":  # zeros, subnormals and extremes among normals
+            pick = rng.random(n) < 0.5
+            v[pick] = rng.choice(_EDGE_VALUES, int(pick.sum()))
+        columns.append(v)
+    return tuple(columns)
+
+
+@pytest.mark.parametrize("n", [2, 2**14 - 1, 2**14, 2**14 + 1, 100_000])
+@pytest.mark.parametrize("kind", _FIT_KINDS)
+def test_least_squares_matches_python_int_reference(kind, n):
+    # the limb/bincount sums are the reference's integers, so the rounded
+    # slope, intercept and rms are identical, overflow to +-inf included
+    rng = np.random.default_rng([n, _FIT_KINDS.index(kind)])
+    x, y = _fit_inputs(kind, n, rng)
+    want = _least_squares_reference(x.tolist(), y.tolist())
+    assert _least_squares(x, y) == want
+    assert _least_squares(x.tolist(), y.tolist()) == want
+
+
+@pytest.mark.parametrize("x", [[3.0, 3.0], [0.0, -0.0, 0.0], [5e-324] * 5])
+def test_least_squares_equal_abscissae(x):
+    y = [1.0, 2.0, 4.0, 8.0, 16.0][:len(x)]
+    for fit in (_least_squares, _least_squares_reference):
+        with pytest.raises(ValueError, match="degenerate"):
+            fit(x, y)

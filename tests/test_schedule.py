@@ -5,6 +5,7 @@ solve_sigma is scipy.optimize.brentq on the defining equation.
 """
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -467,6 +468,22 @@ def test_trend_gaussian(gauss_big):
     exponent, diverging = completeness_trend(rows, cfg)
     assert exponent == pytest.approx(-0.49999265300820472, rel=1e-12)  # frozen
     assert diverging
+
+
+def test_trend_memory_is_bounded():
+    # the fit reads the feasible stages as arrays: no list of 1e5 Python
+    # stage numbers, logs or scaled integers is held
+    cfg = ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=100_000, n0=1)
+    schedule = build_schedule(cfg)
+    tracemalloc.start()
+    try:
+        exponent, diverging = completeness_trend(schedule, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exponent == -0.49984187226735133  # the CLI golden, bit for bit
+    assert diverging
+    assert peak < 12e6
 
 
 def test_trend_synthetic_convergent():
