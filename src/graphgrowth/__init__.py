@@ -58,6 +58,7 @@ from .quadrature import (
     RADIUS_CAPS,
     AreaEstimate,
     CellClass,
+    GuardedResourceError,
     QuadConfig,
     QuadMode,
     RadiusCapError,
@@ -88,8 +89,8 @@ __all__ = [
     "GraphFamily", "LogScaledComplex", "MagInterval", "RectBounds",
     "eval_f", "eval_fprime", "bound_abs_f", "bound_abs_fprime",
     "SublevelDomain", "QuadConfig", "QuadMode", "CellClass", "AreaEstimate",
-    "RadiusCapError", "RADIUS_CAPS", "classify_cell", "graph_area",
-    "ez_area_closed_bound",
+    "GuardedResourceError", "RadiusCapError", "RADIUS_CAPS", "classify_cell",
+    "graph_area", "ez_area_closed_bound",
     "DiskPacket", "PacketCertificate", "CertifyMethod", "DisjointnessReport",
     "DELTA_MAX", "F_TARGET", "make_packet", "fprime_target", "certify_packet",
     "certify_packets", "verify_ez_minus_one_bound", "verify_disjoint",

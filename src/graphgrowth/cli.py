@@ -13,8 +13,9 @@ keys; every numeric value is printed with 17 significant digits so that
 identical invocations are byte-identical.  No environment variable
 affects any command.
 
-Exit codes: 0 success, 2 usage or input error, 3 guarded-resource
-refusal (radius beyond the family cap without --allow-large-r).
+Exit codes: 0 success, 2 usage or input error (an allocation that
+fails too), 3 guarded-resource refusal (radius beyond the family cap
+without --allow-large-r, or a quadtree level past the cell budget).
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .packets import (
     verify_disjoint,
 )
 from .quadrature import (
+    GuardedResourceError,
     QuadConfig,
     QuadMode,
-    RadiusCapError,
     SublevelDomain,
     graph_area,
 )
@@ -493,9 +494,12 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.func(args)
-    except RadiusCapError as exc:
+    except GuardedResourceError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

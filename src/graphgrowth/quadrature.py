@@ -64,6 +64,7 @@ __all__ = [
     "SublevelDomain",
     "QuadConfig",
     "AreaEstimate",
+    "GuardedResourceError",
     "RadiusCapError",
     "RADIUS_CAPS",
     "classify_cell",
@@ -82,7 +83,19 @@ RADIUS_CAPS: dict[GraphFamily, float] = {
 }
 
 
-class RadiusCapError(ValueError):
+# Most cells one quadtree level may hold, 40 times the largest depth-14
+# level of the benchmark's area jobs (about 1e5 cells).  Deep levels of
+# e^z at r = 2 peaked at about 100 bytes of resident memory per cell, so
+# a full level stays under 0.5 GB.  Without the budget a large max_depth
+# doubles the boundary level until memory runs out.
+_CELL_BUDGET = 1 << 22
+
+
+class GuardedResourceError(ValueError):
+    """A request refused because it would pass a guarded resource limit."""
+
+
+class RadiusCapError(GuardedResourceError):
     """Requested radius exceeds the family's guarded cap."""
 
 
@@ -296,7 +309,8 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
     """Compute certified (and optionally estimated) graph area in B_r.
 
     Raises RadiusCapError when domain.r exceeds the family cap and
-    allow_large_r is not set.
+    allow_large_r is not set, and GuardedResourceError before a split
+    whose level would hold more than _CELL_BUDGET cells.
     """
     cfg = cfg or QuadConfig()
     cap = RADIUS_CAPS[domain.family]
@@ -331,6 +345,12 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
         if depth == cfg.max_depth:
             final_b = (xlo[und], xhi[und], ylo[und], yhi[und])
             break
+        children = 4 * int(np.count_nonzero(und))
+        if children > _CELL_BUDGET:
+            raise GuardedResourceError(
+                f"depth {depth + 1} would hold {children} cells, over the "
+                f"budget of {_CELL_BUDGET}; lower max_depth"
+            )
         xlo, xhi, ylo, yhi = _split4(xlo[und], xhi[und], ylo[und], yhi[und])
         if depth == 0:
             axes = MIRROR_AXES[domain.family]

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
-from graphgrowth import cli, svgplot
+from graphgrowth import cli, quadrature, svgplot
 from graphgrowth import (
     CertifyMethod,
     GraphFamily,
@@ -70,6 +70,37 @@ def test_area_cap_exit_3():
     proc = run_cli("area", "--family", "sin-exp", "--r", "50")
     assert proc.returncode == 3
     assert proc.stdout == ""
+
+
+def test_area_past_cell_budget_exit_3(monkeypatch, capsys):
+    # an unbounded depth is refused before its level is allocated; the
+    # budget is made tiny so that no large level is ever built
+    monkeypatch.setattr(quadrature, "_CELL_BUDGET", 1024)
+    argv = ["area", "--family", "exp", "--r", "2", "--max-depth", "100000"]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: depth ") and "over the budget of 1024" in err
+
+
+@pytest.mark.parametrize("argv, callee", [
+    (["packets", "--family", "sin-exp", "--n", "1..5", "--method", "sampling",
+      "--samples", "1000000000000"], "_certify_columns"),
+    (["area", "--family", "exp", "--r", "2", "--samples-per-cell",
+      "1000000000000"], "graph_area"),
+])
+@pytest.mark.parametrize("message", ["Unable to allocate 7.28 TiB for an array", ""])
+def test_memory_error_exit_2(monkeypatch, capsys, argv, callee, message):
+    # the callee raises at once, as numpy does when an allocation fails,
+    # so nothing is allocated
+    def fail(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, callee, fail)
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message or 'out of memory'}\n"
 
 
 def test_area_cap_override():

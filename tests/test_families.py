@@ -33,6 +33,7 @@ from graphgrowth.families import (
     bound_abs_f_fprime_batch,
     log_abs_f_fprime_batch,
 )
+from graphgrowth.packets import _PROOF_GRID, _disk_cells, _layout
 from conftest import mp_f, mp_fprime, mp_log_abs, sample_cell
 
 FAMILIES = list(GraphFamily)
@@ -241,7 +242,8 @@ def test_merged_kernels_are_batch_independent(family):
     # boolean subset and the reversed array agree, for lengths that are
     # not a multiple of a SIMD width; and a cell's mirror image across each
     # axis the family declares gives the cell's bits, which keeps the
-    # quadrature over one fundamental region bit-identical to the whole box
+    # quadrature over one fundamental region bit-identical to the whole box,
+    # also on the half-disk cells of both packet families
     rng = np.random.default_rng(20261018)
     n = 1003
     x = np.concatenate([rng.uniform(-4.0, 4.0, 300), rng.uniform(690.0, 720.0, 100),
@@ -273,8 +275,11 @@ def test_merged_kernels_are_batch_independent(family):
     mirrors = {"im": lambda c: (c[0], c[1], -c[3], -c[2]),
                "re": lambda c: (-c[1], -c[0], c[2], c[3])}
     on_axis = {"im": (xlo, xhi, zero, 2.0 * h), "re": (zero, 2.0 * w, ylo, yhi)}
+    se_cells = _disk_cells(*_layout(GraphFamily.SIN_EXP, 1, 300), _PROOF_GRID)
+    sq_cells = _disk_cells(*_layout(GraphFamily.SIN_EXP_SQ, 2, 300, 0.01), _PROOF_GRID)
+    packet_box = tuple(map(np.concatenate, zip(se_cells[:4], sq_cells[:4])))
     for axis in MIRROR_AXES[family]:
-        for box in (cells, on_axis[axis]):
+        for box in (cells, on_axis[axis], packet_box):
             whole = bound_abs_f_fprime_batch(family, *box)
             mirrored = bound_abs_f_fprime_batch(family, *mirrors[axis](box))
             for a, b in zip(whole, mirrored):

@@ -181,18 +181,21 @@ def test_certify_huge_n_reports_failed_proof():
     assert "false" in row[5:7]
 
 
-def _proof_extrema_one_packet(p):
-    """Reference: the grid-8 interval proof of one packet on its own,
-    one enclosure call per packet."""
-    grid = 8
+def _grid_edges_one_packet(p, grid=8):
+    """x edges and y edges (relative to the center) of one packet's
+    grid-8 box, the outer edges moved outward until they enclose the
+    disk."""
     edges = p.center - p.radius + 2.0 * p.radius * np.arange(grid + 1) / grid
     ys = edges - p.center
-    # the outer edges move outward only, until they enclose the disk
     edges[0] = np.nextafter(p.center - p.radius, -np.inf)
     edges[-1] = max(edges[-1], np.nextafter(p.center + p.radius, np.inf))
     ys[0], ys[-1] = min(ys[0], -p.radius), max(ys[-1], p.radius)
-    xlo, xhi = np.repeat(edges[:-1], grid), np.repeat(edges[1:], grid)
-    ylo, yhi = np.tile(ys[:-1], grid), np.tile(ys[1:], grid)
+    return edges, ys
+
+
+def _extrema_on_cells(p, xlo, xhi, ylo, yhi):
+    """The rounded-outward extrema of one packet over the cells among
+    the given ones that meet its disk, from one enclosure call."""
     dx = np.maximum(0.0, np.maximum(xlo - p.center, p.center - xhi))
     dy = np.maximum(0.0, np.maximum(ylo, -yhi))
     keep = (packets._nudge_down(dx * dx + dy * dy)
@@ -204,14 +207,36 @@ def _proof_extrema_one_packet(p):
     return max_f, min_fp
 
 
+def _full_disk_extrema_one_packet(p):
+    """Reference: the grid-8 interval proof of one packet over the whole
+    disk, as certified before the half cover."""
+    edges, ys = _grid_edges_one_packet(p)
+    return _extrema_on_cells(p, np.repeat(edges[:-1], 8), np.repeat(edges[1:], 8),
+                             np.tile(ys[:-1], 8), np.tile(ys[1:], 8))
+
+
+def _proof_extrema_one_packet(p):
+    """Reference: the grid-8 interval proof of one packet on its own, one
+    enclosure call per packet, over the 4 upper rows, each the hull of
+    itself and the mirror image of its lower partner."""
+    edges, ys = _grid_edges_one_packet(p)
+    rows = [(min(ys[4 + j], -ys[4 - j]), max(ys[5 + j], -ys[3 - j])) for j in range(4)]
+    ylo, yhi = (np.tile(np.array(side), 8) for side in zip(*rows))
+    return _extrema_on_cells(p, np.repeat(edges[:-1], 4), np.repeat(edges[1:], 4),
+                             ylo, yhi)
+
+
 @pytest.mark.parametrize("family, n_lo, delta", [
     (GraphFamily.SIN_EXP, 1, None),
     (GraphFamily.SIN_EXP_SQ, 2, 0.01),
 ])
 def test_disk_cells_cover_disk_exactly(family, n_lo, delta):
     # in exact rational arithmetic, per packet: the kept cells are cells
-    # of one gapless grid, the grid's outer edges enclose the disk, and
-    # every grid cell that meets the closed disk is kept
+    # of one grid of gapless columns and of rows that start at or below
+    # 0 and overlap or touch up to the top; the outer edges enclose the
+    # upper half disk; and every grid cell that meets the closed disk is
+    # kept.  So the kept cells and their mirror images in the real axis
+    # cover the closed disk.
     grid = packets._PROOF_GRID
     centers, radii = packets._layout(family, n_lo, 3000, delta)
     xlo, xhi, ylo, yhi, counts = packets._disk_cells(centers, radii, grid)
@@ -223,28 +248,54 @@ def test_disk_cells_cover_disk_exactly(family, n_lo, delta):
         cells = set(zip(xlo[part].tolist(), xhi[part].tolist(),
                         ylo[part].tolist(), yhi[part].tolist()))
         xs = sorted(set(xlo[part].tolist()) | set(xhi[part].tolist()))
-        ys = sorted(set(ylo[part].tolist()) | set(yhi[part].tolist()))
-        assert len(xs) == len(ys) == grid + 1, n
+        rows = sorted(set(zip(ylo[part].tolist(), yhi[part].tolist())))
+        assert len(xs) == grid + 1 and len(rows) == grid // 2, n
         assert cells <= {(a, b, e, f) for a, b in zip(xs, xs[1:])
-                         for e, f in zip(ys, ys[1:])}, n
+                         for e, f in rows}, n
         C, R = Fraction(c), Fraction(r)
-        X, Y = list(map(Fraction, xs)), list(map(Fraction, ys))
+        X = list(map(Fraction, xs))
+        Y = [(Fraction(e), Fraction(f)) for e, f in rows]
         dx2 = [max(0, a - C, C - b) ** 2 for a, b in zip(X, X[1:])]
-        dy2 = [max(0, e, -f) ** 2 for e, f in zip(Y, Y[1:])]
-        missed = [(i, j) for i in range(grid) for j in range(grid)
+        dy2 = [max(0, e, -f) ** 2 for e, f in Y]
+        missed = [(i, j) for i in range(grid) for j in range(grid // 2)
                   if dx2[i] + dy2[j] <= R * R
-                  and (xs[i], xs[i + 1], ys[j], ys[j + 1]) not in cells]
-        if missed or not (X[0] <= C - R and X[-1] >= C + R
-                          and Y[0] <= -R and Y[-1] >= R):
+                  and (xs[i], xs[i + 1], *rows[j]) not in cells]
+        rows_gapless = (Y[0][0] <= 0 and Y[-1][1] >= R
+                        and all(lo <= hi for (_, hi), (lo, _) in zip(Y, Y[1:])))
+        if missed or not (X[0] <= C - R and X[-1] >= C + R and rows_gapless):
             uncovered.append(n)
     assert not uncovered, f"{len(uncovered)} disks not covered, first {uncovered[:5]}"
+
+
+@pytest.mark.parametrize("family, n_lo, delta", [
+    (GraphFamily.SIN_EXP, 1, None),
+    (GraphFamily.SIN_EXP_SQ, 2, 0.01),
+])
+def test_half_cover_certificates_are_conservative(family, n_lo, delta):
+    # each half-cover cell contains two full-disk cells that return the
+    # same bits, so a certificate can move only to the conservative side:
+    # max |f| up, min |f'| down, and on these ranges no flag changes
+    centers, radii = packets._layout(family, n_lo, 3000, delta)
+    ns = np.arange(n_lo, 3001, dtype=float)
+    columns = packets._certify_columns(family, ns, centers, radii,
+                                       CertifyMethod.INTERVAL_PROOF, 0)
+    wrong = []
+    for n, max_f, min_fp, f_ok, fp_ok in zip(range(n_lo, 3001),
+                                             *(c.tolist() for c in columns)):
+        p = make_packet(family, n, delta)
+        full_f, full_fp = _full_disk_extrema_one_packet(p)
+        if not (max_f >= full_f and min_fp <= full_fp
+                and f_ok == (full_f < F_TARGET)
+                and fp_ok == (full_fp >= fprime_target(p))):
+            wrong.append(n)
+    assert not wrong, f"{len(wrong)} certificates moved the wrong way, first {wrong[:5]}"
 
 
 def test_batched_certificates_match_single_packets():
     # both ranges span more than two groups, and the mixed list makes the
     # batch split at the family change as well as at group boundaries
-    ns_se = range(1, 301)
-    ns_sq = range(2, 301)
+    ns_se = range(1, 601)
+    ns_sq = range(2, 601)
     assert len(ns_sq) > 2 * packets._CERTIFY_GROUP
     ledger = ([make_packet(GraphFamily.SIN_EXP, n) for n in ns_se]
               + [make_packet(GraphFamily.SIN_EXP_SQ, n, delta=0.01) for n in ns_sq])
@@ -276,7 +327,7 @@ FAILED_PROOF_N = 318309886184
 def test_columnar_certifier_matches_certify_packets(method, samples):
     # the list API and the columns the CLI reads agree field for field and
     # with a one-packet reference; the columns are cut at offset 7, off
-    # the list API's 128-packet grid, and the ledger changes family
+    # the list API's _CERTIFY_GROUP grid, and the ledger changes family
     ledger = ([make_packet(GraphFamily.SIN_EXP, n) for n in range(1, 301)]
               + [make_packet(GraphFamily.SIN_EXP, FAILED_PROOF_N)]
               + [make_packet(GraphFamily.SIN_EXP_SQ, n, delta=0.01) for n in range(2, 301)]

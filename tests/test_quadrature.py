@@ -14,6 +14,7 @@ from graphgrowth import (
     AreaEstimate,
     CellClass,
     GraphFamily,
+    GuardedResourceError,
     QuadConfig,
     QuadMode,
     RadiusCapError,
@@ -23,6 +24,7 @@ from graphgrowth import (
     ez_area_closed_bound,
     graph_area,
 )
+from graphgrowth import quadrature
 from graphgrowth.families import log_abs_f_fprime_batch
 from graphgrowth.quadrature import (
     _BOUNDARY,
@@ -296,7 +298,31 @@ def test_radius_caps_values():
 def test_cap_violation_raises():
     with pytest.raises(RadiusCapError):
         graph_area(SublevelDomain(GraphFamily.SIN_EXP, 50.0), lower_cfg())
-    assert issubclass(RadiusCapError, ValueError)
+    assert issubclass(RadiusCapError, GuardedResourceError)
+    assert issubclass(GuardedResourceError, ValueError)
+
+
+def test_cell_budget_refuses_the_split_past_it(monkeypatch):
+    # the guard counts each next level before _split4 allocates it: a
+    # budget equal to the largest level of a depth-8 run lets the run
+    # through, one cell less refuses it, and so does an unbounded depth
+    # (the budget is tiny, so nothing large is allocated)
+    domain = SublevelDomain(GraphFamily.EXP, 2.0)
+    levels = []
+
+    def split4(*cells):
+        levels.append(4 * cells[0].size)
+        return _split4(*cells)
+
+    monkeypatch.setattr(quadrature, "_split4", split4)
+    whole = graph_area(domain, lower_cfg(depth=8))
+    monkeypatch.setattr(quadrature, "_CELL_BUDGET", max(levels))
+    assert graph_area(domain, lower_cfg(depth=8)) == whole
+    monkeypatch.setattr(quadrature, "_CELL_BUDGET", max(levels) - 1)
+    with pytest.raises(GuardedResourceError, match="over the budget"):
+        graph_area(domain, lower_cfg(depth=8))
+    with pytest.raises(GuardedResourceError, match="over the budget"):
+        graph_area(domain, lower_cfg(depth=100000))
 
 
 def test_cap_override():
