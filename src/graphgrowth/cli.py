@@ -15,7 +15,8 @@ affects any command.
 
 Exit codes: 0 success, 2 usage or input error (an allocation that
 fails too), 3 guarded-resource refusal (radius beyond the family cap
-without --allow-large-r, or a quadtree level past the cell budget).
+without --allow-large-r, a quadtree level past the cell budget, or a
+--samples or --samples-per-cell count past the sample budget).
 """
 
 from __future__ import annotations

@@ -63,6 +63,7 @@ from .families import (
     bound_abs_f_fprime_batch,
     log_abs_f_fprime_batch,
 )
+from .quadrature import _SAMPLE_BUDGET, GuardedResourceError
 
 __all__ = [
     "DELTA_MAX",
@@ -273,6 +274,10 @@ def _ring_layout(count: int) -> tuple[int, int]:
     """(rings, points per ring) of the disk sample set for `count` samples."""
     if not isinstance(count, numbers.Integral) or count < 1:
         raise ValueError("samples must be a positive integer")
+    if count > _SAMPLE_BUDGET:
+        raise GuardedResourceError(
+            f"{count} samples per packet, over the budget of {_SAMPLE_BUDGET}; "
+            "lower samples")
     rings = max(4, int(math.sqrt(count)))
     return rings, max(8, int(math.ceil((count - 1) / rings)))
 

@@ -35,6 +35,16 @@ range still ends at the largest double).  Soundness does not rest on
 those bits: the magnitudes and Omega_r are exactly symmetric, so a sound
 enclosure of a kept cell also encloses its mirror images.
 
+A quadtree level is one (4, n) float array with rows xlo, xhi, ylo, yhi.
+Classification returns an inside mask, an undecided mask (BOUNDARY or
+UNKNOWN) and the log lower bound of |f'|; each mask selects its cells
+with one compress along the cell axis.  The undecided cells split into
+SW, SE, NW, NE blocks, and a child wholly outside the disk |z|^2 <= r^2
+is dropped at the split: it lies outside Omega_r whatever f is, so it
+could only be proved OUTSIDE and never counted.  Every undecided parent
+keeps the child holding its nearest point, and the kept cells keep their
+order, so dropping far children changes no count, sum or depth.
+
 Cell traversal, subdivision and accumulation follow a fixed
 deterministic order, so results are bit-identical from run to run
 regardless of any ambient threading configuration.
@@ -84,11 +94,20 @@ RADIUS_CAPS: dict[GraphFamily, float] = {
 
 
 # Most cells one quadtree level may hold, 40 times the largest depth-14
-# level of the benchmark's area jobs (about 1e5 cells).  Deep levels of
-# e^z at r = 2 peaked at about 100 bytes of resident memory per cell, so
-# a full level stays under 0.5 GB.  Without the budget a large max_depth
-# doubles the boundary level until memory runs out.
+# level of the benchmark's area jobs (about 1e5 cells).  e^z at r = 2 and
+# max_depth 20, whose last level holds 2.8e6 cells, peaked at 238 MB of
+# resident memory, about 75 bytes per cell above the 30 MB the imports
+# take, so a full level stays near 0.35 GB.  Without the budget a large
+# max_depth doubles the boundary level until memory runs out.
 _CELL_BUDGET = 1 << 22
+
+# Most sample points one packet (packets' DENSE_SAMPLING) or one boundary
+# cell (ESTIMATE mode) may ask for, about 100 times the benchmark's 10001
+# per packet and 4 per cell.  A count at the budget peaked at 177 MB of
+# resident memory for `packets --method sampling` and at 111 MB for
+# `area --mode estimate`; past it, a count would grow memory until the
+# host kills the process.
+_SAMPLE_BUDGET = 1 << 20
 
 
 class GuardedResourceError(ValueError):
@@ -170,51 +189,47 @@ class AreaEstimate:
             raise ValueError("estimate below certified lower bound")
 
 
-_INSIDE, _OUTSIDE, _BOUNDARY, _UNKNOWN = 0, 1, 2, 3
-
 # Cells or points per kernel call.  The kernels are elementwise, so chunks
 # give the same bits as one call, while their temporaries (up to about 40
 # arrays the size of the batch) stay a few megabytes on the deepest levels.
 _KERNEL_CHUNK = 1 << 14
 
 
-def _classify_batch(family: GraphFamily, r: float, xlo, xhi, ylo, yhi):
+def _dist2(lo, hi):
+    """Squared distance from 0 to each interval [lo, hi]."""
+    d = np.maximum(0.0, np.maximum(lo, -hi))
+    return d * d
+
+
+def _classify_batch(family: GraphFamily, r: float, cells: np.ndarray):
     """Classify cells against |z|^2 + |f(z)|^2 <= r^2, vectorized.
 
-    Returns the codes and, from the same enclosure call, the log lower
-    bound of |f'| on each cell (-inf on the far cells, which need no
-    enclosure).
+    cells is a (4, n) array with rows xlo, xhi, ylo, yhi.  The kernel runs
+    on contiguous slices of _KERNEL_CHUNK cells.  Returns the inside mask,
+    the undecided mask (neither proved inside nor proved outside: the
+    BOUNDARY and UNKNOWN cells) and, from the same enclosure call, the log
+    lower bound of |f'| on each cell.
     """
     r2 = r * r
-    dx = np.maximum(0.0, np.maximum(xlo, -xhi))
-    dy = np.maximum(0.0, np.maximum(ylo, -yhi))
-    with np.errstate(over="ignore"):
-        dmin2 = dx * dx + dy * dy
-        dmax2 = np.maximum(xlo * xlo, xhi * xhi) + np.maximum(ylo * ylo, yhi * yhi)
-
-    out = np.full(xlo.shape, _BOUNDARY, dtype=np.int8)
-    far = dmin2 > r2
-    out[far] = _OUTSIDE
-    fp_lo_log = np.full(xlo.shape, -np.inf)
-
-    near_cells = np.flatnonzero(~far)
-    for start in range(0, near_cells.size, _KERNEL_CHUNK):
-        near = near_cells[start:start + _KERNEL_CHUNK]
-        f_lo_log, f_hi_log, fp_lo_log[near], _ = bound_abs_f_fprime_batch(
-            family, xlo[near], xhi[near], ylo[near], yhi[near]
+    n = cells.shape[1]
+    inside = np.empty(n, dtype=bool)
+    undecided = np.empty(n, dtype=bool)
+    fp_lo_log = np.empty(n)
+    for start in range(0, n, _KERNEL_CHUNK):
+        c = slice(start, start + _KERNEL_CHUNK)
+        xlo, xhi, ylo, yhi = cells[:, c]
+        f_lo_log, f_hi_log, fp_lo_log[c], _ = bound_abs_f_fprime_batch(
+            family, xlo, xhi, ylo, yhi
         )
+        # exp(2*log) is exactly 0 at -inf and inf at +inf
         with np.errstate(over="ignore"):
-            f_lo2 = np.where(np.isneginf(f_lo_log), 0.0, np.exp(2.0 * f_lo_log))
-            f_hi2 = np.where(np.isposinf(f_hi_log), np.inf, np.exp(2.0 * f_hi_log))
-        inside = dmax2[near] + f_hi2 <= r2
-        outside = dmin2[near] + f_lo2 > r2
-        trivial = np.isneginf(f_lo_log) & np.isposinf(f_hi_log)
-        sub = np.full(near.shape, _BOUNDARY, dtype=np.int8)
-        sub[trivial] = _UNKNOWN
-        sub[outside] = _OUTSIDE
-        sub[inside] = _INSIDE
-        out[near] = sub
-    return out, fp_lo_log
+            dmin2 = _dist2(xlo, xhi) + _dist2(ylo, yhi)
+            dmax2 = np.maximum(xlo * xlo, xhi * xhi) + np.maximum(ylo * ylo, yhi * yhi)
+            ins = dmax2 + np.exp(2.0 * f_hi_log) <= r2
+            out = dmin2 + np.exp(2.0 * f_lo_log) > r2
+        inside[c] = ins
+        undecided[c] = ~(ins | out)
+    return inside, undecided, fp_lo_log
 
 
 def classify_cell(domain: SublevelDomain, cell: RectBounds) -> CellClass:
@@ -224,26 +239,47 @@ def classify_cell(domain: SublevelDomain, cell: RectBounds) -> CellClass:
     means the enclosure straddles the threshold, UNKNOWN that the
     enclosure was trivial (magnitudes beyond the representable range).
     """
-    codes, _ = _classify_batch(
-        domain.family,
-        domain.r,
-        np.array([cell.re_lo]),
-        np.array([cell.re_hi]),
-        np.array([cell.im_lo]),
-        np.array([cell.im_hi]),
-    )
-    return (CellClass.INSIDE, CellClass.OUTSIDE, CellClass.BOUNDARY, CellClass.UNKNOWN)[codes[0]]
+    cells = np.array([[cell.re_lo], [cell.re_hi], [cell.im_lo], [cell.im_hi]])
+    inside, undecided, _ = _classify_batch(domain.family, domain.r, cells)
+    if inside[0]:
+        return CellClass.INSIDE
+    if not undecided[0]:
+        return CellClass.OUTSIDE
+    f_lo_log, f_hi_log, _, _ = bound_abs_f_fprime_batch(domain.family, *cells)
+    if np.isneginf(f_lo_log[0]) and np.isposinf(f_hi_log[0]):
+        return CellClass.UNKNOWN
+    return CellClass.BOUNDARY
 
 
-def _split4(xlo, xhi, ylo, yhi):
-    """Children of each cell in fixed SW, SE, NW, NE order."""
+def _split4(cells: np.ndarray, r2: float) -> np.ndarray:
+    """Children of each cell that meet the disk |z|^2 <= r2.
+
+    cells is a (4, n) array with rows xlo, xhi, ylo, yhi.  The children are
+    laid out in SW, SE, NW, NE blocks, each in parent order.  A child whose
+    nearest point to the origin lies beyond the disk is dropped before it
+    is written: it is outside Omega_r without an enclosure, so it would
+    never be counted.  A parent that meets the disk keeps the child holding
+    its nearest point, whose distances dx and dy equal the parent's
+    exactly.
+    """
+    xlo, xhi, ylo, yhi = cells
     xm = 0.5 * (xlo + xhi)
     ym = 0.5 * (ylo + yhi)
-    cx_lo = np.concatenate([xlo, xm, xlo, xm])
-    cx_hi = np.concatenate([xm, xhi, xm, xhi])
-    cy_lo = np.concatenate([ylo, ylo, ym, ym])
-    cy_hi = np.concatenate([ym, ym, yhi, yhi])
-    return cx_lo, cx_hi, cy_lo, cy_hi
+    xs = ((xlo, xm), (xm, xhi))  # west, east
+    ys = ((ylo, ym), (ym, yhi))  # south, north
+    blocks = [(*x, *y) for y in ys for x in xs]
+    with np.errstate(over="ignore"):
+        dx2 = [_dist2(*x) for x in xs]
+        dy2 = [_dist2(*y) for y in ys]
+        near = [~(a + b > r2) for b in dy2 for a in dx2]
+    counts = [int(np.count_nonzero(keep)) for keep in near]
+    kids = np.empty((4, sum(counts)))
+    start = 0
+    for block, keep, count in zip(blocks, near, counts):
+        for row, edge in zip(kids, block):
+            np.compress(keep, edge, out=row[start:start + count])
+        start += count
+    return kids
 
 
 def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi, weight: int) -> float:
@@ -261,7 +297,7 @@ def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi, weight: int) -> float:
     with np.errstate(over="ignore"):
         fp_lo2 = np.maximum(_nudge_down(np.exp(2.0 * fp_lo_log)), 0.0)
         terms = _nudge_down((xhi - xlo) * (yhi - ylo) * (1.0 + fp_lo2))
-        return _sum_down(weight * terms)
+        return _sum_down(memoryview(weight * terms))
 
 
 def _sum_down(terms) -> float:
@@ -269,7 +305,9 @@ def _sum_down(terms) -> float:
 
     fsum is correctly rounded, so one step toward -inf lands at or below
     the exact sum; a sum beyond the double range rounds down to the
-    largest double.
+    largest double.  Pass a float64 array as a memoryview: fsum then reads
+    plain floats instead of making a numpy scalar per term, and returns
+    the same sum.
     """
     try:
         total = math.fsum(terms)
@@ -294,8 +332,8 @@ def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
         py = ylo[c, None] + (yhi[c] - ylo[c])[:, None] * fy
         log_f, log_fp = log_abs_f_fprime_batch(family, px, py)
         with np.errstate(over="ignore"):
-            f2 = np.where(np.isneginf(log_f), 0.0, np.exp(2.0 * log_f))
-            fp2 = np.where(np.isneginf(log_fp), 0.0, np.exp(2.0 * log_fp))
+            f2 = np.exp(2.0 * log_f)
+            fp2 = np.exp(2.0 * log_fp)
             # pointwise membership |z|^2 + |f|^2 <= r^2
             member = px * px + py * py + f2 <= r * r
             cell_mean[c] = np.where(member, 1.0 + fp2, 0.0).mean(axis=1)
@@ -310,7 +348,8 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
 
     Raises RadiusCapError when domain.r exceeds the family cap and
     allow_large_r is not set, and GuardedResourceError before a split
-    whose level would hold more than _CELL_BUDGET cells.
+    whose level would hold more than _CELL_BUDGET cells, or at once when
+    ESTIMATE mode asks for more than _SAMPLE_BUDGET samples per cell.
     """
     cfg = cfg or QuadConfig()
     cap = RADIUS_CAPS[domain.family]
@@ -319,48 +358,49 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
             f"r={domain.r} exceeds the {domain.family.value} cap {cap}; "
             "pass allow_large_r to override"
         )
+    if cfg.mode is QuadMode.ESTIMATE and cfg.samples_per_cell > _SAMPLE_BUDGET:
+        raise GuardedResourceError(
+            f"{cfg.samples_per_cell} samples per cell, over the budget of "
+            f"{_SAMPLE_BUDGET}; lower samples_per_cell"
+        )
     half = domain.r + cfg.seed_box_pad
-    xlo = np.array([-half])
-    xhi = np.array([half])
-    ylo = np.array([-half])
-    yhi = np.array([half])
+    cells = np.array([[-half], [half], [-half], [half]])
+    r2 = domain.r * domain.r
 
     lower_parts: list[float] = []
     cells_inside = 0
     depth_reached = 0
-    final_b = (np.empty(0),) * 4
     weight = 1  # copies of each cell in the whole domain; see the module docstring
 
     for depth in range(cfg.max_depth + 1):
-        if xlo.size == 0:
+        if cells.shape[1] == 0:
             break
         depth_reached = depth
-        codes, fp_lo_log = _classify_batch(domain.family, domain.r, xlo, xhi, ylo, yhi)
-        ins = codes == _INSIDE
-        und = (codes == _BOUNDARY) | (codes == _UNKNOWN)
+        ins, und, fp_lo_log = _classify_batch(domain.family, domain.r, cells)
         cells_inside += weight * int(np.count_nonzero(ins))
         lower_parts.append(_inside_lower_sum(
-            fp_lo_log[ins], xlo[ins], xhi[ins], ylo[ins], yhi[ins], weight
+            np.compress(ins, fp_lo_log), *np.compress(ins, cells, axis=1), weight
         ))
+        cells = np.compress(und, cells, axis=1)
         if depth == cfg.max_depth:
-            final_b = (xlo[und], xhi[und], ylo[und], yhi[und])
             break
-        children = 4 * int(np.count_nonzero(und))
+        children = 4 * cells.shape[1]
         if children > _CELL_BUDGET:
             raise GuardedResourceError(
                 f"depth {depth + 1} would hold {children} cells, over the "
                 f"budget of {_CELL_BUDGET}; lower max_depth"
             )
-        xlo, xhi, ylo, yhi = _split4(xlo[und], xhi[und], ylo[und], yhi[und])
+        cells = _split4(cells, r2)
         if depth == 0:
             axes = MIRROR_AXES[domain.family]
-            lows = {"re": xlo, "im": ylo}
+            lows = {"re": cells[0], "im": cells[2]}
             keep = np.logical_and.reduce([lows[axis] >= 0.0 for axis in axes])
-            xlo, xhi, ylo, yhi = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
+            cells = np.compress(keep, cells, axis=1)
             weight = 2 ** len(axes)
 
     lower = _sum_down(lower_parts)
-    bx_lo, bx_hi, by_lo, by_hi = final_b
+    # the undecided cells of the last level (none if a level emptied)
+    bx_lo, bx_hi, by_lo, by_hi = cells
     cells_boundary = weight * int(bx_lo.size)
     with np.errstate(over="ignore"):
         leftover_area = weight * float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
@@ -369,7 +409,7 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
     estimate = None
     if cfg.mode is QuadMode.ESTIMATE:
         estimate = lower + weight * _boundary_estimate_sum(
-            domain.family, domain.r, cfg, bx_lo, bx_hi, by_lo, by_hi
+            domain.family, domain.r, cfg, *cells
         )
     return AreaEstimate(
         lower=lower,

@@ -66,6 +66,21 @@ def test_area_exp_frozen_row():
     assert float(lines[1].split(",")[2]) <= 13.35
 
 
+@pytest.mark.parametrize("family, r, row", [
+    ("sin-exp", "2.7", "2.7000000000000002,38.616186873406477,42.97063106530981,"
+                       "Quadrature,1826,1956,9"),
+    ("sin-exp-sq", "1.8", "1.8,25.721547248691369,39.777021537213464,"
+                          "Quadrature,2376,2692,9"),
+])
+def test_area_estimate_frozen_rows(family, r, row):
+    # the whole stdout, so a moved last digit of area_estimate fails too
+    proc = run_cli("area", "--family", family, "--r", r, "--mode", "estimate",
+                   "--max-depth", "9")
+    assert proc.returncode == 0
+    assert proc.stdout == ("r,area_lower,area_estimate,source,cells_inside,"
+                           "cells_boundary,depth_reached\n" + row + "\n")
+
+
 def test_area_cap_exit_3():
     proc = run_cli("area", "--family", "sin-exp", "--r", "50")
     assert proc.returncode == 3
@@ -101,6 +116,24 @@ def test_memory_error_exit_2(monkeypatch, capsys, argv, callee, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: {message or 'out of memory'}\n"
+
+
+@pytest.mark.parametrize("argv, per", [
+    (["packets", "--family", "sin-exp", "--n", "1..5", "--method", "sampling",
+      "--samples", "1000000000000"], "packet"),
+    (["packets", "--family", "sin-exp-sq", "--n", "2..3", "--delta", "0.01",
+      "--method", "sampling", "--samples", str(quadrature._SAMPLE_BUDGET + 1)],
+     "packet"),
+    (["area", "--family", "exp", "--r", "2", "--samples-per-cell",
+      "1000000000000"], "cell"),
+])
+def test_sample_count_past_budget_exit_3(capsys, argv, per):
+    # refused before any sample point is allocated
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: ")
+    assert f"samples per {per}, over the budget of {quadrature._SAMPLE_BUDGET}" in err
 
 
 def test_area_cap_override():

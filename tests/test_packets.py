@@ -15,6 +15,7 @@ import pytest
 from graphgrowth import (
     CertifyMethod,
     GraphFamily,
+    GuardedResourceError,
     QuadConfig,
     QuadMode,
     SublevelDomain,
@@ -28,7 +29,7 @@ from graphgrowth import (
     verify_disjoint,
     verify_ez_minus_one_bound,
 )
-from graphgrowth import packets
+from graphgrowth import packets, quadrature
 from graphgrowth.packets import DELTA_MAX, F_TARGET, fprime_target
 
 from conftest import run_cli
@@ -365,6 +366,18 @@ def test_sampling_refuses_bad_sample_counts(samples):
         certify_packet(p, CertifyMethod.DENSE_SAMPLING, samples=samples)
     # the interval proof takes no samples
     assert certify_packet(p, samples=samples).certificate.certified
+
+
+def test_sampling_refuses_counts_past_the_budget():
+    # _ring_layout checks the count before any point is allocated
+    budget = quadrature._SAMPLE_BUDGET
+    assert packets._ring_layout(budget) == (1024, 1024)
+    p = make_packet(GraphFamily.SIN_EXP, 3)
+    for count in (budget + 1, 10**400):
+        with pytest.raises(GuardedResourceError, match="over the budget"):
+            certify_packet(p, CertifyMethod.DENSE_SAMPLING, samples=count)
+        # the interval proof takes no samples
+        assert certify_packet(p, samples=count).certificate.certified
 
 
 def test_certify_packets_sampling_on_request_only():

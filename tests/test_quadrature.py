@@ -25,14 +25,10 @@ from graphgrowth import (
     graph_area,
 )
 from graphgrowth import quadrature
-from graphgrowth.families import log_abs_f_fprime_batch
+from graphgrowth.families import bound_abs_f_fprime_batch, log_abs_f_fprime_batch
 from graphgrowth.quadrature import (
-    _BOUNDARY,
-    _INSIDE,
-    _UNKNOWN,
     RADIUS_CAPS,
     _boundary_estimate_sum,
-    _classify_batch,
     _inside_lower_sum,
     _split4,
     _sum_down,
@@ -76,6 +72,17 @@ def test_classify_overflow_cell_unknown():
     dom = SublevelDomain(GraphFamily.SIN_EXP, 8.0)
     cell = RectBounds(720.0, 721.0, 0.0, 1.0)
     assert classify_cell(dom, cell) in (CellClass.OUTSIDE, CellClass.UNKNOWN)
+
+
+def test_classify_near_trivial_cell_is_exactly_unknown():
+    # the cell meets the disk |z| <= 800, so its distance alone proves
+    # nothing, and e^720 overflows, so the enclosure is trivial
+    dom = SublevelDomain(GraphFamily.SIN_EXP, 800.0)
+    cell = RectBounds(720.0, 721.0, 0.0, 1.0)
+    f_lo, f_hi, _, _ = bound_abs_f_fprime_batch(GraphFamily.SIN_EXP, *(
+        np.array([v]) for v in (720.0, 721.0, 0.0, 1.0)))
+    assert np.isneginf(f_lo[0]) and np.isposinf(f_hi[0])
+    assert classify_cell(dom, cell) is CellClass.UNKNOWN
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +211,54 @@ def test_graph_area_deterministic():
 # one fundamental region of the mirror symmetry against the whole seed box
 # ---------------------------------------------------------------------------
 
+_INSIDE, _OUTSIDE, _BOUNDARY, _UNKNOWN = 0, 1, 2, 3
+
+
+def _reference_classify(family, r, xlo, xhi, ylo, yhi):
+    """Per-cell codes and log lower bounds of |f'|, as the quadtree once
+    classified its levels: far cells are OUTSIDE without an enclosure
+    (and get -inf), the near ones get one kernel call."""
+    r2 = r * r
+    dx = np.maximum(0.0, np.maximum(xlo, -xhi))
+    dy = np.maximum(0.0, np.maximum(ylo, -yhi))
+    with np.errstate(over="ignore"):
+        dmin2 = dx * dx + dy * dy
+        dmax2 = np.maximum(xlo * xlo, xhi * xhi) + np.maximum(ylo * ylo, yhi * yhi)
+    out = np.full(xlo.shape, _BOUNDARY, dtype=np.int8)
+    far = dmin2 > r2
+    out[far] = _OUTSIDE
+    fp_lo_log = np.full(xlo.shape, -np.inf)
+    near = np.flatnonzero(~far)
+    f_lo_log, f_hi_log, fp_lo_log[near], _ = bound_abs_f_fprime_batch(
+        family, xlo[near], xhi[near], ylo[near], yhi[near])
+    with np.errstate(over="ignore"):
+        f_lo2 = np.where(np.isneginf(f_lo_log), 0.0, np.exp(2.0 * f_lo_log))
+        f_hi2 = np.where(np.isposinf(f_hi_log), np.inf, np.exp(2.0 * f_hi_log))
+    inside = dmax2[near] + f_hi2 <= r2
+    outside = dmin2[near] + f_lo2 > r2
+    trivial = np.isneginf(f_lo_log) & np.isposinf(f_hi_log)
+    sub = np.full(near.shape, _BOUNDARY, dtype=np.int8)
+    sub[trivial] = _UNKNOWN
+    sub[outside] = _OUTSIDE
+    sub[inside] = _INSIDE
+    out[near] = sub
+    return out, fp_lo_log
+
+
+def _reference_split4(xlo, xhi, ylo, yhi):
+    """All four children of each cell in SW, SE, NW, NE blocks."""
+    xm = 0.5 * (xlo + xhi)
+    ym = 0.5 * (ylo + yhi)
+    return (np.concatenate([xlo, xm, xlo, xm]), np.concatenate([xm, xhi, xm, xhi]),
+            np.concatenate([ylo, ylo, ym, ym]), np.concatenate([ym, ym, yhi, yhi]))
+
+
 def _whole_box_area(domain, cfg):
     """Reference: the quadtree over the whole seed box, every cell
-    classified and summed once, as graph_area ran before it kept one
-    fundamental region of the mirror symmetry."""
+    classified and summed once and every child of an undecided cell kept
+    (far ones are classified OUTSIDE), as graph_area ran before it kept
+    one fundamental region of the mirror symmetry and dropped far
+    children at the split."""
     half = domain.r + cfg.seed_box_pad
     xlo, xhi, ylo, yhi = (np.array([v]) for v in (-half, half, -half, half))
     parts = []
@@ -217,7 +268,7 @@ def _whole_box_area(domain, cfg):
         if xlo.size == 0:
             break
         depth_reached = depth
-        codes, fp_lo_log = _classify_batch(domain.family, domain.r, xlo, xhi, ylo, yhi)
+        codes, fp_lo_log = _reference_classify(domain.family, domain.r, xlo, xhi, ylo, yhi)
         ins = codes == _INSIDE
         und = (codes == _BOUNDARY) | (codes == _UNKNOWN)
         cells_inside += int(np.count_nonzero(ins))
@@ -225,7 +276,7 @@ def _whole_box_area(domain, cfg):
         if depth == cfg.max_depth:
             final_b = (xlo[und], xhi[und], ylo[und], yhi[und])
             break
-        xlo, xhi, ylo, yhi = _split4(xlo[und], xhi[und], ylo[und], yhi[und])
+        xlo, xhi, ylo, yhi = _reference_split4(xlo[und], xhi[und], ylo[und], yhi[und])
     lower = _sum_down(parts)
     bx_lo, bx_hi, by_lo, by_hi = final_b
     leftover_area = float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
@@ -242,6 +293,27 @@ def _whole_box_area(domain, cfg):
     )
 
 
+def test_split_drops_exactly_the_far_children(rng):
+    # the kept children are the reference children whose nearest point
+    # lies in the disk, in the same order; cells straddling an axis, on
+    # it and off it, near and far
+    xlo = rng.uniform(-3.0, 3.0, 500)
+    ylo = rng.uniform(-3.0, 3.0, 500)
+    xlo[:50] = 0.0
+    ylo[50:100] = -1.0
+    cells = np.array([xlo, xlo + rng.uniform(0.0, 2.0, 500),
+                      ylo, ylo + rng.uniform(0.0, 2.0, 500)])
+    r2 = 4.0
+    ref = np.array(_reference_split4(*cells))
+    dx = np.maximum(0.0, np.maximum(ref[0], -ref[1]))
+    dy = np.maximum(0.0, np.maximum(ref[2], -ref[3]))
+    near = dx * dx + dy * dy <= r2
+    assert 0 < np.count_nonzero(near) < near.size
+    got = _split4(cells, r2)
+    assert got.shape == (4, np.count_nonzero(near))
+    assert np.array_equal(got, ref[:, near])
+
+
 @pytest.mark.parametrize("mode", list(QuadMode))
 @pytest.mark.parametrize("family,r,extra", [
     (GraphFamily.EXP, 2.0, {}),
@@ -250,14 +322,18 @@ def _whole_box_area(domain, cfg):
     (GraphFamily.SIN_EXP, 4.6, {}),
     (GraphFamily.SIN_EXP_SQ, 1.8, {"seed_box_pad": 0.0, "samples_per_cell": 9}),
     (GraphFamily.SIN_EXP_SQ, 2.8, {}),
+    # many children of undecided cells lie wholly outside the disk
+    (GraphFamily.EXP, 2.0, {"seed_box_pad": 6.0}),
+    # trivial enclosures (UNKNOWN cells) at depth 5
+    (GraphFamily.SIN_EXP, 750.0, {"max_depth": 5}),
 ])
 def test_fundamental_region_matches_whole_box(family, r, extra, mode):
     # the certified outputs are bit-identical to the whole-box quadtree;
     # the sampled boundary sum is summed pairwise over another set of
     # cells, so the estimate may move in its last bits
     domain = SublevelDomain(family, r)
-    cfg = QuadConfig(mode=mode, max_depth=11, **extra)
-    got = graph_area(domain, cfg)
+    cfg = QuadConfig(mode=mode, **{"max_depth": 11, **extra})
+    got = graph_area(domain, cfg, allow_large_r=True)
     ref = _whole_box_area(domain, cfg)
     assert got.lower == ref.lower
     assert got.cells_inside == ref.cells_inside
@@ -310,9 +386,9 @@ def test_cell_budget_refuses_the_split_past_it(monkeypatch):
     domain = SublevelDomain(GraphFamily.EXP, 2.0)
     levels = []
 
-    def split4(*cells):
-        levels.append(4 * cells[0].size)
-        return _split4(*cells)
+    def split4(cells, r2):
+        levels.append(4 * cells.shape[1])
+        return _split4(cells, r2)
 
     monkeypatch.setattr(quadrature, "_split4", split4)
     whole = graph_area(domain, lower_cfg(depth=8))
@@ -323,6 +399,22 @@ def test_cell_budget_refuses_the_split_past_it(monkeypatch):
         graph_area(domain, lower_cfg(depth=8))
     with pytest.raises(GuardedResourceError, match="over the budget"):
         graph_area(domain, lower_cfg(depth=100000))
+
+
+def test_sample_budget_refuses_before_the_quadtree(monkeypatch):
+    # an estimate asking for more samples per cell than the budget is
+    # refused before the first level is classified; the lower bound takes
+    # no samples and runs
+    def no_classify(*args):
+        raise AssertionError("classified a level")
+
+    domain = SublevelDomain(GraphFamily.EXP, 2.0)
+    count = quadrature._SAMPLE_BUDGET + 1
+    lower = graph_area(domain, lower_cfg(depth=3, samples_per_cell=count))
+    assert lower == graph_area(domain, lower_cfg(depth=3))
+    monkeypatch.setattr(quadrature, "_classify_batch", no_classify)
+    with pytest.raises(GuardedResourceError, match="samples per cell, over the budget"):
+        graph_area(domain, estimate_cfg(depth=3, samples_per_cell=count))
 
 
 def test_cap_override():
