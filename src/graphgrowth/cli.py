@@ -25,7 +25,7 @@ import argparse
 import csv
 import math
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 from operator import itemgetter
 
@@ -117,10 +117,28 @@ def _write_output(path: str, text: str | Iterable[str]) -> None:
         fh.writelines(pieces)
 
 
-def _csv_text(header: list[str], rows: Iterable[Sequence[str]]) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
-    return "\n".join(lines) + "\n"
+# Rows of a CSV table formatted and written per piece.  The text of a
+# 1e5-stage schedule is 17 MB; a block of 4096 rows is under 1 MB, and no
+# table's text is ever held whole.
+_CSV_BLOCK = 4096
+_BOOL = ("false", "true")
+
+
+def _csv_blocks(header: str, row: str, size: int,
+                fields: Callable[[slice], Sequence[Iterable]]) -> Iterator[str]:
+    """A CSV table of size rows: the header, then one string per _CSV_BLOCK rows.
+
+    fields(block) gives the block's columns, one per conversion of row, the
+    first of them sized; each block is one % of row * k over their values,
+    laid out row after row."""
+    yield header
+    for lo in range(0, size, _CSV_BLOCK):
+        columns = fields(slice(lo, lo + _CSV_BLOCK))
+        yield (row * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _flags(values: np.ndarray) -> Iterator[str]:
+    return map(_BOOL.__getitem__, values.tolist())
 
 
 def _csv_body(reader, width: int) -> Iterator[list[str]]:
@@ -163,6 +181,10 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 # ---------------------------------------------------------------- area
 
+_AREA_HEADER = "r,area_lower,area_estimate,source,cells_inside,cells_boundary,depth_reached\n"
+_AREA_ROW = "%.17g,%.17g,%s,%s,%d,%d,%d\n"
+
+
 def _cmd_area(args: argparse.Namespace) -> int:
     family = GraphFamily.parse(args.family)
     radii = _parse_reals(args.r)
@@ -173,21 +195,19 @@ def _cmd_area(args: argparse.Namespace) -> int:
         seed_box_pad=args.pad,
         samples_per_cell=args.samples_per_cell,
     )
-    rows = []
-    for r in radii:
-        result = graph_area(SublevelDomain(family, r), cfg, allow_large_r=args.allow_large_r)
-        rows.append([
-            _fmt(r),
-            _fmt(result.lower),
-            _fmt(result.estimate) if result.estimate is not None else "",
-            SampleSource.QUADRATURE.value,
-            str(result.cells_inside),
-            str(result.cells_boundary),
-            str(result.depth_reached),
-        ])
-    header = ["r", "area_lower", "area_estimate", "source",
-              "cells_inside", "cells_boundary", "depth_reached"]
-    _write_output(args.output, _csv_text(header, rows))
+    results = [graph_area(SublevelDomain(family, r), cfg, allow_large_r=args.allow_large_r)
+               for r in radii]
+    columns = [
+        radii,
+        [res.lower for res in results],
+        ["" if res.estimate is None else "%.17g" % res.estimate for res in results],
+        [SampleSource.QUADRATURE.value] * len(results),
+        [res.cells_inside for res in results],
+        [res.cells_boundary for res in results],
+        [res.depth_reached for res in results],
+    ]
+    _write_output(args.output, _csv_blocks(
+        _AREA_HEADER, _AREA_ROW, len(radii), lambda block: [col[block] for col in columns]))
     return 0
 
 
@@ -214,15 +234,12 @@ def _cmd_packets(args: argparse.Namespace) -> int:
     gap_ok = verify_disjoint(family, n_lo, n_hi, args.delta).gaps > 0
     disjoint = np.append(gap_ok, True) & np.insert(gap_ok, 0, True)
 
-    rows = [
-        _PACKET_ROW % (n, center, radius, hi, lo, "true" if f else "false",
-                       "true" if fp else "false", "true" if apart else "false")
-        for n, center, radius, hi, lo, f, fp, apart in zip(
-            range(n_lo, n_hi + 1), centers.tolist(), radii.tolist(),
-            max_f.tolist(), min_fp.tolist(), f_ok.tolist(), fp_ok.tolist(),
-            disjoint.tolist())
-    ]
-    _write_output(args.output, [_PACKET_HEADER, *rows])
+    def fields(block: slice) -> list:
+        return [range(n_lo, n_hi + 1)[block], centers[block].tolist(), radii[block].tolist(),
+                max_f[block].tolist(), min_fp[block].tolist(),
+                _flags(f_ok[block]), _flags(fp_ok[block]), _flags(disjoint[block])]
+
+    _write_output(args.output, _csv_blocks(_PACKET_HEADER, _PACKET_ROW, centers.size, fields))
     return 0
 
 
@@ -311,34 +328,26 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------ schedule
 
-# Rows of the schedule CSV formatted and written per piece.  The text of
-# a 1e5-stage table is 17 MB; a block of 4096 rows is under 1 MB, and the
-# table's text is never held whole.
-_CSV_BLOCK = 4096
 _SCHEDULE_HEADER = "n,r_n,mu_n,a_n,b_n,eps_n,sigma_n,eta_n,hyp2_ok,sigma_feasible\n"
 _SCHEDULE_ROW = "%d,%.17g,%.17g,%s,%s,%s,%s,%.17g,%s,%s\n"
-_BOOL = ("false", "true")
 
 
 def _schedule_csv(schedule: Schedule) -> Iterator[str]:
-    """The schedule CSV: the header, then one string per _CSV_BLOCK rows.
-
-    Each block is one % of _SCHEDULE_ROW * k over the block's fields,
-    laid out row after row.  a_n, b_n and eps_n are the one a column,
-    formatted once per row; sigma_n is an empty cell where the stage is
-    infeasible."""
-    yield _SCHEDULE_HEADER
+    """The schedule CSV in blocks.  a_n, b_n and eps_n are the one a
+    column, formatted once per row; sigma_n is an empty cell where the
+    stage is infeasible."""
     r = schedule.r[:-1]
-    for lo in range(0, len(schedule.n), _CSV_BLOCK):
-        block = slice(lo, lo + _CSV_BLOCK)
-        ok = schedule.sigma_feasible[block].tolist()
+
+    def fields(block: slice) -> list:
+        ok = schedule.sigma_feasible[block]
         a = list(map("%.17g".__mod__, schedule.a[block].tolist()))
-        sigma = ["%.17g" % s if f else "" for s, f in zip(schedule.sigma[block].tolist(), ok)]
-        yield (_SCHEDULE_ROW * len(ok)) % tuple(chain.from_iterable(zip(
-            schedule.n[block].tolist(), r[block].tolist(), schedule.mu[block].tolist(),
-            a, a, a, sigma, schedule.eta[block].tolist(),
-            map(_BOOL.__getitem__, schedule.hyp2_ok[block].tolist()),
-            map(_BOOL.__getitem__, ok))))
+        sigma = ["%.17g" % s if f else ""
+                 for s, f in zip(schedule.sigma[block].tolist(), ok.tolist())]
+        return [schedule.n[block].tolist(), r[block].tolist(), schedule.mu[block].tolist(),
+                a, a, a, sigma, schedule.eta[block].tolist(),
+                _flags(schedule.hyp2_ok[block]), _flags(ok)]
+
+    return _csv_blocks(_SCHEDULE_HEADER, _SCHEDULE_ROW, len(schedule.n), fields)
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:

@@ -24,6 +24,13 @@ over rectangles.  |f| = |sin e^u| and |f'| carries |cos e^u| (u = z or
 z^2), so only the outer sin and cos run twice.  Each element depends on
 its own inputs alone, never on the batch it came in.
 
+A point evaluation (eval_f, eval_fprime) is log_abs_f_fprime_batch at
+that one point, so its log_mag has the kernel's bits.  Only the phase is
+computed apart, with cosh y > 0 divided out:
+
+    arg sin(x + iy) = atan2(cos x tanh y, sin x)
+    arg cos(x + iy) = atan2(-sin x tanh y, cos x)
+
 Rectangle enclosures (bound_abs_f_fprime_batch, and per cell
 bound_abs_f / bound_abs_fprime) are outward-rounded interval
 computations: monotone pieces are evaluated at the correct cell
@@ -251,91 +258,45 @@ def _require_finite(z: complex) -> complex:
 # Point evaluation
 # ---------------------------------------------------------------------------
 
-def _sin_plain(x: float, y: float) -> tuple[float, float]:
-    """(log|sin(x+iy)|, arg sin(x+iy)) for a plain-representable x+iy."""
-    ay = abs(y)
-    if ay <= _ASYMPTOTIC_IM:
-        a = math.sin(x) * math.cosh(y)
-        b = math.cos(x) * math.sinh(y)
-        h = math.hypot(a, b)
-        log_mag = math.log(h) if h > 0.0 else float("-inf")
-        phase = math.atan2(b, a) if h > 0.0 else 0.0
-        return log_mag, phase
-    # sinh and cosh collapse onto e^|y|/2; keep the exact correction term.
-    s = math.sin(x)
-    corr = (4.0 * s * s - 2.0) * math.exp(-2.0 * ay) + math.exp(-4.0 * ay)
-    log_mag = ay - LOG2 + 0.5 * math.log1p(corr)
-    sign = 1.0 if y > 0 else -1.0
-    return log_mag, math.atan2(math.cos(x) * sign, s)
+def _arg_trig_of_exp(u: complex) -> tuple[float, float]:
+    """(arg sin e^u, arg cos e^u), or the sentinel (0.0, 0.0) past Re u = 700.
 
-
-def _cos_plain(x: float, y: float) -> tuple[float, float]:
-    """(log|cos(x+iy)|, arg cos(x+iy)) for a plain-representable x+iy."""
-    ay = abs(y)
-    if ay <= _ASYMPTOTIC_IM:
-        a = math.cos(x) * math.cosh(y)
-        b = -math.sin(x) * math.sinh(y)
-        h = math.hypot(a, b)
-        log_mag = math.log(h) if h > 0.0 else float("-inf")
-        phase = math.atan2(b, a) if h > 0.0 else 0.0
-        return log_mag, phase
-    c = math.cos(x)
-    corr = (4.0 * c * c - 2.0) * math.exp(-2.0 * ay) + math.exp(-4.0 * ay)
-    log_mag = ay - LOG2 + 0.5 * math.log1p(corr)
-    sign = 1.0 if y > 0 else -1.0
-    return log_mag, math.atan2(-math.sin(x) * sign, c)
-
-
-def _trig_of_exp_point(u: complex, use_cos: bool) -> tuple[float, float]:
-    """(log mag, phase) of sin(e^u) or cos(e^u) at a point.
-
-    While e^u is plain-representable this is exact to rounding.  Beyond
-    that only |Im e^u| matters for the magnitude; the phase (and, in the
-    razor-thin band where Im e^u stays small, the magnitude itself) is
-    not recoverable in double precision and degrades to a sentinel.
+    With e^u = x + iy, sin(x+iy) = sin x cosh y + i cos x sinh y and
+    cos(x+iy) = cos x cosh y - i sin x sinh y.  Dividing both parts by
+    cosh y > 0 keeps the phase and leaves tanh y, which never overflows.
     """
-    if u.real <= _MAX_PLAIN_EXPONENT:
-        w = cmath.exp(u)
-        return _cos_plain(w.real, w.imag) if use_cos else _sin_plain(w.real, w.imag)
-    sin_arg = math.sin(u.imag)
-    if sin_arg == 0.0:
-        return 0.0, 0.0  # Re e^u unreducible: sentinel representative
-    log_im = u.real + math.log(abs(sin_arg))
-    if log_im > _MAX_LOG:
-        return float("inf"), 0.0  # saturated beyond one level of log scaling
-    m = math.exp(log_im)
-    if m > _ASYMPTOTIC_IM:
-        return m - LOG2, 0.0
-    return math.log(math.cosh(m)), 0.0  # thin-band sentinel (upper representative)
+    if not u.real <= _MAX_PLAIN_EXPONENT:
+        return 0.0, 0.0
+    w = cmath.exp(u)
+    s, c, t = math.sin(w.real), math.cos(w.real), math.tanh(w.imag)
+    return math.atan2(c * t, s), math.atan2(-s * t, c)
 
 
 def eval_f(family: GraphFamily, z: complex) -> LogScaledComplex:
-    """Evaluate f at z in log-magnitude/phase form."""
+    """Evaluate f at z in log-magnitude/phase form; log_mag is
+    log_abs_f_fprime_batch at the one point."""
     z = _require_finite(z)
+    log_f, _ = log_abs_f_fprime_batch(family, z.real, z.imag)
     if family is GraphFamily.EXP:
-        return LogScaledComplex(z.real, _normalize_phase(z.imag))
-    u = z if family is GraphFamily.SIN_EXP else z * z
-    log_mag, phase = _trig_of_exp_point(u, use_cos=False)
-    return LogScaledComplex(log_mag, _normalize_phase(phase))
+        phase = z.imag
+    else:
+        phase = _arg_trig_of_exp(z if family is GraphFamily.SIN_EXP else z * z)[0]
+    return LogScaledComplex(float(log_f), _normalize_phase(phase))
 
 
 def eval_fprime(family: GraphFamily, z: complex) -> LogScaledComplex:
-    """Evaluate f' at z in log-magnitude/phase form."""
+    """Evaluate f' at z in log-magnitude/phase form; log_mag is
+    log_abs_f_fprime_batch at the one point."""
     z = _require_finite(z)
+    _, log_fp = log_abs_f_fprime_batch(family, z.real, z.imag)
     if family is GraphFamily.EXP:
-        return LogScaledComplex(z.real, _normalize_phase(z.imag))
-    if family is GraphFamily.SIN_EXP:
-        log_c, ph_c = _trig_of_exp_point(z, use_cos=True)
-        return LogScaledComplex(z.real + log_c, _normalize_phase(z.imag + ph_c))
-    u = z * z
-    log_c, ph_c = _trig_of_exp_point(u, use_cos=True)
-    two_z = 2.0 * z
-    mag_2z = abs(two_z)
-    if mag_2z == 0.0:
-        return LogScaledComplex(float("-inf"), 0.0)
-    log_mag = math.log(mag_2z) + u.real + log_c
-    phase = math.atan2(two_z.imag, two_z.real) + u.imag + ph_c
-    return LogScaledComplex(log_mag, _normalize_phase(phase))
+        phase = z.imag
+    elif family is GraphFamily.SIN_EXP:
+        phase = z.imag + _arg_trig_of_exp(z)[1]
+    else:  # f' = 2z e^u cos e^u with u = z^2
+        u = z * z
+        phase = math.atan2(z.imag, z.real) + u.imag + _arg_trig_of_exp(u)[1]
+    return LogScaledComplex(float(log_fp), _normalize_phase(phase))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +328,7 @@ def log_abs_f_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray
             zre, zim = np.broadcast_arrays(zre, zim)  # full-shape masks below
             w_log, w_arg = zre, zim
         else:
-            w_log, w_arg = zre * zre - zim * zim, 2.0 * zre * zim
+            w_log, w_arg = zre * zre - zim * zim, 2.0 * (zre * zim)  # 2.0 * zre may overflow alone
         scale = np.exp(np.minimum(w_log, _MAX_PLAIN_EXPONENT))
         sin_arg = np.sin(w_arg)
         x = scale * np.cos(w_arg)
@@ -387,8 +348,10 @@ def log_abs_f_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray
             out[:, asym] = ay_a - LOG2 + 0.5 * np.log1p(corr)
         if far.any():
             # e^u not plain-representable: magnitude via log|Im e^u| =
-            # Re u + log|sin Im u|, the same for sin and cos.
-            log_im = w_log[far] + np.log(np.abs(sin_arg[far]))
+            # Re u + log|sin Im u|, the same for sin and cos.  Where
+            # sin Im u is 0, so is Im e^u, even when Re u is inf.
+            sin_far = sin_arg[far]
+            log_im = np.where(sin_far == 0.0, -np.inf, w_log[far] + np.log(np.abs(sin_far)))
             m = np.where(log_im > _MAX_LOG, np.inf, np.exp(np.minimum(log_im, _MAX_LOG)))
             out[:, far] = np.where(
                 m > _ASYMPTOTIC_IM,

@@ -11,7 +11,12 @@ Packet layout:
   sin(e^z):     center log(n*pi), radius 1/(16*pi*n), n >= 1.
                 On these disks |f| < 2 and |f'| >= pi*n/4, so each packet
                 contributes at least (pi*n/4)^2 * pi * radius^2, which is
-                exactly pi/4096 independent of n.
+                exactly pi/4096 independent of n.  Writing z = c_n + zeta,
+                e^z = n*pi*e^zeta, and the power series gives
+                |e^zeta - 1| <= e^|zeta| - 1 < 1/(4*pi*n) on the disk, so
+                e^z stays within 1/4 of n*pi;
+                verify_ez_minus_one_bound checks this closed form with
+                directed rounding.
 
   sin(e^(z^2)): center sqrt(log(n*pi)), radius delta/(n*sqrt(log n)),
                 n >= 2, delta <= 0.01.  Writing z = c_n + zeta, the inner
@@ -376,21 +381,18 @@ def certify_packet(packet: DiskPacket, method: CertifyMethod | None = None,
     return certify_packets([packet], method, samples)[0]
 
 
-def verify_ez_minus_one_bound(n: int, samples: int = 10000) -> bool:
-    """Check max |e^zeta - 1| < 1/(4*pi*n) over the disk |zeta| <= 1/(16*pi*n).
+def verify_ez_minus_one_bound(n: int) -> bool:
+    """Prove max |e^zeta - 1| < 1/(4*pi*n) over the disk |zeta| <= 1/(16*pi*n).
 
     This is the key smallness estimate behind the sin(e^z) packet bounds:
     on packet n the inner argument e^z = n*pi*e^zeta stays within
-    n*pi * 1/(4*pi*n) = 1/4 of the hit point n*pi.  Verified on the
-    deterministic ring sample set (boundary circle included), where the
-    maximum of the convex modulus is attained up to discretization.
+    n*pi * 1/(4*pi*n) = 1/4 of the hit point n*pi.  The power series gives
+    |e^zeta - 1| <= sum_k |zeta|^k / k! = e^|zeta| - 1, so the check is
+    expm1(rho) < 1/(4*pi*n) at the packet radius rho, with the left side
+    rounded up and the right side down.
     """
     rho = make_packet(GraphFamily.SIN_EXP, n).radius
-    target = 1.0 / (4.0 * math.pi * n)
-    zre, zim = _disk_samples(0.0, rho, samples)
-    zeta = zre + 1j * zim
-    worst = float(np.max(np.abs(np.exp(zeta) - 1.0)))
-    return worst < target
+    return bool(_nudge_up(math.expm1(rho)) < _nudge_down(1.0 / (4.0 * math.pi * n)))
 
 
 def verify_disjoint(family: GraphFamily, n_lo: int, n_hi: int,

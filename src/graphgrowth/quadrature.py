@@ -155,8 +155,8 @@ class QuadConfig:
             raise ValueError("max_depth must be >= 1")
         if not (self.tol_rel > 0):
             raise ValueError("tol_rel must be > 0")
-        if self.seed_box_pad < 0:
-            raise ValueError("seed_box_pad must be >= 0")
+        if not 0 <= self.seed_box_pad < math.inf:
+            raise ValueError(f"seed_box_pad must be finite and >= 0, not {self.seed_box_pad}")
         if self.samples_per_cell < 4:
             raise ValueError("samples_per_cell must be >= 4")
 

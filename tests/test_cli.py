@@ -23,12 +23,16 @@ from graphgrowth import cli, quadrature, svgplot
 from graphgrowth import (
     CertifyMethod,
     GraphFamily,
+    QuadConfig,
+    QuadMode,
     RadiiVariant,
     ScheduleConfig,
+    SublevelDomain,
     build_schedule,
     certify_packets,
     completeness_trend,
     diagnostics,
+    graph_area,
     make_packet,
     verify_disjoint,
 )
@@ -170,6 +174,37 @@ def test_area_near_square_overflow_is_quiet(family, row):
     assert proc.stdout.splitlines()[1] == row
 
 
+@pytest.mark.parametrize("mode", ["estimate", "lower"])
+def test_area_csv_blocks_match_field_formatting(monkeypatch, capsys, mode):
+    # nine radii in blocks of 7 rows; the reference formats each field alone
+    radii = [1.5 + 0.25 * k for k in range(9)]
+    cfg = QuadConfig(mode=QuadMode.ESTIMATE if mode == "estimate" else QuadMode.LOWER_BOUND,
+                     max_depth=4)
+    lines = ["r,area_lower,area_estimate,source,cells_inside,cells_boundary,depth_reached"]
+    for r in radii:
+        res = graph_area(SublevelDomain(GraphFamily.SIN_EXP, r), cfg)
+        lines.append(",".join([
+            _f17(r), _f17(res.lower), "" if res.estimate is None else _f17(res.estimate),
+            "Quadrature", str(res.cells_inside), str(res.cells_boundary),
+            str(res.depth_reached)]))
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
+    argv = ["area", "--family", "sin-exp", "--r", ",".join(map(repr, radii)),
+            "--mode", mode, "--max-depth", "4"]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("pad", ["inf", "nan", "-1"])
+def test_area_bad_pad_exit_2(pad):
+    # a pad that is not finite and >= 0 is refused before any cell is split,
+    # so numpy prints no warning
+    proc = run_cli("area", "--family", "exp", "--r", "2", "--pad", pad,
+                   "--max-depth", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: seed_box_pad must be finite and >= 0, not {float(pad)}\n"
+
+
 def test_area_real_list_syntax():
     # reals ride comma lists; the lo..hi range form is for integer n
     proc = run_cli("area", "--family", "exp", "--r", "2,3,4",
@@ -258,10 +293,11 @@ def _packets_csv_reference(family, n_lo, n_hi, delta, method, samples):
     ("sin-exp-sq", 318309886180, 318309886190, 0.01),
 ])
 @pytest.mark.parametrize("method", ["interval", "sampling"])
-def test_packets_columns_match_field_formatting(capsys, family, n_lo, n_hi,
+def test_packets_columns_match_field_formatting(monkeypatch, capsys, family, n_lo, n_hi,
                                                 delta, method):
-    # the CLI reads the certifier's columns, one row template at a time;
-    # the reference formats the list API's certificates field by field
+    # the CLI reads the certifier's columns in blocks of 7 rows here; the
+    # reference formats the list API's certificates field by field
+    monkeypatch.setattr(cli, "_CSV_BLOCK", 7)
     argv = ["packets", "--family", family, "--n", f"{n_lo}..{n_hi}",
             "--method", method, "--samples", "40"]
     if delta is not None:

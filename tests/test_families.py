@@ -102,14 +102,39 @@ def test_eval_rejects_non_finite():
         eval_f(GraphFamily.EXP, complex(float("nan"), 0.0))
     with pytest.raises(ValueError):
         eval_fprime(GraphFamily.SIN_EXP, complex(0.0, float("inf")))
+    # a finite z whose u = z^2 is not finite (inf - inf)
+    with pytest.raises(ValueError):
+        eval_f(GraphFamily.SIN_EXP_SQ, complex(1e200, 1e200))
 
 
 def test_deep_overflow_saturates_without_nan():
-    # Re e^{z} beyond double range: magnitude may saturate, phase is the
-    # sentinel, and no NaN escapes
-    got = eval_f(GraphFamily.SIN_EXP, complex(800.0, 1.0))
-    assert not math.isnan(got.log_mag)
-    assert got.phase == 0.0
+    # Re e^u beyond double range: magnitude may saturate, phase is the
+    # sentinel, and no NaN escapes; where sin(Im u) is 0, Im e^u is 0 too
+    # and log|f| is the sentinel 0
+    for family, z, log_mag in ((GraphFamily.SIN_EXP, complex(800.0, 1.0), math.inf),
+                               (GraphFamily.SIN_EXP_SQ, complex(1e200, 0.0), 0.0),
+                               (GraphFamily.SIN_EXP_SQ, complex(1e308, -1e-308), math.inf)):
+        got = eval_f(family, z)
+        assert (got.log_mag, got.phase) == (log_mag, 0.0)
+
+
+@pytest.mark.parametrize("family", [GraphFamily.SIN_EXP, GraphFamily.SIN_EXP_SQ])
+def test_eval_phase_matches_mpmath_past_the_asymptotic_band(family):
+    # 36 < |Im e^u| < 700 with |e^u| < 1000, where the phase of sin and cos
+    # of e^u comes from tanh(Im e^u) = +-1 and no point of SAFE_BOX goes
+    rng = np.random.default_rng(20261104)
+    checked = 0
+    while checked < 40:
+        u = complex(rng.uniform(3.7, 6.9), rng.uniform(-math.pi, math.pi))
+        z = u if family is GraphFamily.SIN_EXP else cmath.sqrt(u)
+        u = z if family is GraphFamily.SIN_EXP else z * z
+        if not 36.0 < abs(cmath.exp(u).imag) < 700.0:
+            continue
+        for evaluate, want in ((eval_f, mp_f(family, z)), (eval_fprime, mp_fprime(family, z))):
+            got = evaluate(family, z)
+            assert abs(cmath.exp(1j * got.phase) - cmath.exp(1j * float(mpmath.arg(want)))) < 1e-9
+            assert got.log_mag == pytest.approx(mp_log_abs(want), rel=1e-12)
+        checked += 1
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +327,7 @@ def _point_kernel_reference(family, zre, zim):
         if family is GraphFamily.SIN_EXP:
             w_log, w_arg = zre, zim
         else:
-            w_log, w_arg = zre * zre - zim * zim, 2.0 * zre * zim
+            w_log, w_arg = zre * zre - zim * zim, 2.0 * (zre * zim)
         scale = np.exp(np.minimum(w_log, 700.0))
         sin_arg = np.sin(w_arg)
         x = scale * np.cos(w_arg)
@@ -316,7 +341,7 @@ def _point_kernel_reference(family, zre, zim):
         corr = (4.0 * osc * osc - 2.0) * np.exp(-2.0 * ay_clip) + np.exp(-4.0 * ay_clip)
         big = ay - LOG2 + 0.5 * np.log1p(corr)
         plain = np.where(ay <= 36.0, small, big)
-        log_im = w_log + np.log(np.abs(sin_arg))
+        log_im = np.where(sin_arg == 0.0, -np.inf, w_log + np.log(np.abs(sin_arg)))
         m = np.where(log_im > 709.0, np.inf, np.exp(np.minimum(log_im, 709.0)))
         scaled = np.where(m > 36.0, m - LOG2, np.log(np.cosh(np.minimum(m, 36.0))))
         log_sin, log_cos = np.where(w_log <= 700.0, plain, scaled)
@@ -368,7 +393,7 @@ def _branch_coords(family, rng):
     zre, zim = np.concatenate([zre, sp_re]), np.concatenate([zim, sp_im])
     if family is GraphFamily.SIN_EXP_SQ:
         with np.errstate(invalid="ignore"):
-            return zre, zim, zre * zre - zim * zim, 2.0 * zre * zim
+            return zre, zim, zre * zre - zim * zim, 2.0 * (zre * zim)
     return zre, zim, zre, zim
 
 
@@ -430,15 +455,38 @@ def test_log_sqrt_s2_plus_sinh2_matches_select_everything_reference():
         assert np.array_equal(_bits(got), _bits(want))
 
 
+HUGE = np.array([1e200, 1e200, 0.0, -1e300, 1.7e308, 1.3e154, 2e154, 1e308])
+HUGE_OTHER = np.array([1e200, 0.0, 1e200, 3.0, 1.7e308, 1.0, 2e154, -1e-308])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_point_kernel_is_quiet_on_huge_finite_inputs(family):
     # tier-1 turns a RuntimeWarning into an error; the overflows here are
-    # handled (inf or NaN, as in the reference), so none may be raised
-    big = np.array([1e200, 1e200, 0.0, -1e300, 1.7e308, 1.3e154, 2e154, 1e308])
-    other = np.array([1e200, 0.0, 1e200, 3.0, 1.7e308, 1.0, 2e154, -1e-308])
-    for zre, zim in ((big, other), (other, big), (-big, big)):
+    # handled (inf, or NaN where u = z^2 is not finite, as in the
+    # reference), so none may be raised
+    for zre, zim in ((HUGE, HUGE_OTHER), (HUGE_OTHER, HUGE), (-HUGE, HUGE)):
         _assert_same_bits(log_abs_f_fprime_batch(family, zre, zim),
                           _point_kernel_reference(family, zre, zim))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_point_evaluators_read_the_point_kernel(family):
+    # eval_f and eval_fprime take log_mag from log_abs_f_fprime_batch bit for
+    # bit, on every branch of the kernel and on huge finite inputs, and raise
+    # exactly where the kernel has no value
+    zre, zim, _, _ = _branch_coords(family, np.random.default_rng(20261103))
+    zre = np.concatenate([zre, HUGE, HUGE_OTHER, -HUGE])
+    zim = np.concatenate([zim, HUGE_OTHER, HUGE, HUGE])
+    finite = np.isfinite(zre) & np.isfinite(zim)
+    zre, zim = zre[finite], zim[finite]
+    log_f, log_fp = log_abs_f_fprime_batch(family, zre, zim)
+    for x, y, lf, lfp in zip(zre.tolist(), zim.tolist(), log_f, log_fp):
+        for evaluate, want in ((eval_f, lf), (eval_fprime, lfp)):
+            if np.isnan(want):
+                with pytest.raises(ValueError):
+                    evaluate(family, complex(x, y))
+            else:
+                assert _bits(evaluate(family, complex(x, y)).log_mag) == _bits(want)
 
 
 def _nextafter4(x, direction):

@@ -131,7 +131,7 @@ def test_disk_samples_match_ring_loop(count):
     disks = [(p.center, p.radius) for p in
              [make_packet(GraphFamily.SIN_EXP, n) for n in (1, 7, 3000)]
              + [make_packet(GraphFamily.SIN_EXP_SQ, n, delta=0.01) for n in (2, 7, 3000)]]
-    disks.append((0.0, 1.0 / (16.0 * PI * 5)))  # verify_ez_minus_one_bound's disk
+    disks.append((0.0, 1.0 / (16.0 * PI * 5)))  # zero-centred, as in the e^zeta - 1 test
     for center, radius in disks:
         got = packets._disk_samples(center, radius, count)
         want = _disk_samples_ring_loop(center, radius, count)
@@ -402,8 +402,25 @@ def test_certify_rejects_exp():
 # ---------------------------------------------------------------------------
 
 def test_ez_minus_one_bound():
-    assert verify_ez_minus_one_bound(1, samples=10_000)
+    assert verify_ez_minus_one_bound(1)
     assert verify_ez_minus_one_bound(100)
+
+
+@pytest.mark.parametrize("n", [1, 100, 10**6])
+def test_ez_minus_one_sampled_maximum_below_closed_form(n, monkeypatch):
+    # the ring sample the check once took stays at or below the closed form
+    # e^rho - 1.  e^zeta - 1 is evaluated as expm1(x) cos y - 2 sin^2(y/2)
+    # + i e^x sin y: np.exp(zeta) - 1.0 cancels and overshoots, by 5e-9
+    # relative at n = 10^6
+    rho = make_packet(GraphFamily.SIN_EXP, n).radius
+    x, y = packets._disk_samples(0.0, rho, 10_000)
+    sampled = np.hypot(np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2,
+                       np.exp(x) * np.sin(y))
+    assert sampled.max() <= packets._nudge_up(math.expm1(rho))
+    # the check is not vacuous: a disk 4 times as wide fails it
+    wide = replace(make_packet(GraphFamily.SIN_EXP, n), radius=4.0 * rho)
+    monkeypatch.setattr(packets, "make_packet", lambda family, n: wide)
+    assert not verify_ez_minus_one_bound(n)
 
 
 def test_ez_minus_one_boundary_arithmetic():
