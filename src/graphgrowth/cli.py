@@ -15,8 +15,10 @@ affects any command.
 
 Exit codes: 0 success, 2 usage or input error (an allocation that
 fails too), 3 guarded-resource refusal (radius beyond the family cap
-without --allow-large-r, a quadtree level past the cell budget, or a
---samples or --samples-per-cell count past the sample budget).
+without --allow-large-r, a quadtree level past the cell budget, a
+--samples or --samples-per-cell count past the sample budget, a
+schedule --N past the stage budget, or a packets --n range longer than
+the packet budget).
 """
 
 from __future__ import annotations

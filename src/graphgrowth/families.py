@@ -24,6 +24,19 @@ over rectangles.  |f| = |sin e^u| and |f'| carries |cos e^u| (u = z or
 z^2), so only the outer sin and cos run twice.  Each element depends on
 its own inputs alone, never on the batch it came in.
 
+The rectangle kernel runs in two stages.  Its inputs are column terms
+(computed from the Re edges of the cells) and row terms (from the Im
+edges), named arrays gathered per cell by (column, row) addresses, so a
+caller whose cells share columns and rows, as the quadtree's do,
+computes them once per column and row.  Every family's terms hold the
+edges and the ranges of x^2 and y^2, from which the quadtree also takes
+|z|^2 (_abs_z2_range).  Stage 1 (_enclose_f) builds the box of e^u and
+takes the outer sin, giving |f| on every cell; stage 2
+(_enclose_fprime) takes the outer cos of the same box, giving |f'| on
+any subset of the cells.  bound_abs_f_fprime_batch is both stages on
+every cell, one column and one row per cell, so every caller gets the
+same bits from either path.
+
 A point evaluation (eval_f, eval_fprime) is log_abs_f_fprime_batch at
 that one point, so its log_mag has the kernel's bits.  Only the phase is
 computed apart, with cosh y > 0 divided out:
@@ -413,35 +426,43 @@ def _nudge_down(x: np.ndarray) -> np.ndarray:
     return np.minimum(out, _DOWN_CEIL, out=out)
 
 
-def _interval_trig(lo: np.ndarray, hi: np.ndarray):
-    """Ranges of sin and of cos over [lo, hi], outward rounded.
+# Each trig function with the points where it peaks and bottoms out.
+_SIN = (np.sin, 0.5 * math.pi, -0.5 * math.pi)
+_COS = (np.cos, 0.0, math.pi)
 
-    Returns (t_min, t_max), each stacked as [sin, cos] along a new
-    leading axis.  Critical-point containment is widened by an absolute
-    slack so that argument-reduction rounding can only make the answer
-    more conservative, never unsound.
+
+def _interval_trig(lo: np.ndarray, hi: np.ndarray, trigs=(_SIN, _COS)):
+    """Ranges of each of trigs (sin and cos by default) over [lo, hi],
+    outward rounded.
+
+    Returns (t_min, t_max), each a tuple with one array per function in
+    the order of trigs.  Critical-point containment is widened by an
+    absolute slack so that argument-reduction rounding can only make the
+    answer more conservative, never unsound.  Past _TRIG_ARG_LIMIT (or at
+    inf or NaN) the range is the trivial [-1, 1].
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    big = (np.abs(lo) > _TRIG_ARG_LIMIT) | (np.abs(hi) > _TRIG_ARG_LIMIT) | ~np.isfinite(lo) | ~np.isfinite(hi)
-    lo_s = np.where(big, 0.0, lo)
-    hi_s = np.where(big, 0.0, hi)
-    slack = 1e-13 * np.maximum(1.0, np.maximum(np.abs(lo_s), np.abs(hi_s)))
+    mag = np.maximum(np.abs(lo), np.abs(hi))
+    big = ~(mag <= _TRIG_ARG_LIMIT)
+    if big.any():
+        lo, hi, mag = (np.where(big, 0.0, a) for a in (lo, hi, mag))
+    slack = 1e-13 * np.maximum(1.0, mag)
+    top = hi + slack
 
-    def _contains(sin_loc, cos_loc):
-        return np.stack([
-            c + np.ceil((lo_s - c - slack) / TWO_PI) * TWO_PI <= hi_s + slack
-            for c in (sin_loc, cos_loc)
-        ]) | big
+    def _contains(c):
+        hit = c + np.ceil((lo - c - slack) / TWO_PI) * TWO_PI <= top
+        return hit | big
 
-    v_lo = np.stack([np.sin(lo_s), np.cos(lo_s)])
-    v_hi = np.stack([np.sin(hi_s), np.cos(hi_s)])
-    end_max = _nudge_up(np.maximum(v_lo, v_hi))
-    end_min = _nudge_down(np.minimum(v_lo, v_hi))
-    # sin peaks at pi/2 and bottoms at -pi/2; cos at 0 and pi
-    t_max = np.where(_contains(0.5 * math.pi, 0.0), 1.0, np.minimum(end_max, 1.0))
-    t_min = np.where(_contains(-0.5 * math.pi, math.pi), -1.0, np.maximum(end_min, -1.0))
-    return t_min, t_max
+    t_min, t_max = [], []
+    for fn, peak, trough in trigs:
+        v_lo = fn(lo)
+        v_hi = fn(hi)
+        end_max = _nudge_up(np.maximum(v_lo, v_hi))
+        end_min = _nudge_down(np.minimum(v_lo, v_hi))
+        t_max.append(np.where(_contains(peak), 1.0, np.minimum(end_max, 1.0)))
+        t_min.append(np.where(_contains(trough), -1.0, np.maximum(end_min, -1.0)))
+    return tuple(t_min), tuple(t_max)
 
 
 def _interval_prod(alo, ahi, blo, bhi):
@@ -456,9 +477,9 @@ def _interval_prod(alo, ahi, blo, bhi):
 def _log_sqrt_s2_plus_sinh2(s2: np.ndarray, m: np.ndarray) -> np.ndarray:
     """0.5*log(s2 + sinh(m)^2) without overflow; s2 in [0,1], m >= 0.
 
-    s2 has m's shape, or m's shape behind leading axes (the stacked
-    [sin, cos] ranges).  The large-m form (m > 36, or NaN) is computed
-    only where its mask selects it, as in log_abs_f_fprime_batch.
+    s2 has m's shape, or m's shape behind leading axes.  The large-m form
+    (m > 36, or NaN) is computed only where its mask selects it, as in
+    log_abs_f_fprime_batch.
     """
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         m_small = np.minimum(m, _ASYMPTOTIC_IM)
@@ -474,57 +495,53 @@ def _log_sqrt_s2_plus_sinh2(s2: np.ndarray, m: np.ndarray) -> np.ndarray:
         return out
 
 
-def _bound_trig_of_exp_batch(w_log_lo, w_log_hi, arg_lo, arg_hi):
-    """Enclosures of log|sin e^u| and log|cos e^u| over a box of u values.
-
-    u ranges over [w_log_lo, w_log_hi] x [arg_lo, arg_hi].  The box of
-    e^u is built once; its Re range then goes through the outer sin and
-    cos together.  Returns (log_lo, log_hi), each stacked as [sin, cos]
-    along a new leading axis; cells whose |e^u| exceeds the plain double
-    range collapse to the trivial enclosure.
-    """
-    usable = np.asarray(w_log_hi, dtype=float) <= _MAX_PLAIN_EXPONENT
-    w_log_lo = np.where(usable, w_log_lo, 0.0)
-    w_log_hi_s = np.where(usable, w_log_hi, 0.0)
-    with np.errstate(over="ignore", under="ignore"):
-        v_lo = _nudge_down(np.exp(w_log_lo))
-        v_hi = _nudge_up(np.exp(w_log_hi_s))
-    (s_min, c_min), (s_max, c_max) = _interval_trig(arg_lo, arg_hi)
-    im_lo, im_hi = _interval_prod(v_lo, v_hi, s_min, s_max)
-    re_lo, re_hi = _interval_prod(v_lo, v_hi, c_min, c_max)
-    im_lo = _nudge_down(im_lo)
-    im_hi = _nudge_up(im_hi)
-    m_lo = np.maximum(0.0, np.maximum(im_lo, -im_hi))
-    m_hi = np.maximum(np.abs(im_lo), np.abs(im_hi))
-    t_min, t_max = _interval_trig(_nudge_down(re_lo), _nudge_up(re_hi))
-    s2_min, s2_max = _square_range(t_min, t_max)
-    log_hi = _nudge_up(_log_sqrt_s2_plus_sinh2(np.minimum(s2_max, 1.0), m_hi))
-    log_lo = _nudge_down(_log_sqrt_s2_plus_sinh2(s2_min, m_lo))
-    log_lo = np.where(usable, log_lo, -np.inf)
-    log_hi = np.where(usable, log_hi, np.inf)
-    return log_lo, log_hi
-
-
 def _square_range(lo, hi):
     """Range of t^2 for t in [lo, hi]."""
     straddles = (lo <= 0.0) & (hi >= 0.0)
     with np.errstate(over="ignore"):
-        lo2 = np.where(straddles, 0.0, np.minimum(lo * lo, hi * hi))
-        hi2 = np.maximum(lo * lo, hi * hi)
-    return lo2, hi2
+        lo_sq = lo * lo
+        hi_sq = hi * hi
+    return np.where(straddles, 0.0, np.minimum(lo_sq, hi_sq)), np.maximum(lo_sq, hi_sq)
 
 
-def _u_ranges(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
-    """Cellwise ranges of (Re u, Im u); exact arithmetic, nudged outward."""
-    if family is GraphFamily.SIN_EXP:
-        return re_lo, re_hi, im_lo, im_hi
-    x2_lo, x2_hi = _square_range(re_lo, re_hi)
-    y2_lo, y2_hi = _square_range(im_lo, im_hi)
-    w_log_lo = _nudge_down(x2_lo - y2_hi)
-    w_log_hi = _nudge_up(x2_hi - y2_lo)
-    p_lo, p_hi = _interval_prod(re_lo, re_hi, im_lo, im_hi)
-    with np.errstate(over="ignore"):
-        return w_log_lo, w_log_hi, _nudge_down(2.0 * p_lo), _nudge_up(2.0 * p_hi)
+def _exp_range(w_lo, w_hi):
+    """(usable, v_lo, v_hi): usable where w_hi <= _MAX_PLAIN_EXPONENT, and
+    there [v_lo, v_hi] encloses e^w over [w_lo, w_hi]; elsewhere v is the
+    enclosure of e^0 and the caller discards it."""
+    usable = w_hi <= _MAX_PLAIN_EXPONENT
+    with np.errstate(over="ignore", under="ignore"):
+        v_lo = _nudge_down(np.exp(np.where(usable, w_lo, 0.0)))
+        v_hi = _nudge_up(np.exp(np.where(usable, w_hi, 0.0)))
+    return usable, v_lo, v_hi
+
+
+def _exp_box(usable, v_lo, v_hi, s_min, s_max, c_min, c_max) -> dict:
+    """The box of w = e^u over each cell of u, with |e^u| in [v_lo, v_hi]
+    where usable (_exp_range) and the sin and cos of Im u in
+    [s_min, s_max] and [c_min, c_max].
+
+    Returns per-cell arrays by name: "re_lo" and "re_hi", the
+    outward-rounded range of Re w, where the outer sin or cos is taken;
+    "m_lo" and "m_hi", that of |Im w|; and "usable"."""
+    im_lo, im_hi = _interval_prod(v_lo, v_hi, s_min, s_max)
+    re_lo, re_hi = _interval_prod(v_lo, v_hi, c_min, c_max)
+    im_lo = _nudge_down(im_lo)
+    im_hi = _nudge_up(im_hi)
+    return {"usable": usable, "re_lo": _nudge_down(re_lo), "re_hi": _nudge_up(re_hi),
+            "m_lo": np.maximum(0.0, np.maximum(im_lo, -im_hi)),
+            "m_hi": np.maximum(np.abs(im_lo), np.abs(im_hi))}
+
+
+def _log_trig_of_box(box: dict, trig):
+    """Enclosure (log_lo, log_hi) of log|sin w| (trig _SIN) or log|cos w|
+    (_COS) over the box of _exp_box, via |sin w|^2 = sin^2 Re w +
+    sinh^2 Im w and its cos twin; trivial where the box is not usable."""
+    (t_min,), (t_max,) = _interval_trig(box["re_lo"], box["re_hi"], (trig,))
+    s2_min, s2_max = _square_range(t_min, t_max)
+    log_hi = _nudge_up(_log_sqrt_s2_plus_sinh2(np.minimum(s2_max, 1.0), box["m_hi"]))
+    log_lo = _nudge_down(_log_sqrt_s2_plus_sinh2(s2_min, box["m_lo"]))
+    usable = box["usable"]
+    return np.where(usable, log_lo, -np.inf), np.where(usable, log_hi, np.inf)
 
 
 # Mirror symmetries of |f| and |f'|, and so of the sublevel domains the
@@ -540,37 +557,131 @@ MIRROR_AXES: dict[GraphFamily, tuple[str, ...]] = {
 }
 
 
-def bound_abs_f_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
-    """(f_lo, f_hi, fp_lo, fp_hi): log enclosures of |f| and |f'| over
-    each cell, vectorized, from one pass.  For EXP, |f| = |f'| = e^x and
-    the same two arrays are returned for both."""
-    re_lo = np.asarray(re_lo, dtype=float)
-    re_hi = np.asarray(re_hi, dtype=float)
-    im_lo = np.asarray(im_lo, dtype=float)
-    im_hi = np.asarray(im_hi, dtype=float)
+# ---------------------------------------------------------------------------
+# Cell enclosures in two stages over column and row terms
+# ---------------------------------------------------------------------------
+
+def _gather(terms: dict, index, *names):
+    """The named column or row terms at index (one entry per cell), or
+    the terms themselves when index is None (cells given one by one)."""
+    if index is None:
+        return tuple(terms[name] for name in names)
+    return tuple(terms[name].take(index) for name in names)
+
+
+def _axis_terms(lo, hi) -> dict:
+    """The terms every family keeps for intervals [lo, hi] of one axis:
+    the edges "lo" and "hi", and the range of t^2 over each interval,
+    "sq_lo" and "sq_hi"."""
+    sq_lo, sq_hi = _square_range(lo, hi)
+    return {"lo": lo, "hi": hi, "sq_lo": sq_lo, "sq_hi": sq_hi}
+
+
+def _column_terms(family: GraphFamily, lo, hi) -> dict:
+    """What classification and the cell kernel need from the Re edges
+    [lo, hi] of cells, by name, one entry per interval.  Cells that share
+    a column share these bits, so a caller holding cells as (column, row)
+    addresses computes them once per column and lets the kernel gather
+    them per cell.  Beyond _axis_terms, e^z keeps its enclosure, since
+    |f| = |f'| = e^x is bounded by the edges ("e_lo", "e_hi"), and
+    sin(e^z) that of |e^u| = e^x (_exp_range: "usable", "v_lo", "v_hi")."""
+    terms = _axis_terms(lo, hi)
     if family is GraphFamily.EXP:
-        # the cell's Re edges bound e^x
-        shape = np.broadcast(re_lo, im_lo).shape
-        lo = _nudge_down(np.broadcast_to(re_lo, shape))
-        hi = _nudge_up(np.broadcast_to(re_hi, shape))
-        return lo, hi, lo, hi
-    w_log_lo, w_log_hi, a_lo, a_hi = _u_ranges(family, re_lo, re_hi, im_lo, im_hi)
-    (f_lo, c_lo), (f_hi, c_hi) = _bound_trig_of_exp_batch(w_log_lo, w_log_hi, a_lo, a_hi)
+        terms["e_lo"], terms["e_hi"] = _nudge_down(lo), _nudge_up(hi)
+    elif family is GraphFamily.SIN_EXP:
+        terms["usable"], terms["v_lo"], terms["v_hi"] = _exp_range(lo, hi)
+    return terms
+
+
+def _row_terms(family: GraphFamily, lo, hi) -> dict:
+    """_column_terms' twin for the Im edges of cells.  Beyond _axis_terms,
+    sin(e^z) keeps the ranges of sin and cos of Im u = y ("s_min",
+    "s_max", "c_min", "c_max")."""
+    terms = _axis_terms(lo, hi)
+    if family is GraphFamily.SIN_EXP:
+        (terms["s_min"], terms["c_min"]), (terms["s_max"], terms["c_max"]) = (
+            _interval_trig(lo, hi))
+    return terms
+
+
+def _abs_z2_range(cols: dict, rows: dict, col, row):
+    """(dmin2, dmax2): the range of |z|^2 = x^2 + y^2 over each cell."""
+    x2_lo, x2_hi = _gather(cols, col, "sq_lo", "sq_hi")
+    y2_lo, y2_hi = _gather(rows, row, "sq_lo", "sq_hi")
+    with np.errstate(over="ignore"):
+        return x2_lo + y2_lo, x2_hi + y2_hi
+
+
+def _enclose_f(family: GraphFamily, cols: dict, rows: dict, col, row):
+    """Stage 1: (f_lo, f_hi, box), log enclosures of |f| over each cell,
+    and box, the per-cell arrays by name that stage 2 needs to finish |f'|
+    on any subset of the cells.
+
+    Cell i has the column terms at col[i] and the row terms at row[i]
+    (col and row None: cell i has entry i of both).  For EXP, box holds
+    the enclosure of e^x.  Else it is the e^u box (_exp_box), whose outer
+    sin stage 1 takes, and for SIN_EXP_SQ it also holds the range of
+    Re u ("w_lo", "w_hi"), which |f'| = |2z| e^(Re u) |cos e^u| needs.
+    """
+    if family is GraphFamily.EXP:
+        e_lo, e_hi = _gather(cols, col, "e_lo", "e_hi")
+        return e_lo, e_hi, {"e_lo": e_lo, "e_hi": e_hi}
+    if family is GraphFamily.SIN_EXP:
+        box = _exp_box(*_gather(cols, col, "usable", "v_lo", "v_hi"),
+                       *_gather(rows, row, "s_min", "s_max", "c_min", "c_max"))
+        return (*_log_trig_of_box(box, _SIN), box)
+    x_lo, x_hi, x2_lo, x2_hi = _gather(cols, col, "lo", "hi", "sq_lo", "sq_hi")
+    y_lo, y_hi, y2_lo, y2_hi = _gather(rows, row, "lo", "hi", "sq_lo", "sq_hi")
+    # u = z^2: Re u = x^2 - y^2 and Im u = 2xy, exact arithmetic nudged outward
+    w_lo = _nudge_down(x2_lo - y2_hi)
+    w_hi = _nudge_up(x2_hi - y2_lo)
+    p_lo, p_hi = _interval_prod(x_lo, x_hi, y_lo, y_hi)
+    with np.errstate(over="ignore"):
+        a_lo, a_hi = _nudge_down(2.0 * p_lo), _nudge_up(2.0 * p_hi)
+    (s_min, c_min), (s_max, c_max) = _interval_trig(a_lo, a_hi)
+    box = _exp_box(*_exp_range(w_lo, w_hi), s_min, s_max, c_min, c_max)
+    box["w_lo"], box["w_hi"] = w_lo, w_hi
+    return (*_log_trig_of_box(box, _SIN), box)
+
+
+def _enclose_fprime(family: GraphFamily, cols: dict, rows: dict, col, row, box: dict,
+                    sel=None):
+    """Stage 2: (fp_lo, fp_hi), log enclosures of |f'| over the cells sel
+    (an index array into the cells of stage 1, or None for all of them).
+    It takes the outer cos of stage 1's e^u box, so on any subset it
+    returns the bits of bound_abs_f_fprime_batch on those cells."""
+    if sel is not None:
+        box = {name: a.take(sel) for name, a in box.items()}
+        col, row = (sel if a is None else a.take(sel) for a in (col, row))
+    if family is GraphFamily.EXP:
+        return box["e_lo"], box["e_hi"]
+    c_lo, c_hi = _log_trig_of_box(box, _COS)
     if family is GraphFamily.SIN_EXP:
         # |f'| = e^x |cos e^z|: logs add, exponent bounds are the cell edges.
-        return f_lo, f_hi, _nudge_down(re_lo + c_lo), _nudge_up(re_hi + c_hi)
-    dx = np.maximum(0.0, np.maximum(re_lo, -re_hi))
-    dy = np.maximum(0.0, np.maximum(im_lo, -im_hi))
-    dmin2 = dx * dx + dy * dy
-    with np.errstate(over="ignore"):
-        dmax2 = np.maximum(re_lo * re_lo, re_hi * re_hi) + np.maximum(im_lo * im_lo, im_hi * im_hi)
+        x_lo, x_hi = _gather(cols, col, "lo", "hi")
+        return _nudge_down(x_lo + c_lo), _nudge_up(x_hi + c_hi)
+    # |f'| = |2z| e^(Re u) |cos e^u|
+    dmin2, dmax2 = _abs_z2_range(cols, rows, col, row)
     with np.errstate(divide="ignore"):
         log_2z_lo = LOG2 + 0.5 * np.log(dmin2)
         log_2z_hi = LOG2 + 0.5 * np.log(dmax2)
-    lo = _nudge_down(log_2z_lo + w_log_lo + c_lo)
-    hi = _nudge_up(log_2z_hi + w_log_hi + c_hi)
+    lo = _nudge_down(log_2z_lo + box["w_lo"] + c_lo)
+    hi = _nudge_up(log_2z_hi + box["w_hi"] + c_hi)
     # -inf + -inf stays -inf; guard the impossible inversion from rounding.
-    return f_lo, f_hi, np.minimum(lo, hi), hi
+    return np.minimum(lo, hi), hi
+
+
+def bound_abs_f_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
+    """(f_lo, f_hi, fp_lo, fp_hi): log enclosures of |f| and |f'| over
+    each cell, vectorized: both stages of the cell kernel on every cell.
+    For EXP, |f| = |f'| = e^x and the same two arrays are returned for
+    both."""
+    re_lo, re_hi, im_lo, im_hi = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (re_lo, re_hi, im_lo, im_hi)))
+    cols = _column_terms(family, re_lo, re_hi)
+    rows = _row_terms(family, im_lo, im_hi)
+    f_lo, f_hi, box = _enclose_f(family, cols, rows, None, None)
+    return (f_lo, f_hi, *_enclose_fprime(family, cols, rows, None, None, box))
 
 
 def _bound_cell(family: GraphFamily, cell: RectBounds):

@@ -107,6 +107,12 @@ _PROOF_GRID = 8
 # 5-10% faster than 128 on 1000-2000 packets, and 384 no faster.
 _CERTIFY_GROUP = 256
 
+# Most packets one ledger (packets --n lo..hi) may hold, 500 times the
+# benchmark's 2000 packets.  A 2e5-packet interval ledger peaked at
+# 50 MB of resident memory, about 100 bytes per packet; past the budget
+# the ledger would grow memory until the host kills the process.
+_PACKET_BUDGET = 1 << 20
+
 
 class CertifyMethod(Enum):
     INTERVAL_PROOF = "IntervalProof"
@@ -174,10 +180,11 @@ def _layout(family: GraphFamily, n_lo: int, n_hi: int,
     """Centers and radii of packets n_lo..n_hi as float arrays: the one
     place the layout in the module docstring is written.
 
-    Every check on the family, the indices and delta runs before any
-    float array is built.  The logs come from libm, once per packet, and
-    the rest is IEEE-exact numpy arithmetic, so each element equals the
-    scalar formula bit for bit, on any host with the same libm.
+    Every check on the family, the indices, delta and the packet count
+    (against _PACKET_BUDGET) runs before any float array is built.  The
+    logs come from libm, once per packet, and the rest is IEEE-exact
+    numpy arithmetic, so each element equals the scalar formula bit for
+    bit, on any host with the same libm.
     """
     if family is GraphFamily.EXP:
         raise ValueError("e^z has monotone magnitude and no packet structure")
@@ -195,6 +202,10 @@ def _layout(family: GraphFamily, n_lo: int, n_hi: int,
             raise ValueError("sin(e^(z^2)) packets require delta")
         if not (0 < delta <= DELTA_MAX):
             raise ValueError(f"delta must lie in (0, {DELTA_MAX}], got {delta}")
+    if n_hi - n_lo + 1 > _PACKET_BUDGET:
+        raise GuardedResourceError(
+            f"{n_hi - n_lo + 1} packets, over the budget of {_PACKET_BUDGET}; "
+            "shorten the range")
     ns = np.fromiter(map(float, range(n_lo, n_hi + 1)), float)
     log_npi = np.fromiter(map(math.log, (ns * math.pi).tolist()), float, ns.size)
     if family is GraphFamily.SIN_EXP:

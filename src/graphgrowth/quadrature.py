@@ -35,12 +35,34 @@ range still ends at the largest double).  Soundness does not rest on
 those bits: the magnitudes and Omega_r are exactly symmetric, so a sound
 enclosure of a kept cell also encloses its mirror images.
 
-A quadtree level is one (4, n) float array with rows xlo, xhi, ylo, yhi.
-Classification returns an inside mask, an undecided mask (BOUNDARY or
-UNKNOWN) and the log lower bound of |f'|; each mask selects its cells
-with one compress along the cell axis.  The undecided cells split into
-SW, SE, NW, NE blocks, and a child wholly outside the disk |z|^2 <= r^2
-is dropped at the split: it lies outside Omega_r whatever f is, so it
+A quadtree level is a (2, n) intp array of (column, row) cell
+addresses plus two edge tables, (2, m) float arrays of the lo and hi
+edges of each column and each row.  Every cell of one column has the
+same x edges bit for bit, since each edge is the same midpoint of the
+same parent edges, and likewise every cell of one row its y edges.  So
+whatever depends on one coordinate is computed once per column or row
+and gathered per cell: the kernel's column and row terms (the ranges
+of x^2 and y^2, from which classification takes |z|^2; all of e^z's
+enclosure; for sin(e^z), exp of the x edges and the sin and cos ranges
+of Im z), the split's far-child distances, and the cell widths and
+heights.  The boundary samples are the exception: their coordinates are
+built from the gathered edges one chunk of cells at a time, so their
+memory stays bounded by the chunk, not by the tables.  At a split,
+column k splits into columns 2k and 2k+1 of a halved table at the
+midpoint 0.5*(lo + hi) of its edges, the float midpoint of each of its
+cells, so every edge keeps its bits.  A table with more entries
+than there are cells to split is first cut down to the entries they
+use, so a table holds at most two entries per cell split into its
+level, and no address can wrap at any depth.
+
+Classification runs the enclosure kernel's first stage (|f|) on every
+cell and its second stage (|f'|, from the same e^u box) only on the
+proved-inside cells, the only ones whose |f'| is summed.  It returns an
+inside mask, an undecided mask (BOUNDARY or UNKNOWN) and the log lower
+bound of |f'| on the inside cells; each mask selects its cells with one
+compress along the cell axis.  The undecided cells split into SW, SE,
+NW, NE blocks, and a child wholly outside the disk |z|^2 <= r^2 is
+dropped at the split: it lies outside Omega_r whatever f is, so it
 could only be proved OUTSIDE and never counted.  Every undecided parent
 keeps the child holding its nearest point, and the kept cells keep their
 order, so dropping far children changes no count, sum or depth.
@@ -63,8 +85,12 @@ from .families import (
     MIRROR_AXES,
     GraphFamily,
     RectBounds,
+    _abs_z2_range,
+    _column_terms,
+    _enclose_f,
+    _enclose_fprime,
     _nudge_down,
-    bound_abs_f_fprime_batch,
+    _row_terms,
     log_abs_f_fprime_batch,
 )
 
@@ -189,10 +215,13 @@ class AreaEstimate:
             raise ValueError("estimate below certified lower bound")
 
 
-# Cells or points per kernel call.  The kernels are elementwise, so chunks
-# give the same bits as one call, while their temporaries (up to about 40
-# arrays the size of the batch) stay a few megabytes on the deepest levels.
-_KERNEL_CHUNK = 1 << 14
+# Cells per kernel call.  The kernels are elementwise, so chunks give the
+# same bits as one call, while their temporaries (up to about 40 arrays the
+# size of the batch) stay small on the deepest levels.  Twelve area runs at
+# the benchmark's radii and depths (2-vCPU host, numpy 2.4) took 314 ms at
+# 8192 cells against 322 ms at 16384, peaked at 35.3 MB of resident memory
+# against 36.9 MB, and made 21.6k minor page faults against 31.0k.
+_KERNEL_CHUNK = 1 << 13
 
 
 def _dist2(lo, hi):
@@ -201,35 +230,49 @@ def _dist2(lo, hi):
     return d * d
 
 
-def _classify_batch(family: GraphFamily, r: float, cells: np.ndarray):
-    """Classify cells against |z|^2 + |f(z)|^2 <= r^2, vectorized.
+def _decide(cols: dict, rows: dict, col, row, f_lo_log, f_hi_log, r2: float):
+    """(inside, outside): the cells proved in, and proved out of,
+    |z|^2 + |f(z)|^2 <= r2, from the log enclosure of |f| and the range
+    of |z|^2 that the column and row terms give (_abs_z2_range)."""
+    dmin2, dmax2 = _abs_z2_range(cols, rows, col, row)
+    # exp(2*log) is exactly 0 at -inf and inf at +inf
+    with np.errstate(over="ignore"):
+        return (dmax2 + np.exp(2.0 * f_hi_log) <= r2,
+                dmin2 + np.exp(2.0 * f_lo_log) > r2)
 
-    cells is a (4, n) array with rows xlo, xhi, ylo, yhi.  The kernel runs
-    on contiguous slices of _KERNEL_CHUNK cells.  Returns the inside mask,
-    the undecided mask (neither proved inside nor proved outside: the
-    BOUNDARY and UNKNOWN cells) and, from the same enclosure call, the log
-    lower bound of |f'| on each cell.
+
+def _classify_batch(family: GraphFamily, r: float, xs: np.ndarray, ys: np.ndarray,
+                    cells: np.ndarray):
+    """Classify the cells of one level against |z|^2 + |f(z)|^2 <= r^2.
+
+    xs and ys are the level's column and row tables, (2, m) arrays of lo
+    and hi edges, and cells is the (2, n) array of (column, row)
+    addresses.  The kernel's column and row terms, which hold the ranges
+    of x^2 and y^2 too, are computed once per column and row, then
+    gathered per cell.
+    The kernel's first stage (|f|) runs on contiguous slices of
+    _KERNEL_CHUNK cells, its second (|f'|) only on the inside cells of
+    each slice.  Returns the inside mask, the undecided mask (neither
+    proved inside nor proved outside: the BOUNDARY and UNKNOWN cells) and
+    the log lower bound of |f'| on each inside cell, in cell order.
     """
     r2 = r * r
+    cols = _column_terms(family, *xs)
+    rows = _row_terms(family, *ys)
     n = cells.shape[1]
     inside = np.empty(n, dtype=bool)
     undecided = np.empty(n, dtype=bool)
-    fp_lo_log = np.empty(n)
+    fp_lo_log = []
     for start in range(0, n, _KERNEL_CHUNK):
         c = slice(start, start + _KERNEL_CHUNK)
-        xlo, xhi, ylo, yhi = cells[:, c]
-        f_lo_log, f_hi_log, fp_lo_log[c], _ = bound_abs_f_fprime_batch(
-            family, xlo, xhi, ylo, yhi
-        )
-        # exp(2*log) is exactly 0 at -inf and inf at +inf
-        with np.errstate(over="ignore"):
-            dmin2 = _dist2(xlo, xhi) + _dist2(ylo, yhi)
-            dmax2 = np.maximum(xlo * xlo, xhi * xhi) + np.maximum(ylo * ylo, yhi * yhi)
-            ins = dmax2 + np.exp(2.0 * f_hi_log) <= r2
-            out = dmin2 + np.exp(2.0 * f_lo_log) > r2
+        col, row = cells[:, c]
+        f_lo_log, f_hi_log, box = _enclose_f(family, cols, rows, col, row)
+        ins, out = _decide(cols, rows, col, row, f_lo_log, f_hi_log, r2)
         inside[c] = ins
         undecided[c] = ~(ins | out)
-    return inside, undecided, fp_lo_log
+        sel = np.flatnonzero(ins)
+        fp_lo_log.append(_enclose_fprime(family, cols, rows, col, row, box, sel)[0])
+    return inside, undecided, np.concatenate(fp_lo_log) if fp_lo_log else np.empty(0)
 
 
 def classify_cell(domain: SublevelDomain, cell: RectBounds) -> CellClass:
@@ -239,52 +282,94 @@ def classify_cell(domain: SublevelDomain, cell: RectBounds) -> CellClass:
     means the enclosure straddles the threshold, UNKNOWN that the
     enclosure was trivial (magnitudes beyond the representable range).
     """
-    cells = np.array([[cell.re_lo], [cell.re_hi], [cell.im_lo], [cell.im_hi]])
-    inside, undecided, _ = _classify_batch(domain.family, domain.r, cells)
-    if inside[0]:
+    cols = _column_terms(domain.family, np.array([cell.re_lo]), np.array([cell.re_hi]))
+    rows = _row_terms(domain.family, np.array([cell.im_lo]), np.array([cell.im_hi]))
+    f_lo_log, f_hi_log, _ = _enclose_f(domain.family, cols, rows, None, None)
+    ins, out = _decide(cols, rows, None, None, f_lo_log, f_hi_log, domain.r * domain.r)
+    if ins[0]:
         return CellClass.INSIDE
-    if not undecided[0]:
+    if out[0]:
         return CellClass.OUTSIDE
-    f_lo_log, f_hi_log, _, _ = bound_abs_f_fprime_batch(domain.family, *cells)
     if np.isneginf(f_lo_log[0]) and np.isposinf(f_hi_log[0]):
         return CellClass.UNKNOWN
     return CellClass.BOUNDARY
 
 
-def _split4(cells: np.ndarray, r2: float) -> np.ndarray:
-    """Children of each cell that meet the disk |z|^2 <= r2.
+def _compact(table: np.ndarray, index: np.ndarray):
+    """The entries of a (2, m) table that index uses, in order, and index
+    renumbered into them."""
+    used = np.zeros(table.shape[1], dtype=bool)
+    used[index] = True
+    rank = np.cumsum(used) - 1
+    return np.compress(used, table, axis=1), rank.take(index)
 
-    cells is a (4, n) array with rows xlo, xhi, ylo, yhi.  The children are
-    laid out in SW, SE, NW, NE blocks, each in parent order.  A child whose
-    nearest point to the origin lies beyond the disk is dropped before it
-    is written: it is outside Omega_r without an enclosure, so it would
-    never be counted.  A parent that meets the disk keeps the child holding
-    its nearest point, whose distances dx and dy equal the parent's
-    exactly.
+
+def _split4(xs: np.ndarray, ys: np.ndarray, cells: np.ndarray, r2: float):
+    """(xs, ys, cells) of the next level: the children of each cell that
+    meet the disk |z|^2 <= r2.
+
+    A table with more entries than there are cells first keeps only the
+    entries the cells use (_compact).  Then column k, from lo to hi,
+    splits into columns 2k (lo to mid) and 2k+1 (mid to hi) with
+    mid = 0.5*(lo + hi), the bits of a midpoint of the cells' edges; rows
+    likewise.  So the children of cell (c, r) are (2c + i, 2r + j), and a
+    new table holds at most two entries per cell split: every address
+    stays below that, at any depth.  The children are laid out in SW, SE,
+    NW, NE blocks, each in parent order.  A child whose nearest point to
+    the origin lies beyond the disk is dropped before it is written: it
+    is outside Omega_r without an enclosure, so it would never be
+    counted.  A parent that meets the disk keeps the child holding its
+    nearest point, whose distances dx and dy equal the parent's exactly.
     """
-    xlo, xhi, ylo, yhi = cells
-    xm = 0.5 * (xlo + xhi)
-    ym = 0.5 * (ylo + yhi)
-    xs = ((xlo, xm), (xm, xhi))  # west, east
-    ys = ((ylo, ym), (ym, yhi))  # south, north
-    blocks = [(*x, *y) for y in ys for x in xs]
+    col, row = cells
+    if xs.shape[1] > col.size:
+        xs, col = _compact(xs, col)
+    if ys.shape[1] > row.size:
+        ys, row = _compact(ys, row)
+    xs, ys = _halves(xs), _halves(ys)
+    col, row = 2 * col, 2 * row  # the west and south children's addresses
     with np.errstate(over="ignore"):
-        dx2 = [_dist2(*x) for x in xs]
-        dy2 = [_dist2(*y) for y in ys]
-        near = [~(a + b > r2) for b in dy2 for a in dx2]
-    counts = [int(np.count_nonzero(keep)) for keep in near]
-    kids = np.empty((4, sum(counts)))
+        dx2 = _dist2(*xs)
+        dy2 = _dist2(*ys)
+        dx2 = dx2.take(col), dx2[1:].take(col)  # west, east
+        dy2 = dy2.take(row), dy2[1:].take(row)  # south, north
+        near = [(i, j, ~(dx2[i] + dy2[j] > r2)) for j in (0, 1) for i in (0, 1)]
+    counts = [int(np.count_nonzero(keep)) for _, _, keep in near]
+    kids = np.empty((2, sum(counts)), dtype=np.intp)
     start = 0
-    for block, keep, count in zip(blocks, near, counts):
-        for row, edge in zip(kids, block):
-            np.compress(keep, edge, out=row[start:start + count])
-        start += count
-    return kids
+    for (i, j, keep), count in zip(near, counts):
+        stop = start + count
+        np.compress(keep, col, out=kids[0, start:stop])
+        np.compress(keep, row, out=kids[1, start:stop])
+        kids[0, start:stop] += i
+        kids[1, start:stop] += j
+        start = stop
+    return xs, ys, kids
 
 
-def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi, weight: int) -> float:
+def _halves(table: np.ndarray) -> np.ndarray:
+    """The (2, 2m) table of the halves of the intervals of a (2, m) lo/hi
+    table: entry 2k runs from lo to mid and 2k+1 from mid to hi, with
+    mid = 0.5*(lo + hi) of entry k."""
+    lo, hi = table
+    halves = np.empty((2, 2 * lo.size))
+    halves[0, 0::2] = lo
+    halves[1, 1::2] = hi
+    halves[0, 1::2] = halves[1, 0::2] = 0.5 * (lo + hi)
+    return halves
+
+
+def _sizes(xs: np.ndarray, ys: np.ndarray, col, row):
+    """(widths, heights) of the cells at columns col and rows row of the
+    lo/hi tables xs and ys."""
+    with np.errstate(over="ignore"):
+        return (xs[1] - xs[0]).take(col), (ys[1] - ys[0]).take(row)
+
+
+def _inside_lower_sum(fp_lo_log, widths, heights, weight: int) -> float:
     """Certified sum of (1 + |f'|^2) over proved-inside cells, given the
-    log lower bound of |f'| on each, with each cell counted weight times.
+    log lower bound of |f'| and the width and height of each, with each
+    cell counted weight times.
 
     The weight scales each term before the sum: that is exact, and fsum
     is correctly rounded, so the result is the sum over all weight
@@ -296,7 +381,7 @@ def _inside_lower_sum(fp_lo_log, xlo, xhi, ylo, yhi, weight: int) -> float:
     # validation set) or of the five roundings in a term (2.5*2^-52).
     with np.errstate(over="ignore"):
         fp_lo2 = np.maximum(_nudge_down(np.exp(2.0 * fp_lo_log)), 0.0)
-        terms = _nudge_down((xhi - xlo) * (yhi - ylo) * (1.0 + fp_lo2))
+        terms = _nudge_down(widths * heights * (1.0 + fp_lo2))
         return _sum_down(memoryview(weight * terms))
 
 
@@ -317,19 +402,26 @@ def _sum_down(terms) -> float:
 
 
 def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
-                           xlo, xhi, ylo, yhi) -> float:
-    """Midgrid-sampled contribution of unresolved boundary cells."""
+                           xs: np.ndarray, ys: np.ndarray, cells: np.ndarray) -> float:
+    """Midgrid-sampled contribution of unresolved boundary cells, given as
+    (column, row) addresses into the lo/hi tables xs and ys.  The edges
+    of each cell, and from them its k*k sample coordinates, are gathered
+    one chunk of cells at a time, so memory stays bounded by the chunk
+    whatever the size of the tables."""
     k = max(2, int(math.isqrt(cfg.samples_per_cell)))
     frac = (np.arange(k) + 0.5) / k
     fx, fy = np.meshgrid(frac, frac, indexing="ij")
     fx = fx.ravel()[None, :]
     fy = fy.ravel()[None, :]
-    cell_mean = np.empty(xlo.shape)
+    widths = xs[1] - xs[0]
+    heights = ys[1] - ys[0]
+    col, row = cells
+    cell_mean = np.empty(col.size)
     step = max(1, _KERNEL_CHUNK // (k * k))
-    for start in range(0, xlo.size, step):
+    for start in range(0, col.size, step):
         c = slice(start, start + step)
-        px = xlo[c, None] + (xhi[c] - xlo[c])[:, None] * fx
-        py = ylo[c, None] + (yhi[c] - ylo[c])[:, None] * fy
+        px = xs[0].take(col[c])[:, None] + widths.take(col[c])[:, None] * fx
+        py = ys[0].take(row[c])[:, None] + heights.take(row[c])[:, None] * fy
         log_f, log_fp = log_abs_f_fprime_batch(family, px, py)
         with np.errstate(over="ignore"):
             f2 = np.exp(2.0 * log_f)
@@ -337,7 +429,7 @@ def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
             # pointwise membership |z|^2 + |f|^2 <= r^2
             member = px * px + py * py + f2 <= r * r
             cell_mean[c] = np.where(member, 1.0 + fp2, 0.0).mean(axis=1)
-    areas = (xhi - xlo) * (yhi - ylo)
+    areas = widths.take(col) * heights.take(row)
     with np.errstate(over="ignore"):
         return float(np.sum(areas * cell_mean))
 
@@ -364,7 +456,8 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
             f"{_SAMPLE_BUDGET}; lower samples_per_cell"
         )
     half = domain.r + cfg.seed_box_pad
-    cells = np.array([[-half], [half], [-half], [half]])
+    xs = ys = np.array([[-half], [half]])
+    cells = np.zeros((2, 1), dtype=np.intp)
     r2 = domain.r * domain.r
 
     lower_parts: list[float] = []
@@ -376,11 +469,11 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
         if cells.shape[1] == 0:
             break
         depth_reached = depth
-        ins, und, fp_lo_log = _classify_batch(domain.family, domain.r, cells)
-        cells_inside += weight * int(np.count_nonzero(ins))
-        lower_parts.append(_inside_lower_sum(
-            np.compress(ins, fp_lo_log), *np.compress(ins, cells, axis=1), weight
-        ))
+        ins, und, fp_lo_log = _classify_batch(domain.family, domain.r, xs, ys, cells)
+        cells_inside += weight * fp_lo_log.size
+        col, row = np.compress(ins, cells, axis=1)
+        lower_parts.append(_inside_lower_sum(fp_lo_log, *_sizes(xs, ys, col, row),
+                                             weight))
         cells = np.compress(und, cells, axis=1)
         if depth == cfg.max_depth:
             break
@@ -390,26 +483,27 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
                 f"depth {depth + 1} would hold {children} cells, over the "
                 f"budget of {_CELL_BUDGET}; lower max_depth"
             )
-        cells = _split4(cells, r2)
+        xs, ys, cells = _split4(xs, ys, cells, r2)
         if depth == 0:
             axes = MIRROR_AXES[domain.family]
-            lows = {"re": cells[0], "im": cells[2]}
+            lows = {"re": xs[0].take(cells[0]), "im": ys[0].take(cells[1])}
             keep = np.logical_and.reduce([lows[axis] >= 0.0 for axis in axes])
             cells = np.compress(keep, cells, axis=1)
             weight = 2 ** len(axes)
 
     lower = _sum_down(lower_parts)
     # the undecided cells of the last level (none if a level emptied)
-    bx_lo, bx_hi, by_lo, by_hi = cells
-    cells_boundary = weight * int(bx_lo.size)
+    col, row = cells
+    cells_boundary = weight * int(col.size)
+    widths, heights = _sizes(xs, ys, col, row)
     with np.errstate(over="ignore"):
-        leftover_area = weight * float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
+        leftover_area = weight * float(np.sum(widths * heights))
     depth_exceeded = leftover_area > cfg.tol_rel * max(lower, 1e-12)
 
     estimate = None
     if cfg.mode is QuadMode.ESTIMATE:
         estimate = lower + weight * _boundary_estimate_sum(
-            domain.family, domain.r, cfg, *cells
+            domain.family, domain.r, cfg, xs, ys, cells
         )
     return AreaEstimate(
         lower=lower,

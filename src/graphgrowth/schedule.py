@@ -52,6 +52,7 @@ from itertools import repeat
 import numpy as np
 
 from .growth import _least_squares
+from .quadrature import GuardedResourceError
 
 __all__ = [
     "RadiiVariant",
@@ -91,6 +92,13 @@ _OVERFLOW = "radii too large: the stage equations overflow a double"
 
 class InsufficientRowsError(ValueError):
     """Too few feasible rows for the requested trend analysis."""
+
+
+# Most stages one schedule (schedule --N) may hold, 10 times the
+# benchmark's 1e5 stages.  A 1e6-stage schedule peaked at 240 MB of
+# resident memory for --format json (139 MB for csv); past the budget
+# the columns would grow memory until the host kills the process.
+_STAGE_BUDGET = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -269,6 +277,8 @@ def _libm_logs(ks: range) -> np.ndarray:
 def build_schedule(cfg: ScheduleConfig) -> Schedule:
     """Emit stages 1..N as columns; flags record infeasibility, rows are
     never suppressed (the table is an audit log, not a gatekeeper).
+    Raises GuardedResourceError, before anything is allocated, when N is
+    past _STAGE_BUDGET.
 
     The only transcendentals are libm's, once per stage: math.log(n+n0)
     and float(n+n0)**-3, plus math.log(n+2) for the Gaussian factor.
@@ -277,6 +287,9 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     evaluation with solve_sigma and check_hyp2 bit for bit, on any host.
     """
     N, n0 = cfg.N, cfg.n0
+    if N > _STAGE_BUDGET:
+        raise GuardedResourceError(
+            f"N={N} stages, over the budget of {_STAGE_BUDGET}; lower N")
     n = np.arange(1, N + 2)
     ks = range(n0 + 1, n0 + N + 2)
     log_k = _libm_logs(ks)

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from conftest import run_cli
-from graphgrowth import cli, quadrature, svgplot
+from graphgrowth import cli, packets, quadrature, schedule, svgplot
 from graphgrowth import (
     CertifyMethod,
     GraphFamily,
@@ -83,6 +83,24 @@ def test_area_estimate_frozen_rows(family, r, row):
     assert proc.returncode == 0
     assert proc.stdout == ("r,area_lower,area_estimate,source,cells_inside,"
                            "cells_boundary,depth_reached\n" + row + "\n")
+
+
+@pytest.mark.parametrize("family, r, depth, mode, row", [
+    ("sin-exp", "5.85", "13", "estimate",
+     "5.8499999999999996,2275.6857486135882,2893.056683542678,Quadrature,42352,42914,13"),
+    ("sin-exp-sq", "2.673", "13", "estimate",
+     "2.673,959.6380480669452,3569.0075540543276,Quadrature,66848,76004,13"),
+    ("exp", "19.398", "14", "estimate",
+     "19.398,2793.9715883228801,2806.4873398796603,Quadrature,51546,50340,14"),
+    ("sin-exp", "5.951", "14", "lower",
+     "5.9509999999999996,2812.2032998257873,,Quadrature,85976,86678,14"),
+])
+def test_area_frozen_rows_at_benchmark_depths(capsys, family, r, depth, mode, row):
+    # radii and depths of the benchmark's area jobs, where levels hold tens
+    # of thousands of cells and several kernel chunks
+    argv = ["area", "--family", family, "--r", r, "--mode", mode, "--max-depth", depth]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[1] == row
 
 
 def test_area_cap_exit_3():
@@ -172,6 +190,18 @@ def test_area_near_square_overflow_is_quiet(family, row):
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.splitlines()[1] == row
+
+
+@pytest.mark.parametrize("mode,estimate", [("estimate", "0"), ("lower", "")])
+def test_area_huge_pad_split_is_quiet(mode, estimate):
+    # the seed box is [-1e155, 1e155]^2 and more, so the depth-2 children
+    # 5e154 from the origin have squared distances that overflow at the
+    # split; such a child is dropped, and no RuntimeWarning is written
+    proc = run_cli("area", "--family", "exp", "--r", "2", "--pad", "1e155",
+                   "--max-depth", "4", "--mode", mode)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[1] == f"2,0,{estimate},Quadrature,0,4,4"
 
 
 @pytest.mark.parametrize("mode", ["estimate", "lower"])
@@ -265,6 +295,39 @@ def test_packets_huge_n_exit_2(n, message):
     assert proc.stdout == ""
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, module, budget, what", [
+    (["schedule", "--variant", "exp", "--N", "1001"], schedule, "_STAGE_BUDGET",
+     "N=1001 stages"),
+    (["schedule", "--variant", "gaussian", "--N", "1000000000000"], schedule,
+     "_STAGE_BUDGET", "N=1000000000000 stages"),
+    (["packets", "--family", "sin-exp", "--n", "1..1001"], packets, "_PACKET_BUDGET",
+     "1001 packets"),
+    (["packets", "--family", "sin-exp-sq", "--n", "2..1000000000001", "--delta", "0.01"],
+     packets, "_PACKET_BUDGET", "1000000000000 packets"),
+])
+def test_counts_past_budget_exit_3(monkeypatch, capsys, argv, module, budget, what):
+    # refused before anything is allocated; the budgets are made small so
+    # that a count just past one stays cheap, and the huge counts would
+    # need terabytes
+    assert getattr(module, budget) == 1 << 20
+    monkeypatch.setattr(module, budget, 1000)
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("refused: ") and f"{what}, over the budget of 1000" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--variant", "exp", "--N", "1000"],
+    ["packets", "--family", "sin-exp", "--n", "1..1000"],
+])
+def test_counts_at_budget_run(monkeypatch, capsys, argv):
+    monkeypatch.setattr(schedule, "_STAGE_BUDGET", 1000)
+    monkeypatch.setattr(packets, "_PACKET_BUDGET", 1000)
+    assert cli.main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1001
 
 
 def _packets_csv_reference(family, n_lo, n_hi, delta, method, samples):

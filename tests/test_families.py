@@ -27,9 +27,13 @@ from graphgrowth import (
 from graphgrowth.families import (
     LOG2,
     MIRROR_AXES,
+    _column_terms,
+    _enclose_f,
+    _enclose_fprime,
     _log_sqrt_s2_plus_sinh2,
     _nudge_down,
     _nudge_up,
+    _row_terms,
     bound_abs_f_fprime_batch,
     log_abs_f_fprime_batch,
 )
@@ -309,6 +313,37 @@ def test_merged_kernels_are_batch_independent(family):
             mirrored = bound_abs_f_fprime_batch(family, *mirrors[axis](box))
             for a, b in zip(whole, mirrored):
                 assert np.array_equal(_bits(a), _bits(b))
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_stages_on_addressed_cells_match_the_whole_kernel(family):
+    # cells given as (column, row) addresses into edge tables: stage 1 gives
+    # |f| on every cell and stage 2, on a subset, |f'|, each with the bits
+    # of bound_abs_f_fprime_batch on the gathered edges; among the cells are
+    # ones with Re u > 700 and ones whose enclosure is trivial
+    rng = np.random.default_rng(20261019)
+    x = np.concatenate([rng.uniform(-4.0, 4.0, 150), rng.uniform(690.0, 720.0, 30),
+                        _log_uniform_coords(rng, 60)])
+    y = np.concatenate([rng.uniform(-4.0, 4.0, 150), rng.uniform(-3.0, 3.0, 30),
+                        _log_uniform_coords(rng, 40)])
+    w = 10.0 ** rng.uniform(-6.0, 0.5, x.size)
+    h = 10.0 ** rng.uniform(-6.0, 0.5, y.size)
+    xs, ys = np.array([x - w, x + w]), np.array([y - h, y + h])
+    n = 3001
+    col = rng.integers(0, x.size, n)
+    row = np.where(col < 180, rng.integers(0, 180, n), rng.integers(0, y.size, n))
+    whole = bound_abs_f_fprime_batch(family, xs[0][col], xs[1][col], ys[0][row], ys[1][row])
+    cols, rows = _column_terms(family, *xs), _row_terms(family, *ys)
+    f_lo, f_hi, box = _enclose_f(family, cols, rows, col, row)
+    sel = np.flatnonzero(rng.uniform(size=n) < 0.3)
+    fp_lo, fp_hi = _enclose_fprime(family, cols, rows, col, row, box, sel)
+    for got, want in zip((f_lo, f_hi, fp_lo, fp_hi),
+                         (whole[0], whole[1], whole[2][sel], whole[3][sel])):
+        assert np.array_equal(_bits(got), _bits(want))
+    if family is not GraphFamily.EXP:
+        trivial = np.isneginf(f_lo) & np.isposinf(f_hi)
+        assert np.count_nonzero(trivial[sel]) > 20
+        assert np.count_nonzero(np.isfinite(fp_lo)) > 200
 
 
 # ---------------------------------------------------------------------------

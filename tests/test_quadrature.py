@@ -25,7 +25,12 @@ from graphgrowth import (
     graph_area,
 )
 from graphgrowth import quadrature
-from graphgrowth.families import bound_abs_f_fprime_batch, log_abs_f_fprime_batch
+from graphgrowth.families import (
+    MIRROR_AXES,
+    _enclose_f,
+    bound_abs_f_fprime_batch,
+    log_abs_f_fprime_batch,
+)
 from graphgrowth.quadrature import (
     RADIUS_CAPS,
     _boundary_estimate_sum,
@@ -72,6 +77,29 @@ def test_classify_overflow_cell_unknown():
     dom = SublevelDomain(GraphFamily.SIN_EXP, 8.0)
     cell = RectBounds(720.0, 721.0, 0.0, 1.0)
     assert classify_cell(dom, cell) in (CellClass.OUTSIDE, CellClass.UNKNOWN)
+
+
+def test_classify_cell_makes_one_kernel_call(monkeypatch):
+    # one call of the kernel's first stage (|f|) classifies the cell, and
+    # the UNKNOWN check reads the same enclosure; |f'| is never needed
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _enclose_f(*args)
+
+    def no_fprime(*args):
+        raise AssertionError("finished |f'| for one cell")
+
+    monkeypatch.setattr(quadrature, "_enclose_f", counted)
+    monkeypatch.setattr(quadrature, "_enclose_fprime", no_fprime)
+    for r, cell, want in ((800.0, RectBounds(720.0, 721.0, 0.0, 1.0), CellClass.UNKNOWN),
+                          (2.0, RectBounds(0.5, 0.8, -0.1, 0.1), CellClass.BOUNDARY),
+                          (3.0, RectBounds(0.0, 0.1, 0.0, 0.1), CellClass.INSIDE)):
+        family = GraphFamily.EXP if want is CellClass.BOUNDARY else GraphFamily.SIN_EXP
+        calls.clear()
+        assert classify_cell(SublevelDomain(family, r), cell) is want
+        assert len(calls) == 1
 
 
 def test_classify_near_trivial_cell_is_exactly_unknown():
@@ -272,7 +300,8 @@ def _whole_box_area(domain, cfg):
         ins = codes == _INSIDE
         und = (codes == _BOUNDARY) | (codes == _UNKNOWN)
         cells_inside += int(np.count_nonzero(ins))
-        parts.append(_inside_lower_sum(fp_lo_log[ins], xlo[ins], xhi[ins], ylo[ins], yhi[ins], 1))
+        parts.append(_inside_lower_sum(fp_lo_log[ins], xhi[ins] - xlo[ins],
+                                       yhi[ins] - ylo[ins], 1))
         if depth == cfg.max_depth:
             final_b = (xlo[und], xhi[und], ylo[und], yhi[und])
             break
@@ -282,7 +311,11 @@ def _whole_box_area(domain, cfg):
     leftover_area = float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
     estimate = None
     if cfg.mode is QuadMode.ESTIMATE:
-        estimate = lower + _boundary_estimate_sum(domain.family, domain.r, cfg, *final_b)
+        # one column and one row per cell
+        cells = np.stack([np.arange(bx_lo.size)] * 2)
+        estimate = lower + _boundary_estimate_sum(
+            domain.family, domain.r, cfg, np.array([bx_lo, bx_hi]),
+            np.array([by_lo, by_hi]), cells)
     return AreaEstimate(
         lower=lower,
         estimate=estimate,
@@ -293,25 +326,91 @@ def _whole_box_area(domain, cfg):
     )
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+def _edges(xs, ys, cells):
+    """(4, n) float edges xlo, xhi, ylo, yhi of cells given as addresses."""
+    col, row = cells
+    return np.array([xs[0][col], xs[1][col], ys[0][row], ys[1][row]])
+
+
+def _near(xlo, xhi, ylo, yhi, r2):
+    dx = np.maximum(0.0, np.maximum(xlo, -xhi))
+    dy = np.maximum(0.0, np.maximum(ylo, -yhi))
+    return dx * dx + dy * dy <= r2
+
+
 def test_split_drops_exactly_the_far_children(rng):
-    # the kept children are the reference children whose nearest point
-    # lies in the disk, in the same order; cells straddling an axis, on
-    # it and off it, near and far
-    xlo = rng.uniform(-3.0, 3.0, 500)
-    ylo = rng.uniform(-3.0, 3.0, 500)
-    xlo[:50] = 0.0
-    ylo[50:100] = -1.0
-    cells = np.array([xlo, xlo + rng.uniform(0.0, 2.0, 500),
-                      ylo, ylo + rng.uniform(0.0, 2.0, 500)])
+    # the kept children are the reference children whose nearest point lies
+    # in the disk, in the same order, and their edges, read from the halved
+    # tables, are the reference float midpoints bit for bit; the cells share
+    # columns and rows (20 cells use fewer than the tables hold, so the
+    # tables are compacted first), straddle an axis, lie on it and off it,
+    # near and far
+    xlo = rng.uniform(-3.0, 3.0, 60)
+    ylo = rng.uniform(-3.0, 3.0, 50)
+    xlo[:5] = 0.0
+    ylo[5:10] = -1.0
+    xs = np.array([xlo, xlo + rng.uniform(0.0, 2.0, 60)])
+    ys = np.array([ylo, ylo + rng.uniform(0.0, 2.0, 50)])
     r2 = 4.0
-    ref = np.array(_reference_split4(*cells))
-    dx = np.maximum(0.0, np.maximum(ref[0], -ref[1]))
-    dy = np.maximum(0.0, np.maximum(ref[2], -ref[3]))
-    near = dx * dx + dy * dy <= r2
-    assert 0 < np.count_nonzero(near) < near.size
-    got = _split4(cells, r2)
-    assert got.shape == (4, np.count_nonzero(near))
-    assert np.array_equal(got, ref[:, near])
+    for n_cells in (500, 20):
+        cells = np.array([rng.integers(0, 60, n_cells), rng.integers(0, 50, n_cells)])
+        ref = np.array(_reference_split4(*_edges(xs, ys, cells)))
+        near = _near(*ref, r2)
+        assert 0 < np.count_nonzero(near) < near.size
+        kid_xs, kid_ys, kids = _split4(xs, ys, cells, r2)
+        assert kids.dtype == np.intp and kids.shape == (2, np.count_nonzero(near))
+        assert np.array_equal(_bits(_edges(kid_xs, kid_ys, kids)), _bits(ref[:, near]))
+        assert kid_xs.shape[1] <= 2 * min(60, n_cells)
+        assert kid_ys.shape[1] <= 2 * min(50, n_cells)
+
+
+@pytest.mark.parametrize("family", list(GraphFamily))
+def test_level_tables_match_float_midpoints(family, monkeypatch):
+    # with every cell left undecided, each level's cells, read from its
+    # column and row tables, are the float quadtree's bit for bit: all four
+    # children of each cell by _reference_split4, far ones dropped, and
+    # after depth 0 only the fundamental region of the mirror symmetry; no
+    # table holds more than twice its level's cells
+    seen = []
+
+    def undecided(family, r, xs, ys, cells):
+        seen.append((xs, ys, cells))
+        n = cells.shape[1]
+        return np.zeros(n, dtype=bool), np.ones(n, dtype=bool), np.empty(0)
+
+    monkeypatch.setattr(quadrature, "_classify_batch", undecided)
+    graph_area(SublevelDomain(family, 2.0), lower_cfg(depth=7))
+    assert len(seen) == 8
+    ref = np.array([[-2.5], [2.5], [-2.5], [2.5]])
+    for depth, (xs, ys, cells) in enumerate(seen):
+        assert cells.dtype == np.intp
+        assert xs.shape[1] <= 2 * cells.shape[1] and ys.shape[1] <= 2 * cells.shape[1]
+        assert np.array_equal(_bits(_edges(xs, ys, cells)), _bits(ref))
+        ref = np.array(_reference_split4(*ref))
+        ref = ref[:, _near(*ref, 4.0)]
+        if depth == 0:
+            lows = {"re": ref[0], "im": ref[2]}
+            ref = ref[:, np.logical_and.reduce([lows[a] >= 0.0 for a in MIRROR_AXES[family]])]
+
+
+def test_addresses_stay_small_at_any_depth():
+    # four cells meet at the origin at every depth (r2 = 0 keeps just the
+    # children touching it); numbered in full tables, their columns would
+    # pass 2^63 at depth 64, but the tables keep only what the cells use
+    xs = ys = np.array([[-1.0], [1.0]])
+    cells = np.zeros((2, 1), dtype=np.intp)
+    ref = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+    for _ in range(200):
+        xs, ys, cells = _split4(xs, ys, cells, 0.0)
+        ref = np.array(_reference_split4(*ref))
+        ref = ref[:, _near(*ref, 0.0)]
+        assert cells.shape == (2, 4) and xs.shape[1] <= 8 and ys.shape[1] <= 8
+        assert np.array_equal(_bits(_edges(xs, ys, cells)), _bits(ref))
+    assert ref[1].max() == 2.0 ** -199
 
 
 @pytest.mark.parametrize("mode", list(QuadMode))
@@ -386,9 +485,9 @@ def test_cell_budget_refuses_the_split_past_it(monkeypatch):
     domain = SublevelDomain(GraphFamily.EXP, 2.0)
     levels = []
 
-    def split4(cells, r2):
+    def split4(xs, ys, cells, r2):
         levels.append(4 * cells.shape[1])
-        return _split4(cells, r2)
+        return _split4(xs, ys, cells, r2)
 
     monkeypatch.setattr(quadrature, "_split4", split4)
     whole = graph_area(domain, lower_cfg(depth=8))
@@ -415,6 +514,27 @@ def test_sample_budget_refuses_before_the_quadtree(monkeypatch):
     monkeypatch.setattr(quadrature, "_classify_batch", no_classify)
     with pytest.raises(GuardedResourceError, match="samples per cell, over the budget"):
         graph_area(domain, estimate_cfg(depth=3, samples_per_cell=count))
+
+
+def test_estimate_samples_stay_within_one_chunk():
+    # the sample coordinates are built per chunk of cells, never for every
+    # column and row of the last level at once: at 2^14 samples per cell
+    # (one cell per chunk) the last level of e^z at r = 2, depth 8, has
+    # hundreds of boundary cells over about a hundred columns and rows,
+    # yet the peak stays a few arrays of one cell's samples
+    import tracemalloc
+
+    spc = 1 << 14
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        res = graph_area(SublevelDomain(GraphFamily.EXP, 2.0),
+                         estimate_cfg(depth=8, samples_per_cell=spc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.cells_boundary > 500
+    assert peak < 32 * spc * 8
 
 
 def test_cap_override():
