@@ -274,23 +274,21 @@ def _generate_samples(args: argparse.Namespace) -> list[GrowthSample]:
     family = GraphFamily.parse(args.family)
     radii = _parse_reals(args.r)
     if family is GraphFamily.EXP:
-        cfg = QuadConfig(mode=QuadMode.ESTIMATE, max_depth=args.max_depth)
-        samples = []
-        for r in radii:
-            result = graph_area(SublevelDomain(family, r), cfg,
-                                allow_large_r=args.allow_large_r)
-            samples.append(GrowthSample(
+        # the fit and the witness read area_lower alone
+        cfg = QuadConfig(mode=QuadMode.LOWER_BOUND, max_depth=args.max_depth)
+        return [
+            GrowthSample(
                 r=r,
-                area_lower=result.lower,
-                area_estimate=result.estimate,
+                area_lower=graph_area(SublevelDomain(family, r), cfg,
+                                      allow_large_r=args.allow_large_r).lower,
                 source=SampleSource.QUADRATURE,
-            ))
-        return samples
+            )
+            for r in radii
+        ]
     return [
         GrowthSample(
             r=r,
             area_lower=packet_growth_lower_bound(family, r, args.delta),
-            area_estimate=None,
             source=SampleSource.PACKETS,
         )
         for r in radii

@@ -30,8 +30,8 @@ witness_constants then turns a fit into a checked inequality
 
 (m(r) = log r, r or r^2 according to the model) by fixing C at the
 fitted intercept
-and searching the largest c on a fixed granularity grid for which the
-inequality holds at every sample beyond some r0.
+and searching the largest c on the grid of multiples of _WITNESS_STEP =
+1e-3 for which the inequality holds at every sample beyond some r0.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ __all__ = [
 ]
 
 MIN_SAMPLES = 4
+
+# Grid step of the witness rate c in witness_constants
+_WITNESS_STEP = 1e-3
 
 
 class GrowthModel(Enum):
@@ -265,12 +268,11 @@ def classify_growth(samples: Sequence[GrowthSample],
 
 
 def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
-                      granularity: float = 1e-3,
                       use_estimate: bool = False) -> tuple[float, float]:
     """Largest grid rate c (and earliest onset r0) with a verified bound.
 
     Fixes C = exp(fitted log_intercept) and returns (c, r0) where c is
-    the largest positive multiple of granularity such that
+    the largest positive multiple of _WITNESS_STEP = 1e-3 such that
 
         area(r) >= C * exp(c * m(r))   for every sample with r >= r0,
 
@@ -279,8 +281,6 @@ def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
     Raises NoWitnessError when no positive grid rate works even from the
     last sample onward.
     """
-    if not (granularity > 0):
-        raise ValueError("granularity must be positive")
     fit, rs, m, y = _fit(samples, model, use_estimate)
     log_c_const = fit.log_intercept
     m, y = np.array(m), np.array(y)
@@ -293,17 +293,17 @@ def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
     for i in range(len(rs)):
         mi = m[i:]
         yi = y[i:]
-        # largest k with all(yi >= log_c_const + k*granularity*mi):
+        # largest k with all(yi >= log_c_const + k*_WITNESS_STEP*mi):
         # the slack (yi - log_c_const)/mi caps k pointwise.
         caps = (yi - log_c_const) / mi
-        k = int(math.floor(float(np.min(caps)) / granularity))
+        k = int(math.floor(float(np.min(caps)) / _WITNESS_STEP))
         if k < 1:
             continue
         # re-verify (floor can sit exactly on the boundary)
-        while k >= 1 and not np.all(yi >= log_c_const + k * granularity * mi):
+        while k >= 1 and not np.all(yi >= log_c_const + k * _WITNESS_STEP * mi):
             k -= 1
         if k >= 1:
-            return (k * granularity, rs[i])
+            return (k * _WITNESS_STEP, rs[i])
     raise NoWitnessError(
-        f"no positive witness rate at granularity {granularity} for {model.value}"
+        f"no positive witness rate at step {_WITNESS_STEP} for {model.value}"
     )

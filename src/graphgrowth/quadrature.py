@@ -8,14 +8,16 @@ equals the integral of 1 + |f'(z)|^2 over Omega_r.  Omega_r is the part
 of the parameter plane whose graph points lie in the centered ball of
 radius r, so this integral is exactly the graph area inside that ball.
 
-The engine subdivides a seed box quadtree-style.  Each cell is classified
-with rigorous magnitude enclosures: INSIDE and OUTSIDE are proved, and
-everything else is refined until max_depth.  In LOWER_BOUND mode only
-proved-inside cells contribute, each with the certified cell-wise lower
-bound of the integrand, so the result is a true lower bound for the
-graph area.  ESTIMATE mode additionally samples the unresolved boundary
-cells on a fixed centered subgrid, giving a convergent point estimate
-that still never counts anything outside the proved-or-sampled region.
+The engine subdivides the seed box [-h, h]^2, h = r + seed_box_pad,
+quadtree-style; an h above half the largest double is refused, so every
+cell width is finite.  Each cell is classified with rigorous magnitude
+enclosures: INSIDE and OUTSIDE are proved, and everything else is
+refined until max_depth.  In LOWER_BOUND mode only proved-inside cells
+contribute, each with the certified cell-wise lower bound of the
+integrand, so the result is a true lower bound for the graph area.
+ESTIMATE mode additionally samples the unresolved boundary cells on a
+fixed centered subgrid, giving a convergent point estimate that still
+never counts anything outside the proved-or-sampled region.
 
 Only one fundamental region of the domain's mirror symmetry is
 subdivided.  |f| and |f'| are even in Im z for every family, and in Re z
@@ -26,10 +28,10 @@ only those with Im z >= 0 are kept, and also Re z >= 0 when both axes
 apply.  Each kept cell stands for itself and its mirror images, so
 everything summed over the kept cells carries the weight w = 2 (upper
 half plane) or w = 4 (first quadrant): the inside terms, the cell
-counts, the leftover boundary area and the sampled boundary sum.  The
-inside terms are multiplied by w before their correctly rounded sum, and
-multiplying by 2 or 4 is exact, so every per-depth part and the lower
-bound equal the whole-domain sums bit for bit whenever the enclosure
+counts and the sampled boundary sum.  The inside terms are multiplied
+by w before their correctly rounded sum, and multiplying by 2 or 4 is
+exact, so every per-depth part and the lower bound equal the
+whole-domain sums bit for bit whenever the enclosure
 kernels return the same bits on mirrored cells (a sum past the double
 range still ends at the largest double).  Soundness does not rest on
 those bits: the magnitudes and Omega_r are exactly symmetric, so a sound
@@ -172,15 +174,12 @@ class SublevelDomain:
 class QuadConfig:
     mode: QuadMode = QuadMode.LOWER_BOUND
     max_depth: int = 12
-    tol_rel: float = 1e-3
     seed_box_pad: float = 0.5
     samples_per_cell: int = 4
 
     def __post_init__(self) -> None:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
-        if not (self.tol_rel > 0):
-            raise ValueError("tol_rel must be > 0")
         if not 0 <= self.seed_box_pad < math.inf:
             raise ValueError(f"seed_box_pad must be finite and >= 0, not {self.seed_box_pad}")
         if self.samples_per_cell < 4:
@@ -196,9 +195,6 @@ class AreaEstimate:
     cells_inside and cells_boundary count cells of the whole domain,
     mirror images included, although only one fundamental region is
     subdivided.
-    depth_exceeded flags that the unresolved boundary area still exceeds
-    tol_rel relative to the result when max_depth was reached (a warning,
-    not a failure).
     """
 
     lower: float
@@ -206,7 +202,6 @@ class AreaEstimate:
     cells_inside: int
     cells_boundary: int
     depth_reached: int
-    depth_exceeded: bool
 
     def __post_init__(self) -> None:
         if self.lower < 0 or self.cells_inside < 0 or self.cells_boundary < 0:
@@ -359,13 +354,6 @@ def _halves(table: np.ndarray) -> np.ndarray:
     return halves
 
 
-def _sizes(xs: np.ndarray, ys: np.ndarray, col, row):
-    """(widths, heights) of the cells at columns col and rows row of the
-    lo/hi tables xs and ys."""
-    with np.errstate(over="ignore"):
-        return (xs[1] - xs[0]).take(col), (ys[1] - ys[0]).take(row)
-
-
 def _inside_lower_sum(fp_lo_log, widths, heights, weight: int) -> float:
     """Certified sum of (1 + |f'|^2) over proved-inside cells, given the
     log lower bound of |f'| and the width and height of each, with each
@@ -429,9 +417,10 @@ def _boundary_estimate_sum(family: GraphFamily, r: float, cfg: QuadConfig,
             # pointwise membership |z|^2 + |f|^2 <= r^2
             member = px * px + py * py + f2 <= r * r
             cell_mean[c] = np.where(member, 1.0 + fp2, 0.0).mean(axis=1)
-    areas = widths.take(col) * heights.take(row)
-    with np.errstate(over="ignore"):
-        return float(np.sum(areas * cell_mean))
+    # a cell with no member sample adds 0, even when its area overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = widths.take(col) * heights.take(row)
+        return float(np.sum(np.where(cell_mean == 0.0, 0.0, areas * cell_mean)))
 
 
 def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
@@ -442,6 +431,7 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
     allow_large_r is not set, and GuardedResourceError before a split
     whose level would hold more than _CELL_BUDGET cells, or at once when
     ESTIMATE mode asks for more than _SAMPLE_BUDGET samples per cell.
+    Raises ValueError when r + seed_box_pad passes half the largest double.
     """
     cfg = cfg or QuadConfig()
     cap = RADIUS_CAPS[domain.family]
@@ -456,6 +446,9 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
             f"{_SAMPLE_BUDGET}; lower samples_per_cell"
         )
     half = domain.r + cfg.seed_box_pad
+    if half > sys.float_info.max / 2:
+        raise ValueError(f"seed box half-width r + pad = {half} is over half "
+                         "the largest double")
     xs = ys = np.array([[-half], [half]])
     cells = np.zeros((2, 1), dtype=np.intp)
     r2 = domain.r * domain.r
@@ -472,8 +465,8 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
         ins, und, fp_lo_log = _classify_batch(domain.family, domain.r, xs, ys, cells)
         cells_inside += weight * fp_lo_log.size
         col, row = np.compress(ins, cells, axis=1)
-        lower_parts.append(_inside_lower_sum(fp_lo_log, *_sizes(xs, ys, col, row),
-                                             weight))
+        lower_parts.append(_inside_lower_sum(fp_lo_log, (xs[1] - xs[0]).take(col),
+                                             (ys[1] - ys[0]).take(row), weight))
         cells = np.compress(und, cells, axis=1)
         if depth == cfg.max_depth:
             break
@@ -493,12 +486,7 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
 
     lower = _sum_down(lower_parts)
     # the undecided cells of the last level (none if a level emptied)
-    col, row = cells
-    cells_boundary = weight * int(col.size)
-    widths, heights = _sizes(xs, ys, col, row)
-    with np.errstate(over="ignore"):
-        leftover_area = weight * float(np.sum(widths * heights))
-    depth_exceeded = leftover_area > cfg.tol_rel * max(lower, 1e-12)
+    cells_boundary = weight * cells.shape[1]
 
     estimate = None
     if cfg.mode is QuadMode.ESTIMATE:
@@ -511,7 +499,6 @@ def graph_area(domain: SublevelDomain, cfg: QuadConfig | None = None,
         cells_inside=cells_inside,
         cells_boundary=cells_boundary,
         depth_reached=depth_reached,
-        depth_exceeded=depth_exceeded,
     )
 
 

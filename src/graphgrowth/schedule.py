@@ -121,6 +121,10 @@ class ScheduleConfig:
             raise ValueError("d must be > 0")
         if not (self.theta > 0):
             raise ValueError("theta must be > 0")
+        if self.variant is RadiiVariant.EXP_RADII and self.d != 1.0:
+            raise ValueError("d applies only to the Gaussian radii")
+        if self.variant is RadiiVariant.GAUSSIAN_RADII and self.theta != 1.0:
+            raise ValueError("theta applies only to the exp radii")
         if not (self.a0 > 0):
             raise ValueError("a0 must be > 0")
 
@@ -404,14 +408,18 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
     )
 
 
+# Fewest feasible rows completeness_trend fits a power law to
+_TREND_ROWS = 20
+
+
 def completeness_trend(rows: Sequence[ScheduleRow],
-                       cfg: ScheduleConfig | None = None,
-                       min_rows: int = 20) -> tuple[float, bool]:
+                       cfg: ScheduleConfig | None = None) -> tuple[float, bool]:
     """Power-law exponent of sigma against the stage index.
 
     Fits log(sigma) = p*log(stage) + const by least squares and reports
     (p, p > -1): exponents above -1 mean the sigma series diverges,
     the evidence needed for completeness of the limiting surface.
+    Raises InsufficientRowsError below _TREND_ROWS feasible rows.
 
     The stage index is n + n0 when cfg is given: row numbering restarts
     at 1 for every schedule, but the construction's own stage counter is
@@ -425,9 +433,9 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     schedule = _as_schedule(rows)
     keep = schedule.sigma_feasible & (schedule.sigma > 0)
     count = int(np.count_nonzero(keep))
-    if count < min_rows:
+    if count < _TREND_ROWS:
         raise InsufficientRowsError(
-            f"need at least {min_rows} feasible rows, got {count}"
+            f"need at least {_TREND_ROWS} feasible rows, got {count}"
         )
     offset = cfg.n0 if cfg is not None else 0
     x = np.fromiter(map(math.log, map(offset.__add__, schedule.n[keep].tolist())),

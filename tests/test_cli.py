@@ -204,6 +204,49 @@ def test_area_huge_pad_split_is_quiet(mode, estimate):
     assert proc.stdout.splitlines()[1] == f"2,0,{estimate},Quadrature,0,4,4"
 
 
+def test_area_overflowing_cell_areas_are_quiet():
+    # the boundary cells' areas (about 1e599) overflow; none holds a
+    # member sample, so each adds 0 to the estimate rather than inf * 0
+    proc = run_cli("area", "--family", "exp", "--r", "2", "--pad", "1e300",
+                   "--max-depth", "4")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[1] == "2,0,0,Quadrature,0,4,4"
+
+
+@pytest.mark.parametrize("pad, half", [
+    ("1e308", "1e+308"),
+    ("1.7976931348623157e308", "1.7976931348623157e+308"),
+])
+def test_area_seed_box_past_half_the_double_range_exit_2(pad, half):
+    # refused before any cell is built, so every cell width stays finite
+    proc = run_cli("area", "--family", "exp", "--r", "2", "--pad", pad,
+                   "--max-depth", "4")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: seed box half-width r + pad = {half} is over "
+                           "half the largest double\n")
+
+
+@pytest.mark.parametrize("mode", ["lower", "estimate"])
+@pytest.mark.parametrize("family", ["exp", "sin-exp", "sin-exp-sq"])
+def test_area_edge_table(capsys, family, mode):
+    # radii and pads at the edges of the double range; pyproject turns any
+    # numpy RuntimeWarning into an error, so each run must also be quiet
+    for r in ("5e-324", "2", "1e200", "1e300"):
+        for pad in ("0", "1e155", "1e300", "1e308", "1.7976931348623157e308"):
+            argv = ["area", "--family", family, "--r", r, "--pad", pad, "--mode", mode,
+                    "--max-depth", "4", "--allow-large-r"]
+            code = cli.main(argv)
+            out, err = capsys.readouterr()
+            assert code in (0, 2, 3), argv
+            if code == 0:
+                assert err == "", argv
+                assert "nan" not in out.splitlines()[1].split(","), argv
+            else:
+                assert out == "" and "Traceback" not in err, argv
+
+
 @pytest.mark.parametrize("mode", ["estimate", "lower"])
 def test_area_csv_blocks_match_field_formatting(monkeypatch, capsys, mode):
     # nine radii in blocks of 7 rows; the reference formats each field alone
@@ -419,10 +462,22 @@ def test_growth_exp_quadrature_polynomial():
     proc = run_cli("growth", "--family", "exp", "--r", "2,2.5,3,3.5,4,4.5,5",
                    "--max-depth", "11")
     assert proc.returncode == 0
-    d = json.loads(proc.stdout)
-    assert d["model"] == "polynomial"
-    assert d["rate"] == 2.2628880554334927
-    assert d["c_witness"] == 2.2389999999999999
+    assert proc.stdout == (
+        '{"model": "polynomial", "rate": 2.2628880554334927, '
+        '"log_intercept": 0.83128174593042226, "residual_rms": 0.025376351894545478, '
+        '"c_witness": 2.2389999999999999, "r0_witness": 2}\n')
+
+
+def test_growth_exp_samples_no_boundary(monkeypatch, capsys):
+    # the fit and the witness read only the certified lower bounds, so the
+    # quadrature runs in lower-bound mode and never samples a boundary cell
+    def fail(*args, **kwargs):
+        raise AssertionError("growth sampled the boundary cells")
+
+    monkeypatch.setattr(quadrature, "_boundary_estimate_sum", fail)
+    argv = ["growth", "--family", "exp", "--r", "2,3,4,5", "--max-depth", "8"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["model"] == "polynomial"
 
 
 def test_growth_forced_gaussian_model():
@@ -812,6 +867,18 @@ def test_schedule_beyond_double_range_exit_2(args):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("variant, args", [
+    ("gaussian", ("--theta", "5")),
+    ("exp", ("--d", "2")),
+])
+def test_schedule_other_variants_parameter_exit_2(variant, args):
+    # theta scales only the exp radii and d only the Gaussian radii
+    proc = run_cli("schedule", "--variant", variant, "--N", "3", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_plot_bad_mode_exit_2(tmp_path):
     src = tmp_path / "c.csv"
     src.write_text("r,area_lower\n1,2\n2,3\n")
@@ -886,7 +953,7 @@ def test_format_command_compatibility(args):
 
 
 def test_area_tol_rel_is_unknown():
-    # the flag fed only depth_exceeded, which no output prints
+    # the flag and the tolerance it fed are gone
     proc = run_cli("area", "--family", "exp", "--r", "2", "--max-depth", "4",
                    "--tol-rel", "5")
     assert proc.returncode == 2

@@ -308,7 +308,6 @@ def _whole_box_area(domain, cfg):
         xlo, xhi, ylo, yhi = _reference_split4(xlo[und], xhi[und], ylo[und], yhi[und])
     lower = _sum_down(parts)
     bx_lo, bx_hi, by_lo, by_hi = final_b
-    leftover_area = float(np.sum((bx_hi - bx_lo) * (by_hi - by_lo)))
     estimate = None
     if cfg.mode is QuadMode.ESTIMATE:
         # one column and one row per cell
@@ -322,7 +321,6 @@ def _whole_box_area(domain, cfg):
         cells_inside=cells_inside,
         cells_boundary=int(bx_lo.size),
         depth_reached=depth_reached,
-        depth_exceeded=leftover_area > cfg.tol_rel * max(lower, 1e-12),
     )
 
 
@@ -438,7 +436,6 @@ def test_fundamental_region_matches_whole_box(family, r, extra, mode):
     assert got.cells_inside == ref.cells_inside
     assert got.cells_boundary == ref.cells_boundary
     assert got.depth_reached == ref.depth_reached
-    assert got.depth_exceeded == ref.depth_exceeded
     if mode is QuadMode.ESTIMATE:
         assert got.estimate == pytest.approx(ref.estimate, rel=1e-12, abs=0.0)
     else:
@@ -581,8 +578,6 @@ def test_quad_config_validation():
     with pytest.raises(ValueError):
         QuadConfig(max_depth=0)
     with pytest.raises(ValueError):
-        QuadConfig(tol_rel=0.0)
-    with pytest.raises(ValueError):
         QuadConfig(samples_per_cell=3)
 
 
@@ -596,13 +591,7 @@ def test_domain_validation():
 def test_area_estimate_validation():
     with pytest.raises(ValueError):
         AreaEstimate(lower=2.0, estimate=1.0, cells_inside=0,
-                     cells_boundary=0, depth_reached=0, depth_exceeded=False)
+                     cells_boundary=0, depth_reached=0)
     with pytest.raises(ValueError):
         AreaEstimate(lower=-1.0, estimate=None, cells_inside=0,
-                     cells_boundary=0, depth_reached=0, depth_exceeded=False)
-
-
-def test_depth_exceeded_flag():
-    res = graph_area(SublevelDomain(GraphFamily.SIN_EXP, 3.0), lower_cfg(depth=4))
-    assert res.depth_exceeded
-    assert res.depth_reached <= 4
+                     cells_boundary=0, depth_reached=0)

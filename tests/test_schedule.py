@@ -336,6 +336,17 @@ def test_config_validation():
         ScheduleConfig(RadiiVariant.EXP_RADII, N=10, n0=10 ** 400)
 
 
+def test_variant_specific_parameters():
+    # theta scales only the exp radii and d only the Gaussian radii: the
+    # other variant refuses any value but the default 1.0
+    with pytest.raises(ValueError, match="theta applies only to the exp radii"):
+        ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=10, theta=5.0)
+    with pytest.raises(ValueError, match="d applies only to the Gaussian radii"):
+        ScheduleConfig(RadiiVariant.EXP_RADII, N=10, d=2.0)
+    ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=10, d=2.0, theta=1.0)
+    ScheduleConfig(RadiiVariant.EXP_RADII, N=10, d=1.0, theta=2.0)
+
+
 @pytest.mark.parametrize("theta", [1e308, 2e154])
 def test_overflowing_radii_rejected(theta):
     # 1e308: the sigma closed form overflows; 2e154: only the hypothesis
