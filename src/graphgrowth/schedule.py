@@ -285,7 +285,8 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     past _STAGE_BUDGET.
 
     The only transcendentals are libm's, once per stage: math.log(n+n0)
-    and float(n+n0)**-3, plus math.log(n+2) for the Gaussian factor.
+    and float(n+n0)**-3, plus math.log(n+2) for the Gaussian factor (one
+    table of logs where the two runs of integers meet).
     The rest is IEEE-exact numpy arithmetic (+ - * /, sqrt, comparisons,
     a sequential cumsum), so every column equals the per-stage scalar
     evaluation with solve_sigma and check_hyp2 bit for bit, on any host.
@@ -296,13 +297,18 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
             f"N={N} stages, over the budget of {_STAGE_BUDGET}; lower N")
     n = np.arange(1, N + 2)
     ks = range(n0 + 1, n0 + N + 2)
-    log_k = _libm_logs(ks)
     eps = np.fromiter(map(pow, map(float, ks), repeat(-3)), float, N + 1)
     if cfg.variant is RadiiVariant.EXP_RADII:
-        r = cfg.theta * log_k
+        r = cfg.theta * _libm_logs(ks)
     else:
+        if n0 <= N + 3:  # the logs of n + n0 and of n + 2 cover one run of integers
+            lo = min(n0 + 1, 3)
+            logs = _libm_logs(range(lo, max(n0 + N + 2, N + 4)))
+            log_k, log_gauss = logs[n0 + 1 - lo:][:N + 1], logs[3 - lo:][:N + 1]
+        else:
+            log_k, log_gauss = _libm_logs(ks), _libm_logs(range(3, N + 4))
         r = np.sqrt(log_k / cfg.d)
-        gauss = n * np.sqrt(_libm_logs(range(3, N + 4)))
+        gauss = n * np.sqrt(log_gauss)
         eps = eps / gauss
 
     # the checks solve_sigma and check_hyp2 make on every stage

@@ -5,7 +5,9 @@ coordinates plus a frame, tick labels at the corners, and a <title>
 element carrying machine-readable metadata (the axes mode and the
 least-squares slope of the transformed data, which is the growth rate
 under the matching model, exact and rounded once by growth's fit).
-Output is deterministic text that does not depend on numpy.
+Output is deterministic text: the pixel map and the '%.3f' points use
+only IEEE-exact numpy operations, so no byte depends on numpy's SIMD
+dispatch.
 
 Axes modes and their coordinate transforms:
 
@@ -24,9 +26,12 @@ polyline and the tick labels are always plain numbers.
 from __future__ import annotations
 
 import math
-from itertools import chain
 from typing import Sequence
 
+import numpy as np
+
+from . import _text
+from ._text import fmt17
 from .growth import _least_squares
 
 __all__ = ["AXES_MODES", "render_line_chart"]
@@ -36,7 +41,7 @@ AXES_MODES = ("linear", "semilog-y", "y-vs-r2", "log-log")
 _WIDTH = 640.0
 _HEIGHT = 480.0
 _MARGIN = 60.0
-_POINT_BLOCK = 4096  # points per % (see cli._FLOAT_BLOCK for why blocks)
+_POINT_BLOCK = 4096  # points per piece of text (see cli._FLOAT_BLOCK for why blocks)
 
 
 def _transform(mode: str, xs: Sequence[float], ys: Sequence[float]):
@@ -59,20 +64,19 @@ def _transform(mode: str, xs: Sequence[float], ys: Sequence[float]):
     return tx, ty
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
-def _pixels(values: list[float], lo: float, hi: float,
-            out_lo: float, out_hi: float) -> list[float]:
-    """values mapped linearly from [lo, hi] onto [out_lo, out_hi]."""
+def _pixels(values: Sequence[float], lo: float, hi: float,
+            out_lo: float, out_hi: float) -> np.ndarray:
+    """values mapped linearly from [lo, hi] onto [out_lo, out_hi], with
+    the operations of out_lo + (v - lo) * out_span / span per value."""
+    values = np.asarray(values, dtype=float)
     if hi == lo:
-        return [0.5 * (out_lo + out_hi)] * len(values)
+        return np.full(values.size, 0.5 * (out_lo + out_hi))
     span = hi - lo
     if not math.isfinite(span):
         raise ValueError("plot range is wider than the double range")
     out_span = out_hi - out_lo
-    return [out_lo + (v - lo) * out_span / span for v in values]
+    with np.errstate(over="ignore"):  # an inf pixel, as Python's float product gives
+        return out_lo + (values - lo) * out_span / span
 
 
 def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
@@ -99,29 +103,28 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
     px = _pixels(tx, x_lo, x_hi, _MARGIN, _WIDTH - _MARGIN)
     # SVG y axis points down
     py = _pixels(ty, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN)
-    # one % per block of points, the blocks joined at their exact length
-    blocks = []
-    for i in range(0, len(px), _POINT_BLOCK):
-        bx, by = px[i:i + _POINT_BLOCK], py[i:i + _POINT_BLOCK]
-        blocks.append(" ".join(["%.3f,%.3f"] * len(bx)) % tuple(chain.from_iterable(zip(bx, by))))
-    points = " ".join(blocks)
+    # "x,y" per point, a block of points at a time, the blocks joined at
+    # their exact length
+    points = " ".join([_text.rows([_text.f3(px[i:i + _POINT_BLOCK]), ",",
+                                   _text.f3(py[i:i + _POINT_BLOCK]), " "])[:-1]
+                       for i in range(0, len(px), _POINT_BLOCK)])
 
     # escaped as xml.sax.saxutils.escape does, without importing urllib
     text = label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
-    title = f"{text}; mode={mode}; fitted slope={_fmt(slope)}"
+    title = f"{text}; mode={mode}; fitted slope={fmt17(slope)}"
     frame = (
         f'<rect x="{_MARGIN}" y="{_MARGIN}" width="{_WIDTH - 2 * _MARGIN}" '
         f'height="{_HEIGHT - 2 * _MARGIN}" fill="none" stroke="#888" stroke-width="1"/>'
     )
     labels = (
         f'<text x="{_MARGIN}" y="{_HEIGHT - _MARGIN + 20}" font-size="12" '
-        f'font-family="monospace">{_fmt(x_lo)}</text>\n'
+        f'font-family="monospace">{fmt17(x_lo)}</text>\n'
         f'<text x="{_WIDTH - _MARGIN}" y="{_HEIGHT - _MARGIN + 20}" font-size="12" '
-        f'font-family="monospace" text-anchor="end">{_fmt(x_hi)}</text>\n'
+        f'font-family="monospace" text-anchor="end">{fmt17(x_hi)}</text>\n'
         f'<text x="{_MARGIN - 6}" y="{_HEIGHT - _MARGIN}" font-size="12" '
-        f'font-family="monospace" text-anchor="end">{_fmt(y_lo)}</text>\n'
+        f'font-family="monospace" text-anchor="end">{fmt17(y_lo)}</text>\n'
         f'<text x="{_MARGIN - 6}" y="{_MARGIN + 4}" font-size="12" '
-        f'font-family="monospace" text-anchor="end">{_fmt(y_hi)}</text>\n'
+        f'font-family="monospace" text-anchor="end">{fmt17(y_hi)}</text>\n'
         f'<text x="{_WIDTH / 2}" y="{_MARGIN - 20}" font-size="13" '
         f'font-family="monospace" text-anchor="middle">{title}</text>'
     )

@@ -815,6 +815,17 @@ def test_short_csv_row_exit_2(tmp_path, command):
     assert "line 3 has 1 fields" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["plot", "growth"])
+def test_csv_field_past_limit_exit_2(tmp_path, command):
+    # the csv module refuses a field over 131072 characters: an input error
+    src = tmp_path / "long.csv"
+    src.write_text("r,area_lower\n1,2\n3," + "4" * 131073 + "\n")
+    proc = run_cli(command, "--input", str(src))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("rows, mode", [
     ("1,2\n2,inf\n3,5\n", "linear"),
     ("1,2\n2,nan\n3,5\n", "linear"),
@@ -829,6 +840,17 @@ def test_plot_non_finite_exit_2(tmp_path, rows, mode):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "finite" in proc.stderr
+
+
+def test_plot_pixel_past_double_range(tmp_path):
+    # (x - min) * 520 overflows: the pixel is inf, as Python's float
+    # arithmetic gives it, and numpy prints no warning
+    src = tmp_path / "curve.csv"
+    src.write_text("r,area_lower\n0,1\n1e307,2\n5e306,3\n")
+    proc = run_cli("plot", "--input", str(src))
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert 'points="60.000,420.000 inf,240.000 inf,60.000"' in proc.stdout
 
 
 def test_plot_range_past_double_range_exit_2(tmp_path):

@@ -268,6 +268,12 @@ _COLUMN_CASES = [
     (RadiiVariant.GAUSSIAN_RADII, 5, 1, 1.0, 1.0),
     (RadiiVariant.EXP_RADII, 2, 1, 1.0, 2.0),
     (RadiiVariant.GAUSSIAN_RADII, 1, 1, 1.0, 1.0),
+    # the Gaussian logs of n + n0 and of n + 2: one table up to n0 = N + 3
+    (RadiiVariant.GAUSSIAN_RADII, 50, 2, 1.0, 1.0),
+    (RadiiVariant.GAUSSIAN_RADII, 50, 51, 1.0, 1.0),
+    (RadiiVariant.GAUSSIAN_RADII, 50, 52, 1.0, 1.0),
+    (RadiiVariant.GAUSSIAN_RADII, 50, 53, 1.0, 1.0),
+    (RadiiVariant.GAUSSIAN_RADII, 50, 54, 1.0, 1.0),
 ]
 
 

@@ -1,0 +1,147 @@
+"""The numpy column formatters against Python's own %, value by value.
+
+graphgrowth._text builds the CSV fields, the JSON float lists and the
+SVG points without a per-value %; each case here compares its text with
+the % of every value.  Random bit patterns cover all of the double
+range; the hand-picked inputs sit where a correctly rounded conversion
+is hardest: powers of ten one ulp either way, exact ties, the changes of
+form, and the values the numpy path hands back to Python.
+"""
+
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from graphgrowth import _text
+
+
+def _lines(chars):
+    return _text.rows([chars, "\n"]).split("\n")[:-1]
+
+
+def _check_g17(values):
+    x = np.asarray(values, dtype=float)
+    assert _lines(_text.g17(x)) == ["%.17g" % v for v in x.tolist()]
+
+
+def _random_doubles(count, seed=20260101):
+    bits = np.random.default_rng(seed).integers(0, 2 ** 64, count, dtype=np.uint64)
+    return bits.view(np.float64)
+
+
+def _powers_of_ten():
+    tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return np.concatenate([tens, np.nextafter(tens, 0.0), np.nextafter(tens, np.inf)])
+
+
+def _ties():
+    """Doubles x with x * 10^e an odd half in [1e16, 1e17): their
+    17-digit decimals are exact ties.  x = m * 2^-(e + 1) with m odd and
+    m * 5^e in [2e16, 2e17)."""
+    rng = np.random.default_rng(7)
+    out = []
+    for e in range(1, 25):
+        lo, hi = -(-2 * 10 ** 16 // 5 ** e), min(2 * 10 ** 17 // 5 ** e, 2 ** 53)
+        for m in {lo, hi - 1, *rng.integers(lo, hi, 20).tolist()}:
+            m -= 1 - m % 2
+            if m >= lo:
+                x = math.ldexp(m, -(e + 1))
+                assert 10 ** 16 <= Fraction(x) * 10 ** e < 10 ** 17
+                assert Fraction(x) * 10 ** e % 1 == Fraction(1, 2)
+                out.append(x)
+    return np.array(out)
+
+
+_EDGES = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, sys.float_info.max, -sys.float_info.max,
+    5e-324, -5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300, 1e-290,
+    1e300, 1.0000000000000001e300, 1e301,
+    # the changes of form: k = -5 and -4, 16 and 17
+    1e-5, 9.9999999999999991e-06, 1.2345678901234567e-05, 1e-4, 9.9999999999999991e-05,
+    1.2345678901234567e-4, 1e16, 9999999999999998.0, 12345678901234568.0, 1e17,
+    99999999999999984.0, 123456789012345680.0, 0.1, 1.0, 123.0, 1e22, 1e23,
+]
+
+
+def test_g17_random_bit_patterns():
+    _check_g17(_random_doubles(200_000))
+
+
+@pytest.mark.parametrize("values", [_powers_of_ten(), _ties(), np.array(_EDGES)],
+                         ids=["powers-of-ten", "ties", "edges"])
+def test_g17_hard_values(values):
+    _check_g17(values)
+    _check_g17(-values)
+
+
+def test_g17_subnormals():
+    bits = np.random.default_rng(3).integers(1, 2 ** 52, 2000, dtype=np.uint64)
+    _check_g17(bits.view(np.float64))
+
+
+def test_g17_proves_almost_every_value():
+    # the numpy path, not Python's % behind it, makes the text: inside
+    # [1e-290, 1e300] the exact ties fall back, and otherwise only
+    # fractions within 2^-20 of 1/2 and values next to a power of ten
+    x = np.abs(_random_doubles(200_000))
+    x = x[(x >= 1e-290) & (x <= 1e300)]
+    fallback = x[~_text._decimal17(x)[2]].tolist()
+    decades = [int(("%.16e" % v).split("e")[1]) for v in fallback]
+    ties = [Fraction(v) * Fraction(10) ** (16 - k) % 1 == Fraction(1, 2)
+            for v, k in zip(fallback, decades)]
+    assert x.size > 100_000 and len(fallback) - sum(ties) <= 5
+
+
+@pytest.mark.parametrize("shift", [-1.0, 1.0])
+def test_g17_log10_a_decade_off(monkeypatch, shift):
+    # np.log10 only guesses the decade: a guess a decade off in either
+    # direction changes which values take Python's %, and no byte
+    real = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: real(a) + shift)
+    x = np.concatenate([_random_doubles(20_000, seed=5), _powers_of_ten(), _ties(),
+                        np.array(_EDGES)])
+    _check_g17(x)
+
+
+def test_g17_keeps_the_shape():
+    x = np.array([[0.5, 1e-7], [3.0, -2e20]])
+    chars = _text.g17(x)
+    assert chars.shape == (29, 2, 2)
+    assert _lines(chars[:, 1]) == ["3", "-2e+20"]
+
+
+def test_f3_binary_ties():
+    # every 1/16 step of the plot's pixel range: the odd ones times 1000
+    # end in exactly .5, and go to the even neighbour as Python's do
+    x = np.arange(60 * 16, 580 * 16 + 1) / 16
+    assert _lines(_text.f3(x)) == ["%.3f" % v for v in x.tolist()]
+
+
+def test_f3_values():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([
+        rng.uniform(60.0, 580.0, 100_000), rng.uniform(-1e9, 1e9, 1000),
+        np.nextafter(np.arange(-2000, 2000) / 2000, np.inf),
+        [0.0, -0.0, -0.0001, 0.0005, -0.0005, 999999999.9995, 1e9, -1e12, 1e300,
+         math.inf, -math.inf, math.nan, 5e-324]])
+    assert _lines(_text.f3(x)) == ["%.3f" % v for v in x.tolist()]
+
+
+@pytest.mark.parametrize("values", [
+    np.array([0, 1, -1, 9, 10, 99, 100, 2 ** 63 - 1, -2 ** 63, 10 ** 18, -10 ** 18]),
+    np.random.default_rng(2).integers(-2 ** 63, 2 ** 63 - 1, 10_000, dtype=np.int64),
+    range(10 ** 30, 10 ** 30 + 5),
+    range(2 ** 63 - 2, 2 ** 63 + 2),
+    [],
+], ids=["edges", "random", "past-int64", "across-int64", "empty"])
+def test_ints(values):
+    assert _lines(_text.ints(values)) == ["%d" % v for v in values]
+
+
+def test_rows_and_flags():
+    text = _text.rows([_text.ints(np.array([1, 20])), ",", _text.flags(np.array([True, False])),
+                       ",Quadrature,", _text.g17(np.array([0.5, 0.1])), "\n"])
+    assert text == "1,true,Quadrature,0.5\n20,false,Quadrature,0.10000000000000001\n"
