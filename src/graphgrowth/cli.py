@@ -13,13 +13,20 @@ keys; every numeric value is printed with 17 significant digits so that
 identical invocations are byte-identical.  No environment variable
 affects any command.
 
-The numeric text of the CSV tables, of all-float JSON lists and of the
+The numeric text of the CSV tables, of JSON float64 arrays and of the
 SVG polyline is built column-wise in numpy (_text) and equals Python's
 '%.17g', '%d' and '%.3f' of each value byte for byte.  Python's own %
 formats the values the column path cannot prove: a 17-digit fraction
 within 2^-20 of 1/2 (the exact ties among them), a decade np.log10
 guessed wrong, 0, inf, nan, |x| outside [1e-290, 1e300], pixels of
 1e9 and more, and a column of integers past int64 (a huge packets --n).
+
+plot --input reads a plain CSV (every byte printable ASCII or "\n", no
+'"', no line longer than csv.field_size_limit()) as bytes, in blocks,
+with the fields found by numpy and converted by float(); any other
+file, and a plain one with a row shorter than its header or a picked
+field float() refuses, is read by csv.reader.  The values, and the
+errors, are csv.reader's either way.
 
 Exit codes: 0 success, 2 usage or input error (an allocation that
 fails too), 3 guarded-resource refusal (radius beyond the family cap
@@ -81,16 +88,15 @@ from .svgplot import AXES_MODES, render_line_chart
 __all__ = ["main"]
 
 
-# Values of a float list formatted per piece in _json_dump.  Pieces of a
+# Values of a float array formatted per piece in _json_dump.  Pieces of a
 # bounded size are joined once at their exact total length, so the
-# character arrays of a 1e5-value list are never held at once.
+# character arrays of a 1e5-value array are never held at once.
 _FLOAT_BLOCK = 4096
 
 
 def _json_dump(value) -> str:
-    """Deterministic JSON with 17-significant-digit floats."""
-    if type(value) is float:  # the common case first: long float lists
-        return "%.17g" % value
+    """Deterministic JSON with 17-significant-digit floats; a 1-D float64
+    array is a list, its text made in numpy per block."""
     if value is None:
         return "null"
     if isinstance(value, bool):
@@ -105,11 +111,11 @@ def _json_dump(value) -> str:
     if isinstance(value, dict):
         inner = ", ".join(f"{_json_dump(str(k))}: {_json_dump(v)}" for k, v in value.items())
         return "{" + inner + "}"
+    if isinstance(value, np.ndarray):
+        blocks = [_text.rows([_text.g17(value[i:i + _FLOAT_BLOCK]), ", "])[:-2]
+                  for i in range(0, len(value), _FLOAT_BLOCK)]
+        return "[" + ", ".join(blocks) + "]"
     if isinstance(value, (list, tuple)):
-        if {*map(type, value)} == {float}:  # long float lists: numpy text per block
-            blocks = [_text.rows([_text.g17(value[i:i + _FLOAT_BLOCK]), ", "])[:-2]
-                      for i in range(0, len(value), _FLOAT_BLOCK)]
-            return "[" + ", ".join(blocks) + "]"
         return "[" + ", ".join(map(_json_dump, value)) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
@@ -248,23 +254,17 @@ def _cmd_packets(args: argparse.Namespace) -> int:
 # -------------------------------------------------------------- growth
 
 def _read_samples_csv(path: str) -> list[GrowthSample]:
+    """The samples of a CSV: its r and area_lower columns, which are all
+    the fit reads."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         index = {name: i for i, name in enumerate(header)}
         if "r" not in index or "area_lower" not in index:
             raise ValueError("input CSV needs columns r and area_lower")
-        est, src = index.get("area_estimate"), index.get("source")
-        samples = []
-        for row in _csv_body(reader, len(header)):
-            estimate_text = row[est].strip() if est is not None else ""
-            source_text = ((row[src] if src is not None else "") or "Quadrature").strip()
-            samples.append(GrowthSample(
-                r=float(row[index["r"]]),
-                area_lower=float(row[index["area_lower"]]),
-                area_estimate=float(estimate_text) if estimate_text else None,
-                source=SampleSource(source_text),
-            ))
+        pick = itemgetter(index["r"], index["area_lower"])
+        samples = [GrowthSample(r=float(r), area_lower=float(lower))
+                   for r, lower in map(pick, _csv_body(reader, len(header)))]
     if not samples:
         raise ValueError("input CSV has no sample rows")
     return samples
@@ -378,7 +378,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         "eta_max_tail": diag.eta_max_tail,
         "N_of_R": {fmt17(k): v for k, v in diag.N_of_R.items()},
         "area_lower_of_R": {fmt17(k): v for k, v in diag.area_lower_of_R.items()},
-        "sigma_partial_sums": list(diag.sigma_partial_sums),
+        "sigma_partial_sums": diag.sigma_partial_sums,
         "completeness_trend": trend,
     }
     _write_output(args.output, _json_dump(payload) + "\n")
@@ -387,23 +387,41 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- plot
 
-def _read_plot_columns(path: str) -> tuple[list[float], list[float]]:
+# Bytes read per block of a plot --input file on the byte path; the
+# picked fields of a block become floats before the next block is read.
+_READ_BLOCK = 1 << 18
+
+
+def _plot_picks(header: list[str]) -> list[int]:
+    """Columns of a chart: r, area_lower and area_estimate if present for
+    area CSVs, else the first two columns."""
+    index = {name: i for i, name in enumerate(header)}
+    if "r" in index and "area_lower" in index:
+        return [index[name] for name in ("r", "area_lower", "area_estimate")
+                if name in index]
+    if len(header) >= 2:
+        return [0, 1]
+    raise ValueError("CSV needs at least two columns")
+
+
+def _read_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
     """x and y of a chart: r against area_estimate (area_lower where any
-    estimate is missing) for area CSVs, else the first two columns."""
+    estimate is blank) for area CSVs, else the first two columns.
+
+    A plain file is read by _plain_plot_columns; every other file, and
+    any plain file it declines, by csv.reader.  Both give the same
+    values, or the same error."""
+    columns = _plain_plot_columns(path)
+    return _csv_plot_columns(path) if columns is None else columns
+
+
+def _csv_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
             raise ValueError("empty CSV input")
-        index = {name: i for i, name in enumerate(header)}
-        if "r" in index and "area_lower" in index:
-            picks = [index["r"], index["area_lower"]]
-            if "area_estimate" in index:
-                picks.append(index["area_estimate"])
-        elif len(header) >= 2:
-            picks = [0, 1]
-        else:
-            raise ValueError("CSV needs at least two columns")
+        picks = _plot_picks(header)
         # the picked fields, row after row: no tuple per row is kept
         cells = list(chain.from_iterable(
             map(itemgetter(*picks), _csv_body(reader, len(header)))))
@@ -413,7 +431,95 @@ def _read_plot_columns(path: str) -> tuple[list[float], list[float]]:
     xs, ys = cells[0::k], cells[1::k]
     if k == 3 and all(text.strip() for text in cells[2::k]):
         ys = cells[2::k]
-    return list(map(float, xs)), list(map(float, ys))
+    return _floats(xs), _floats(ys)
+
+
+def _floats(texts: list) -> np.ndarray:
+    """float() of each str or bytes, as a float64 array."""
+    return np.fromiter(map(float, texts), float, len(texts))
+
+
+def _fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
+    """The fields buf[lo:hi] as bytes; each field ends at a comma or a
+    newline of buf."""
+    size = hi - lo + 1  # each field with the byte that ends it
+    at = np.cumsum(size) - size
+    text = buf[np.arange(size.sum()) + np.repeat(lo - at, size)]
+    text[at + size - 1] = 10
+    return text[:-1].tobytes().split(b"\n")
+
+
+def _plain_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """_read_plot_columns of a plain file, or None where csv.reader must
+    decide.
+
+    In a plain file every byte is printable ASCII or "\n" and none is
+    '"', and every line is at most csv.field_size_limit() bytes long.
+    There a field is the text between commas and a row the text between
+    newlines, exactly as csv.reader reads it, and float() of a field's
+    bytes equals float() of its str.  The file is declined when it is not
+    plain, when its header is blank, when a non-blank row is shorter than
+    the header, when float() refuses a picked field, and when it has no
+    data rows, as a header without its newline has."""
+    limit = csv.field_size_limit()
+    picks = width = estimate = None
+    xs, lower = [], []
+    rest = b""
+    with open(path, "rb") as fh:
+        while True:
+            block = fh.read(_READ_BLOCK)
+            data = rest + block
+            if not block:
+                if not data:
+                    break
+                data += b"\n"  # a last line without its newline
+            buf = np.frombuffer(data, np.uint8)
+            newlines = np.flatnonzero(buf == 10)
+            # printable ASCII (32 to 126, by uint8 wraparound) or newlines, no '"'
+            if (np.count_nonzero(buf - np.uint8(32) < 95) + newlines.size < buf.size
+                    or np.count_nonzero(buf == 34)):
+                return None
+            rest = data[newlines[-1] + 1:] if newlines.size else data
+            if len(rest) > limit:
+                return None
+            if not newlines.size:
+                continue
+            starts = np.concatenate(([0], newlines[:-1] + 1))
+            if (newlines - starts).max() > limit:
+                return None
+            if picks is None:
+                if newlines[0] == 0:
+                    return None
+                header = data[:newlines[0]].decode("ascii").split(",")
+                picks, width = _plot_picks(header), len(header)
+                estimate = [] if len(picks) == 3 else None
+                starts, newlines = starts[1:], newlines[1:]
+            filled = newlines > starts  # csv.reader skips blank lines
+            starts, newlines = starts[filled], newlines[filled]
+            if not starts.size:
+                continue
+            commas = np.flatnonzero(buf == 44)
+            first = np.searchsorted(commas, starts)
+            count = np.searchsorted(commas, newlines) - first
+            if count.min() < width - 1:
+                return None
+            commas = np.append(commas, 0)  # fields past the last comma end at their newline
+            texts = [_fields(buf, commas[first + j - 1] + 1 if j else starts,
+                             np.where(j < count, commas[first + j], newlines))
+                     for j in picks]
+            if estimate is not None and not all(map(bytes.strip, texts[2])):
+                estimate = None  # a blank estimate: area_lower for every row
+            try:
+                xs.append(_floats(texts[0]))
+                lower.append(_floats(texts[1]))
+                if estimate is not None:
+                    estimate.append(_floats(texts[2]))
+            except ValueError:
+                return None
+    if not xs:
+        return None
+    ys = lower if estimate is None else estimate
+    return np.concatenate(xs), np.concatenate(ys)
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:

@@ -143,9 +143,9 @@ class ScheduleRow:
     sigma_feasible: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScheduleDiagnostics:
-    sigma_partial_sums: tuple[float, ...]
+    sigma_partial_sums: np.ndarray  # read-only float64, one entry per stage
     eta_max_tail: float
     N_of_R: dict[float, int]
     area_lower_of_R: dict[float, float]
@@ -394,7 +394,8 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
         raise ValueError("query radius must not be nan")
 
     sigma_vals = np.where(np.isnan(schedule.sigma), 0.0, schedule.sigma)
-    partial = tuple(np.cumsum(sigma_vals).tolist())
+    partial = np.cumsum(sigma_vals)
+    partial.flags.writeable = False
     tail_start = (3 * len(schedule)) // 4
 
     n_of_r: dict[float, int] = {}

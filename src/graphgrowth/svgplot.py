@@ -7,7 +7,8 @@ least-squares slope of the transformed data, which is the growth rate
 under the matching model, exact and rounded once by growth's fit).
 Output is deterministic text: the pixel map and the '%.3f' points use
 only IEEE-exact numpy operations, so no byte depends on numpy's SIMD
-dispatch.
+dispatch.  The render works on float64 arrays (cli passes them so);
+the log axes take math.log10 of each value, not numpy's log10.
 
 Axes modes and their coordinate transforms:
 
@@ -44,27 +45,39 @@ _MARGIN = 60.0
 _POINT_BLOCK = 4096  # points per piece of text (see cli._FLOAT_BLOCK for why blocks)
 
 
-def _transform(mode: str, xs: Sequence[float], ys: Sequence[float]):
+def _log10(values: np.ndarray) -> np.ndarray:
+    """math.log10 of each value: libm's, not numpy's SIMD log10."""
+    return np.fromiter(map(math.log10, values.tolist()), float, values.size)
+
+
+def _transform(mode: str, xs: np.ndarray, ys: np.ndarray):
     if mode == "linear":
-        tx, ty = list(xs), list(ys)
+        tx, ty = xs, ys
     elif mode == "semilog-y":
-        if any(y <= 0 for y in ys):
+        if (ys <= 0).any():
             raise ValueError("semilog-y requires positive y values")
-        tx, ty = list(xs), list(map(math.log10, ys))
+        tx, ty = xs, _log10(ys)
     elif mode == "y-vs-r2":
-        tx, ty = [x * x for x in xs], list(ys)
+        with np.errstate(over="ignore"):  # inf past the double range, as Python's x * x
+            tx, ty = xs * xs, ys
     elif mode == "log-log":
-        if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
+        if (xs <= 0).any() or (ys <= 0).any():
             raise ValueError("log-log requires positive x and y values")
-        tx, ty = list(map(math.log10, xs)), list(map(math.log10, ys))
+        tx, ty = _log10(xs), _log10(ys)
     else:
         raise ValueError(f"unknown axes mode {mode!r}")
-    if not (all(map(math.isfinite, tx)) and all(map(math.isfinite, ty))):
+    if not (np.isfinite(tx).all() and np.isfinite(ty).all()):
         raise ValueError(f"{mode} plot needs finite transformed values")
     return tx, ty
 
 
-def _pixels(values: Sequence[float], lo: float, hi: float,
+def _extremes(values: np.ndarray) -> tuple[float, float]:
+    """min and max as Python's give them: the first of equal values, so
+    that -0.0 and 0.0 keep their order."""
+    return float(values[values.argmin()]), float(values[values.argmax()])
+
+
+def _pixels(values: np.ndarray, lo: float, hi: float,
             out_lo: float, out_hi: float) -> np.ndarray:
     """values mapped linearly from [lo, hi] onto [out_lo, out_hi], with
     the operations of out_lo + (v - lo) * out_span / span per value."""
@@ -88,6 +101,7 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
     coordinates (17 significant digits), nan when there is none.  The
     label is XML-escaped (&, <, >) there and in the caption.
     """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
     if len(xs) != len(ys):
         raise ValueError("xs and ys must have equal length")
     if len(xs) < 2:
@@ -98,8 +112,8 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
     except ValueError:  # all transformed x equal
         slope = math.nan
 
-    x_lo, x_hi = min(tx), max(tx)
-    y_lo, y_hi = min(ty), max(ty)
+    x_lo, x_hi = _extremes(tx)
+    y_lo, y_hi = _extremes(ty)
     px = _pixels(tx, x_lo, x_hi, _MARGIN, _WIDTH - _MARGIN)
     # SVG y axis points down
     py = _pixels(ty, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN)

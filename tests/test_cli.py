@@ -17,6 +17,8 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
 from graphgrowth import cli, packets, quadrature, schedule, svgplot
@@ -500,6 +502,27 @@ def test_growth_from_csv_input(tmp_path):
     assert json.loads(proc.stdout)["model"] == "polynomial"
 
 
+def test_growth_input_reads_only_r_and_area_lower(tmp_path, capsys):
+    # the fit reads r and area_lower: an estimate or a source that is not
+    # one changes nothing
+    rows = [("1", "2"), ("2", "5"), ("3", "9"), ("4", "15")]
+    tables = {
+        "plain": "r,area_lower\n" + "".join(f"{r},{a}\n" for r, a in rows),
+        "estimate": "r,area_lower,area_estimate,source\n"
+                    + "".join(f"{r},{a},x,Quadrature\n" for r, a in rows),
+        "source": "r,area_lower,area_estimate,source\n"
+                  + "".join(f"{r},{a},,bogus\n" for r, a in rows),
+    }
+    outputs = {}
+    for name, text in tables.items():
+        src = tmp_path / f"{name}.csv"
+        src.write_text(text)
+        assert cli.main(["growth", "--input", str(src)]) == 0
+        outputs[name] = capsys.readouterr().out
+    assert outputs["estimate"] == outputs["source"] == outputs["plain"]
+    assert json.loads(outputs["plain"])["model"] == "polynomial"
+
+
 def test_growth_rejects_bad_csv(tmp_path):
     src = tmp_path / "bad.csv"
     src.write_text("x,y\n1,2\n")
@@ -613,11 +636,14 @@ def _f17(x):
     [None, 1.5],
     [np.float64(0.1), 0.1],
     [[0.25, 1e-7], {"a": [0.5]}],
+    np.array([k / 7.0 for k in range(9000)]),
+    np.array([math.nan, -0.0, 5e-324, 1e308]),
+    np.array([]),
 ], ids=["specials", "empty", "one", "tuple", "long", "int", "bool", "none",
-        "np-float64", "nested"])
+        "np-float64", "nested", "array", "array-specials", "empty-array"])
 def test_json_float_lists_match_per_element_join(monkeypatch, value, block):
-    # all-float lists are written with one % per block of values; every
-    # other list takes the per-item path; both equal the per-element join
+    # float64 arrays are written in numpy per block of values, lists item
+    # by item; both equal the per-element join
     monkeypatch.setattr(cli, "_FLOAT_BLOCK", block)
     want = "[" + ", ".join(["%.17g" % v if type(v) is float else cli._json_dump(v)
                             for v in value]) + "]"
@@ -767,19 +793,137 @@ def test_plot_points_match_per_pair_formatting(monkeypatch, capsys, tmp_path, bl
     assert re.search(r'points="([^"]*)"', svg).group(1) == points
 
 
+def _bits(values):
+    """The float64 bits of each value: -0.0 is not 0.0, and nan is nan."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+_AREA_LOWER_CSV = ("r,area_lower,area_estimate,source,cells_inside,cells_boundary,"
+                   "depth_reached\n2,5,,Quadrature,1,2,3\n3,7,,Quadrature,1,2,3\n")
+
+
 @pytest.mark.parametrize("text, want", [
     # area CSV: r against area_estimate when every row has one
     ("area_lower,r,area_estimate,source\n5,1,6,Quadrature\n7,2,8.5,Quadrature\n",
      ([1.0, 2.0], [6.0, 8.5])),
     # one blank estimate: area_lower for every row; blank lines are skipped
     ("r,area_lower,area_estimate\n1,5,6\n\n2,7, \n", ([1.0, 2.0], [5.0, 7.0])),
+    # every estimate empty, as area --mode lower writes them
+    (_AREA_LOWER_CSV, ([2.0, 3.0], [5.0, 7.0])),
     # any other CSV: its first two columns, quoted fields as csv reads them
     ('n,r_n,mu_n\n1,"0.5",x\n2,0.75,"y,z"\n', ([1.0, 2.0], [0.5, 0.75])),
-], ids=["estimate", "lower", "first-two"])
+    # a quoted field holds the newline: one row, not two
+    ('x,y,z\n1,2,"\n3,4,5"\n', ([1.0], [2.0])),
+    ("x,y\r\n1,2\r\n3,4\r\n", ([1.0, 3.0], [2.0, 4.0])),
+    ("x,y\n1,\t2\n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
+    ("x,y\n1,2\x00\n3,4\n", ValueError("could not convert string to float: '2\\x00'")),
+    # float() reads a full-width digit in a str, not in its UTF-8 bytes
+    ("x,y\n1,２\n3,4\n", ([1.0, 3.0], [2.0, 4.0])),
+    ("x,y\n1,2\n \n3,4\n", ValueError("CSV line 3 has 1 fields, the header has 2")),
+    ("\nx,y\n1,2\n", ValueError("CSV needs at least two columns")),
+    ("x,y\n1_0,2\n3,4\n", ([10.0, 3.0], [2.0, 4.0])),
+    ("x,y\n-0.0,0.0\n0.0,-0.0\n", ([-0.0, 0.0], [0.0, -0.0])),
+    ("x,y\n1,2\n3,4", ([1.0, 3.0], [2.0, 4.0])),
+], ids=["estimate", "lower", "area-lower-mode", "first-two", "quoted-newline", "crlf",
+        "tab", "nul",
+        "non-ascii", "whitespace-line", "blank-header", "underscore", "signed-zeros",
+        "no-final-newline"])
 def test_plot_reads_columns(tmp_path, text, want):
     src = tmp_path / "curve.csv"
-    src.write_text(text)
-    assert cli._read_plot_columns(str(src)) == want
+    src.write_bytes(text.encode("utf-8"))
+    if isinstance(want, Exception):
+        with pytest.raises(type(want), match=re.escape(str(want))):
+            cli._read_plot_columns(str(src))
+        return
+    xs, ys = cli._read_plot_columns(str(src))
+    assert (xs.tolist(), ys.tolist()) == want
+    assert (_bits(xs), _bits(ys)) == tuple(map(_bits, want))
+
+
+def _read_outcome(path):
+    """The columns' bits, or the type and message of the error."""
+    try:
+        xs, ys = cli._read_plot_columns(path)
+    except Exception as exc:  # the outcome under test
+        return type(exc), str(exc)
+    return xs.dtype, ys.dtype, _bits(xs), _bits(ys)
+
+
+_NUMERALS = st.sampled_from(["1", "-0.0", "0.0", "2.5e3", "1_0", "inf", "-nan", " 7 ",
+                             "1e400", ".5", "+4", "-1E-3", "", " "])
+_ODD = st.one_of(st.sampled_from(["x", '"1"', '"', "1\r", "\t1", "1\x00", "\u0662"]),
+                 st.text(alphabet='0123456789.,-+e_ "\t\r\x00\u00e9\uff12', max_size=6))
+_HEADERS = st.sampled_from(["r,area_lower", "r,area_lower,area_estimate", "x,y",
+                            "area_estimate,source,r,area_lower", "r,r,area_lower"])
+# plain tables of numerals, blank fields and blank lines, and tables with
+# odd fields, headers and line ends
+_PLAIN_TEXTS = st.tuples(
+    _HEADERS, st.lists(st.lists(_NUMERALS, min_size=2, max_size=5).map(",".join)
+                       | st.just(""), max_size=5), st.sampled_from(["\n", ""]))
+_ODD_TEXTS = st.tuples(
+    _HEADERS | st.sampled_from(["x", "", " "]) | st.lists(_NUMERALS | _ODD).map(",".join),
+    st.lists(st.lists(_NUMERALS | _ODD, max_size=5).map(",".join), max_size=6),
+    st.sampled_from(["\n", "", "\r\n"]))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=_PLAIN_TEXTS | _ODD_TEXTS, block=st.sampled_from([1, 7, 1 << 18]),
+       limit=st.sampled_from([131072, 131072, 4]))
+def test_plot_reader_matches_csv_reader(tmp_path_factory, text, block, limit):
+    # any text gives the same values, or the same error, as csv.reader alone
+    header, lines, end = text
+    path = str(tmp_path_factory.mktemp("plot") / "curve.csv")
+    with open(path, "wb") as fh:
+        fh.write(("\n".join([header, *lines]) + end).encode("utf-8"))
+    saved = csv.field_size_limit(limit)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_READ_BLOCK", block)
+            got = _read_outcome(path)
+            mp.setattr(cli, "_plain_plot_columns", lambda path: None)
+            want = _read_outcome(path)
+    finally:
+        csv.field_size_limit(saved)
+    assert got == want
+
+
+def test_plot_reads_plain_tables_without_csv(monkeypatch, tmp_path):
+    # the schedule table, an area --mode lower table, and a table with a
+    # blank line, one blank estimate and no final newline take the byte path
+    paths = [str(tmp_path / name) for name in ("table.csv", "area.csv", "odd.csv")]
+    assert cli.main(["schedule", "--variant", "gaussian", "--N", "3000",
+                     "--output", paths[0]]) == 0
+    assert cli.main(["area", "--family", "exp", "--r", "2,3,4", "--mode", "lower",
+                     "--max-depth", "5", "--output", paths[1]]) == 0
+    with open(paths[2], "w") as fh:
+        fh.write("r,area_lower,area_estimate\n1,5,6\n\n2,7,\n3,8,9")
+    want = [tuple(map(_bits, cli._read_plot_columns(p))) for p in paths]
+
+    def refuse(path):
+        raise AssertionError("csv.reader was asked to read " + path)
+
+    monkeypatch.setattr(cli, "_csv_plot_columns", refuse)
+    assert [tuple(map(_bits, cli._read_plot_columns(p))) for p in paths] == want
+    assert [len(xs) for xs, _ in want] == [3000, 3, 3]
+    assert want[2][1] == _bits([5.0, 7.0, 8.0])
+
+
+def test_plot_read_memory_is_bounded(tmp_path):
+    # the byte path reads blocks of _READ_BLOCK bytes and keeps only
+    # floats: the 17 MB text of 1e5 stages, and its fields as str, never
+    # sit in memory at once
+    src = str(tmp_path / "table.csv")
+    assert cli.main(["schedule", "--variant", "gaussian", "--N", "100000",
+                     "--output", src]) == 0
+    tracemalloc.start()
+    try:
+        xs, ys = cli._read_plot_columns(src)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert len(xs) == len(ys) == 100000
 
 
 def test_plot_label_is_escaped(tmp_path):

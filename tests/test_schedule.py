@@ -307,6 +307,11 @@ def test_schedule_is_a_row_sequence():
         schedule[7]
 
 
+def _diagnosed(diag):
+    """The fields of a ScheduleDiagnostics, its partial sums as a list."""
+    return {**vars(diag), "sigma_partial_sums": diag.sigma_partial_sums.tolist()}
+
+
 @pytest.mark.parametrize("variant, N, n0", [
     (RadiiVariant.GAUSSIAN_RADII, 5000, 1),
     (RadiiVariant.EXP_RADII, 3000, 1),
@@ -323,8 +328,9 @@ def test_row_list_input_matches_schedule(variant, N, n0):
         assert np.array_equal(getattr(rebuilt, name), getattr(schedule, name)), name
     assert np.array_equal(rebuilt.sigma, schedule.sigma, equal_nan=True)
     grid = [1.0, 2.0, 3.0, 9.5, 9.9]
-    assert diagnostics(rows, cfg) == diagnostics(schedule, cfg)
-    assert diagnostics(rows, cfg, grid) == diagnostics(schedule, cfg, grid)
+    assert _diagnosed(diagnostics(rows, cfg)) == _diagnosed(diagnostics(schedule, cfg))
+    assert (_diagnosed(diagnostics(rows, cfg, grid))
+            == _diagnosed(diagnostics(schedule, cfg, grid)))
     assert queryable_range(rows) == queryable_range(schedule)
     assert completeness_trend(rows, cfg) == completeness_trend(schedule, cfg)
 
@@ -404,6 +410,14 @@ def test_sigma_partial_sums_nondecreasing(exp_big):
     sums = diag.sigma_partial_sums
     assert all(b >= a for a, b in zip(sums, sums[1:]))
     assert len(sums) == len(rows)
+
+
+def test_sigma_partial_sums_are_a_read_only_column(exp_big):
+    cfg, rows = exp_big
+    sums = diagnostics(rows, cfg).sigma_partial_sums
+    assert sums.dtype == np.float64 and sums.shape == (len(rows),)
+    with pytest.raises(ValueError):
+        sums[0] = 0.0
 
 
 def test_eta_max_tail(exp_big):
