@@ -33,18 +33,12 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from ._crmath import _veltkamp
+
 _ZERO, _POINT, _MINUS, _PLUS, _E = b"0.-+e"
-_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's splitter for doubles
 _LOW, _HIGH = 1e-290, 1e300  # |x| range of the numpy '%.17g' path
 _NEAR_HALF = 2.0 ** -20  # fractions this close to 1/2 take Python's %
 _E_MIN = -300  # 10^e for e in [_E_MIN, 308]: every decade of the range, and one more
-
-
-def _veltkamp(a):
-    """a = hi + lo with hi and lo of at most 26 significant bits each."""
-    c = a * _SPLIT
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 def _pow10(e: int) -> tuple[float, int, float]:
@@ -242,3 +236,102 @@ def rows(cells: Sequence) -> str:
         np.broadcast_to(np.frombuffer(cell.encode(), np.uint8)[:, None], (len(cell), n))
         if isinstance(cell, str) else cell for cell in cells])
     return chars.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+# Reading numbers: 8 bytes of text as one little-endian uint64 word, the
+# first character in the low byte, worked on a byte at a time.
+_BYTES = 0x0101010101010101
+_TOP = 0x80 * _BYTES
+# fields of at most 24 bytes, with an optional leading '-', one '.' at
+# most, and digits below 2^62, are read in numpy; float() reads any other
+_WINDOW = 24
+_OFFSETS = np.arange(0, _WINDOW, 8)[:, None]
+_TAIL = np.array([(2 ** 64 - 1) << 8 * q & 2 ** 64 - 1 for q in range(9)], np.uint64)
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)
+_POW10F = np.array([float(10 ** nf) for nf in range(_WINDOW)])  # exact to 10^22
+_PROOF = 2.0 ** -90  # the product errs below 2^-100 of the value
+
+
+def _eight_digits(v: np.ndarray) -> np.ndarray:
+    """The 8-digit number of each word whose bytes are digits 0..9, the
+    first the most significant (D. Lemire, "Number parsing at a gigabyte
+    per second", 2021)."""
+    v = v * 10 + (v >> 8)
+    mask = 0x000000FF000000FF
+    return ((v & mask) * (100 + (1000000 << 32))
+            + ((v >> 16) & mask) * (1 + (10000 << 32))) >> 32
+
+
+def _byte_sum(v: np.ndarray) -> np.ndarray:
+    """The sum of the 8 bytes of each word, where it is below 256."""
+    return ((v * _BYTES) >> 56).astype(np.intp)
+
+
+def reals(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    """float() of each field buf[start:end] of the uint8 array buf.
+
+    A field of an optional '-', digits and one '.' at most (24 bytes at
+    most, the digits below 2^62) is read in numpy, from a window of 8, 16
+    or 24 bytes that ends with it.  Its digits form an exact integer M,
+    and its value M / 10^nf is one correctly rounded division where
+    M <= 2^53; above, it is T. J. Dekker's product of M with the
+    double-double 10^-nf that g17 writes with, rounded where its error,
+    under 2^-100 of the value, cannot reach a rounding boundary.  float()
+    reads every other field (and one whose window would start before
+    buf), and raises ValueError for one it refuses."""
+    values = np.empty(start.size)
+    neg = buf[np.minimum(start, buf.size - 1)] == 45  # '-'
+    digits = end - start - neg
+    k = -(-min(int(digits.max(initial=0)), _WINDOW) // 8)
+    fast = (digits >= 1) & (digits <= 8 * k) & (end >= 8 * k)
+    if fast.any():
+        fast &= _read_decimals(buf, np.where(fast, end, 8 * k), digits, k, values)
+    np.negative(values, out=values, where=neg)
+    for i in np.flatnonzero(~fast).tolist():
+        values[i] = float(buf[start[i]:end[i]].tobytes())
+    return values
+
+
+def _read_decimals(buf, end, digits, k, values) -> np.ndarray:
+    """values = the decimal whose last digits bytes end at end, where
+    they are one; False where they are not."""
+    w = 8 * k
+    words = np.ndarray((buf.size - 7,), "<u8", buf, strides=(1,))  # 8 bytes from each
+    d = words[end - w + _OFFSETS[:k]]  # (k, n): the field right-aligned in w bytes
+    d ^= 0x30 * _BYTES  # digits to 0..9, '.' to 0x1E
+    d &= _TAIL[np.clip(w - digits - _OFFSETS[:k], 0, 8)]  # the bytes before the field to 0
+    y = d ^ 0x1E * _BYTES
+    point = (y - _BYTES) & ~y & _TOP  # a '.', or a '/' just after one
+    other = ((d + 0x76 * _BYTES) | d) & _TOP  # a byte past 9
+    ok = ~np.bitwise_or.reduce(other ^ point, axis=0).astype(bool)
+    point >>= 7  # 1 at a '.'
+    points = _byte_sum(point).sum(axis=0)
+    ok &= (points <= 1) & (digits > points)
+    m = _eight_digits(d ^ point * 0x1E)  # the '.' read as a 0
+    if k == 3:
+        ok &= m[0] < 1000  # so that the digits stay below 10^19 < 2^64
+    m = m[0] if k == 1 else np.add.reduce(m * _POW10[8 * (k - 1)::-8][:, None], axis=0)
+    # nf, the digits after the '.', from the bytes before it in its word
+    at = np.where(point, _byte_sum((point - 1) & _BYTES) + _OFFSETS[:k], 0).sum(axis=0)
+    nf = np.where(points == 1, w - 1 - at, 0)
+    p = _POW10[np.minimum(nf, 18)]  # from nf = 18 on, I is 0
+    m -= m // (10 * p) * 9 * p * (points > 0)  # I 10^(nf+1) + F to I 10^nf + F
+    ok &= m < 2 ** 62
+
+    mf = m.astype(np.int64).astype(np.float64)
+    exact = (m <= 2 ** 53) & (nf <= 22)
+    np.divide(mf, _POW10F[nf], out=values, where=exact)
+    far = np.flatnonzero(ok & ~exact)
+    if far.size:
+        mf = mf[far]
+        mr = (m[far].astype(np.int64) - mf.astype(np.int64)).astype(np.float64)  # m - mf
+        i = -nf[far] - _E_MIN  # 10^-nf = (t + _REST[i]) 2^_S[i]
+        t, th, tl = _M[i], _MH[i], _ML[i]
+        xh, xl = _veltkamp(mf)
+        top = mf * t  # m 10^-nf = (top + low) 2^_S[i], to 2^-100
+        low = (((xh * th - top) + xh * tl + xl * th) + xl * tl) + (mr * t + mf * _REST[i])
+        margin = np.abs(top) * _PROOF
+        hi = top + (low + margin)
+        ok[far] &= hi == top + (low - margin)
+        values[far] = np.ldexp(hi, _S[i])
+    return ok

@@ -22,8 +22,9 @@ guessed wrong, 0, inf, nan, |x| outside [1e-290, 1e300], pixels of
 1e9 and more, and a column of integers past int64 (a huge packets --n).
 
 plot --input reads a plain CSV (every byte printable ASCII or "\n", no
-'"', no line longer than csv.field_size_limit()) as bytes, in blocks,
-with the fields found by numpy and converted by float(); any other
+'"', no line longer than csv.field_size_limit(), all checked over the
+bytes first) in blocks, with the fields found and read by numpy
+(_text.reals: decimals exactly, float() for any other form); any other
 file, and a plain one with a row shorter than its header or a picked
 field float() refuses, is read by csv.reader.  The values, and the
 errors, are csv.reader's either way.
@@ -389,7 +390,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
 
 # Bytes read per block of a plot --input file on the byte path; the
 # picked fields of a block become floats before the next block is read.
-_READ_BLOCK = 1 << 18
+_READ_BLOCK = 1 << 19
 
 
 def _plot_picks(header: list[str]) -> list[int]:
@@ -435,18 +436,34 @@ def _csv_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _floats(texts: list) -> np.ndarray:
-    """float() of each str or bytes, as a float64 array."""
+    """float() of each str, as a float64 array."""
     return np.fromiter(map(float, texts), float, len(texts))
 
 
-def _fields(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> list[bytes]:
-    """The fields buf[lo:hi] as bytes; each field ends at a comma or a
-    newline of buf."""
-    size = hi - lo + 1  # each field with the byte that ends it
-    at = np.cumsum(size) - size
-    text = buf[np.arange(size.sum()) + np.repeat(lo - at, size)]
-    text[at + size - 1] = 10
-    return text[:-1].tobytes().split(b"\n")
+def _plain_bytes(path: str, limit: int) -> bool:
+    """Whether every byte of the file is printable ASCII or "\n", none is
+    '"', and no line is longer than limit bytes."""
+    line = 0  # the bytes of the last line so far
+    with open(path, "rb") as fh:
+        while block := fh.read(_READ_BLOCK):
+            buf = np.frombuffer(block, np.uint8)
+            newlines = np.flatnonzero(buf == 10)
+            if b'"' in block or buf.max() > 126 or np.count_nonzero(buf < 32) > newlines.size:
+                return False
+            if newlines.size:
+                longest = max(line + int(newlines[0]), int(np.diff(newlines).max(initial=1)) - 1)
+                line = buf.size - int(newlines[-1]) - 1
+            else:
+                longest = line = line + buf.size
+            if longest > limit or line > limit:
+                return False
+    return True
+
+
+def _any_blank(buf: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether any field buf[lo:hi] is empty or spaces only."""
+    filled = np.concatenate(([0], np.cumsum(buf != 32)))
+    return bool(np.any(filled[hi] == filled[lo]))
 
 
 def _plain_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
@@ -454,14 +471,16 @@ def _plain_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
     decide.
 
     In a plain file every byte is printable ASCII or "\n" and none is
-    '"', and every line is at most csv.field_size_limit() bytes long.
-    There a field is the text between commas and a row the text between
-    newlines, exactly as csv.reader reads it, and float() of a field's
-    bytes equals float() of its str.  The file is declined when it is not
-    plain, when its header is blank, when a non-blank row is shorter than
-    the header, when float() refuses a picked field, and when it has no
-    data rows, as a header without its newline has."""
-    limit = csv.field_size_limit()
+    '"', and every line is at most csv.field_size_limit() bytes long; a
+    first pass over the bytes alone declines any other file.  There a
+    field is the text between commas and a row the text between
+    newlines, exactly as csv.reader reads it, and _text.reals gives
+    float() of each picked field.  The file is still declined when its
+    header is blank, when a non-blank row is shorter than the header,
+    when float() refuses a picked field, and when it has no data rows, as
+    a header without its newline has."""
+    if not _plain_bytes(path, csv.field_size_limit()):
+        return None
     picks = width = estimate = None
     xs, lower = [], []
     rest = b""
@@ -474,48 +493,41 @@ def _plain_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
                     break
                 data += b"\n"  # a last line without its newline
             buf = np.frombuffer(data, np.uint8)
-            newlines = np.flatnonzero(buf == 10)
-            # printable ASCII (32 to 126, by uint8 wraparound) or newlines, no '"'
-            if (np.count_nonzero(buf - np.uint8(32) < 95) + newlines.size < buf.size
-                    or np.count_nonzero(buf == 34)):
-                return None
-            rest = data[newlines[-1] + 1:] if newlines.size else data
-            if len(rest) > limit:
-                return None
-            if not newlines.size:
+            seps = np.flatnonzero((buf == 44) | (buf == 10))  # the commas and newlines
+            ends = np.flatnonzero(buf[seps] == 10)  # each line's newline among seps
+            if not ends.size:
+                rest = data
                 continue
-            starts = np.concatenate(([0], newlines[:-1] + 1))
-            if (newlines - starts).max() > limit:
-                return None
+            rest = data[seps[ends[-1]] + 1:]
+            first = np.concatenate(([0], ends[:-1] + 1))  # each line's first separator
+            starts = np.concatenate(([0], seps[ends[:-1]] + 1))
             if picks is None:
-                if newlines[0] == 0:
-                    return None
-                header = data[:newlines[0]].decode("ascii").split(",")
+                if seps[ends[0]] == 0:
+                    return None  # a blank header
+                header = data[:seps[ends[0]]].decode("ascii").split(",")
                 picks, width = _plot_picks(header), len(header)
                 estimate = [] if len(picks) == 3 else None
-                starts, newlines = starts[1:], newlines[1:]
-            filled = newlines > starts  # csv.reader skips blank lines
-            starts, newlines = starts[filled], newlines[filled]
+                first, starts, ends = first[1:], starts[1:], ends[1:]
+            filled = seps[ends] > starts  # csv.reader skips blank lines
+            first, starts, ends = first[filled], starts[filled], ends[filled]
             if not starts.size:
                 continue
-            commas = np.flatnonzero(buf == 44)
-            first = np.searchsorted(commas, starts)
-            count = np.searchsorted(commas, newlines) - first
-            if count.min() < width - 1:
+            if (ends - first).min() < width - 1:  # a row shorter than the header
                 return None
-            commas = np.append(commas, 0)  # fields past the last comma end at their newline
-            texts = [_fields(buf, commas[first + j - 1] + 1 if j else starts,
-                             np.where(j < count, commas[first + j], newlines))
-                     for j in picks]
-            if estimate is not None and not all(map(bytes.strip, texts[2])):
+            # field j of a line ends at its separator j, a comma or the newline
+            fields = [(seps[first + j - 1] + 1 if j else starts, seps[first + j]) for j in picks]
+            if estimate is not None and _any_blank(buf, *fields[2]):
                 estimate = None  # a blank estimate: area_lower for every row
+            lo, hi = (np.concatenate(part) for part in zip(*fields[:3 if estimate is not None else 2]))
+            rows = starts.size
             try:
-                xs.append(_floats(texts[0]))
-                lower.append(_floats(texts[1]))
-                if estimate is not None:
-                    estimate.append(_floats(texts[2]))
+                values = _text.reals(buf, lo, hi)
             except ValueError:
                 return None
+            xs.append(values[:rows])
+            lower.append(values[rows:2 * rows])
+            if estimate is not None:
+                estimate.append(values[2 * rows:])
     if not xs:
         return None
     ys = lower if estimate is None else estimate

@@ -9,8 +9,10 @@ Given samples (r, area(r)) the three candidate laws are
 Each model is fit by ordinary least squares in its linearizing
 coordinates; classification picks the model with the smallest RMS
 residual.  The fit (_least_squares, which also gives the schedule trend
-and the plot title) is exact over math.log values, with slope, intercept
-and RMS each rounded once, so it does not depend on the host's numpy.
+and the plot title) is exact over its inputs, with slope, intercept and
+RMS each rounded once, so it does not depend on the host's numpy.  The
+inputs here are math.log values, once per sample; the schedule trend
+fits correctly rounded logs (_crmath).
 
 Its five sums (of X, Y, X^2, XY and Y^2, with each value written as an
 integer X = M * 2**(e - min e) from its int64 frexp mantissa |M| < 2**53)

@@ -30,14 +30,14 @@ series is the completeness indicator for the limiting surface).
 
 build_schedule returns a Schedule: one numpy column per quantity, with
 r carrying N+1 entries so that r_{n+1} is the slice r[1:].  The logs
-and cubes come from libm (math.log, float pow), once per stage; every
-other step is an IEEE-exact numpy operation (+ - * /, sqrt,
+and the powers (n+n0)^-3 and (N+n0)^-2 are correctly rounded (_crmath);
+every other step is an IEEE-exact numpy operation (+ - * /, sqrt,
 comparisons, a sequential cumsum), so each column equals the scalar
-per-stage evaluation with solve_sigma and check_hyp2 bit for bit and
-does not depend on numpy's SIMD kernels.  The scalar functions stay as
-that reference.  A Schedule is also a sequence of ScheduleRow values,
-built on demand; diagnostics and the trend read the columns, and turn
-a plain row list into a Schedule once.
+per-stage evaluation with solve_sigma and check_hyp2 bit for bit, and
+depends neither on the host's libm nor on numpy's SIMD kernels.  The
+scalar functions stay as that reference.  A Schedule is also a sequence
+of ScheduleRow values, built on demand; diagnostics and the trend read
+the columns, and turn a plain row list into a Schedule once.
 """
 
 from __future__ import annotations
@@ -47,10 +47,10 @@ import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
+from . import _crmath
 from .growth import _least_squares
 from .quadrature import GuardedResourceError
 
@@ -273,8 +273,11 @@ def _as_schedule(rows: Sequence[ScheduleRow]) -> Schedule:
     return rows if isinstance(rows, Schedule) else Schedule.from_rows(rows)
 
 
-def _libm_logs(ks: range) -> np.ndarray:
-    return np.fromiter(map(math.log, ks), float, len(ks))
+def _integers(lo: int, count: int) -> np.ndarray:
+    """float(k) for the count integers k from lo on."""
+    if lo + count <= 2 ** 53:
+        return np.arange(lo, lo + count, dtype=float)
+    return np.array(range(lo, lo + count), dtype=float)
 
 
 @np.errstate(over="ignore")
@@ -284,8 +287,8 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     Raises GuardedResourceError, before anything is allocated, when N is
     past _STAGE_BUDGET.
 
-    The only transcendentals are libm's, once per stage: math.log(n+n0)
-    and float(n+n0)**-3, plus math.log(n+2) for the Gaussian factor (one
+    The only transcendentals are correctly rounded, once per stage:
+    log(n+n0) and (n+n0)^-3, plus log(n+2) for the Gaussian factor (one
     table of logs where the two runs of integers meet).
     The rest is IEEE-exact numpy arithmetic (+ - * /, sqrt, comparisons,
     a sequential cumsum), so every column equals the per-stage scalar
@@ -296,17 +299,17 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
         raise GuardedResourceError(
             f"N={N} stages, over the budget of {_STAGE_BUDGET}; lower N")
     n = np.arange(1, N + 2)
-    ks = range(n0 + 1, n0 + N + 2)
-    eps = np.fromiter(map(pow, map(float, ks), repeat(-3)), float, N + 1)
+    ks = _integers(n0 + 1, N + 1)
+    eps = _crmath.recip_power(ks, 3)
     if cfg.variant is RadiiVariant.EXP_RADII:
-        r = cfg.theta * _libm_logs(ks)
+        r = cfg.theta * _crmath.log(ks)
     else:
         if n0 <= N + 3:  # the logs of n + n0 and of n + 2 cover one run of integers
             lo = min(n0 + 1, 3)
-            logs = _libm_logs(range(lo, max(n0 + N + 2, N + 4)))
+            logs = _crmath.log(np.arange(lo, max(n0 + N + 2, N + 4), dtype=float))
             log_k, log_gauss = logs[n0 + 1 - lo:][:N + 1], logs[3 - lo:][:N + 1]
         else:
-            log_k, log_gauss = _libm_logs(ks), _libm_logs(range(3, N + 4))
+            log_k, log_gauss = _crmath.log(ks), _crmath.log(_integers(3, N + 1))
         r = np.sqrt(log_k / cfg.d)
         gauss = n * np.sqrt(log_gauss)
         eps = eps / gauss
@@ -334,7 +337,7 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     # sum_{k>N} (k+n0)^-3 <= 1/2 * (N+n0)^-2, and the Gaussian factor
     # 1/(k*sqrt(log(k+2))) is decreasing, so the same bound scaled by its
     # value at k=N dominates that tail
-    remainder = 0.5 * float(N + n0) ** -2
+    remainder = 0.5 * float(_crmath.recip_power(float(N + n0), 2))
     if cfg.variant is RadiiVariant.GAUSSIAN_RADII:
         remainder /= float(gauss[N - 1])
     suffix = np.cumsum(a[::-1])[::-1] + remainder
@@ -433,9 +436,9 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     offset by n0, and the expected -1/2 law holds in that counter.  With
     no cfg the raw row number is used (apt for synthetic rows).
 
-    The logs come from libm (math.log) and p is the exact least-squares
-    slope over them rounded once (growth._least_squares), so it does not
-    depend on numpy's log kernels or on any summation order.
+    The logs are correctly rounded (_crmath) and p is the exact
+    least-squares slope over them rounded once (growth._least_squares),
+    so it depends on no libm, no numpy log kernel and no summation order.
     """
     schedule = _as_schedule(rows)
     keep = schedule.sigma_feasible & (schedule.sigma > 0)
@@ -445,8 +448,10 @@ def completeness_trend(rows: Sequence[ScheduleRow],
             f"need at least {_TREND_ROWS} feasible rows, got {count}"
         )
     offset = cfg.n0 if cfg is not None else 0
-    x = np.fromiter(map(math.log, map(offset.__add__, schedule.n[keep].tolist())),
-                    float, count)
-    y = np.fromiter(map(math.log, schedule.sigma[keep].tolist()), float, count)
-    exponent = _least_squares(x, y)[0]
+    stages = schedule.n[keep]
+    if stages.dtype.kind == "i" and offset + int(stages.max()) <= 2 ** 53:
+        stages = (stages + offset).astype(float)
+    else:  # float() of each exact stage number
+        stages = (stages.astype(object) + offset).astype(float)
+    exponent = _least_squares(_crmath.log(stages), _crmath.log(schedule.sigma[keep]))[0]
     return exponent, exponent > -1.0

@@ -17,7 +17,7 @@ from xml.dom import minidom
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import run_cli
@@ -870,6 +870,7 @@ _ODD_TEXTS = st.tuples(
           suppress_health_check=[HealthCheck.too_slow])
 @given(text=_PLAIN_TEXTS | _ODD_TEXTS, block=st.sampled_from([1, 7, 1 << 18]),
        limit=st.sampled_from([131072, 131072, 4]))
+@example(text=("x,y", ["1,2", "3,2.5e3"], ""), block=1 << 18, limit=4)  # a long last line
 def test_plot_reader_matches_csv_reader(tmp_path_factory, text, block, limit):
     # any text gives the same values, or the same error, as csv.reader alone
     header, lines, end = text
@@ -907,6 +908,27 @@ def test_plot_reads_plain_tables_without_csv(monkeypatch, tmp_path):
     assert [tuple(map(_bits, cli._read_plot_columns(p))) for p in paths] == want
     assert [len(xs) for xs, _ in want] == [3000, 3, 3]
     assert want[2][1] == _bits([5.0, 7.0, 8.0])
+
+
+def test_plot_declines_a_quoted_table_before_reading_a_field(monkeypatch, tmp_path):
+    # the byte checks run over the whole file first: a '"' in the last of
+    # 1e5 rows sends the table to csv.reader before any field is read
+    src = tmp_path / "table.csv"
+    assert cli.main(["schedule", "--variant", "gaussian", "--N", "100000",
+                     "--output", str(src)]) == 0
+    with open(src, "a") as fh:
+        fh.write('100001,"3.5",0,0,0,0,,0,false,false\n')
+    with open(src, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+
+    def refuse(*args):
+        raise AssertionError("a field was read before the decline")
+
+    monkeypatch.setattr(cli._text, "reals", refuse)
+    xs, ys = cli._read_plot_columns(str(src))
+    assert (_bits(xs), _bits(ys)) == (_bits([float(row[0]) for row in rows]),
+                                      _bits([float(row[1]) for row in rows]))
+    assert len(xs) == 100_001 and ys[-1] == 3.5
 
 
 def test_plot_read_memory_is_bounded(tmp_path):
@@ -1136,3 +1158,35 @@ def test_help_exits_0():
     assert proc.returncode == 0
     for sub in ("area", "packets", "growth", "schedule", "plot"):
         assert sub in proc.stdout
+
+
+def _avx512_groups():
+    """The AVX-512 groups numpy dispatches to on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [name for name in __cpu_dispatch__
+            if __cpu_features__.get(name) and ("AVX512" in name or name == "X86_V4")]
+
+
+def test_outputs_do_not_depend_on_numpy_dispatch(tmp_path):
+    # the same bytes with numpy's AVX-512 kernels switched off: no SIMD
+    # log, pow or rounding reaches a schedule, its trend or a plot
+    groups = _avx512_groups()
+    if not groups:
+        pytest.skip("numpy reports no AVX-512 dispatch on this host")
+    outputs = []
+    for env in ({}, {"NPY_DISABLE_CPU_FEATURES": " ".join(groups)}):
+        out = tmp_path / f"run{len(outputs)}"
+        out.mkdir()
+        for variant in ("gaussian", "exp"):
+            for fmt in ("csv", "json"):
+                proc = run_cli("schedule", "--variant", variant, "--N", "20000", "--format", fmt,
+                               "--output", str(out / f"{variant}.{fmt}"), env_extra=env)
+                assert proc.returncode == 0, proc.stderr
+            proc = run_cli("plot", "--input", str(out / f"{variant}.csv"),
+                           "--output", str(out / f"{variant}.svg"), env_extra=env)
+            assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert len(outputs[0]) == 6 and outputs[0] == outputs[1]

@@ -1,8 +1,10 @@
 """Growth-model fitting, classification, and witness extraction."""
 
+import functools
 import math
 import operator
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -329,9 +331,16 @@ _EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 _FIT_KINDS = ("logs", "normal", "spread", "edge")
 
 
+@functools.cache
+def _stage_logs():
+    """log k for k = 2..100001, correctly rounded: mpmath at 200 bits."""
+    with mpmath.workprec(200):
+        return np.array([float(mpmath.log(k)) for k in range(2, 100_002)])
+
+
 def _fit_inputs(kind, n, rng):
-    if kind == "logs":  # the trend: libm logs of stages and of sigma
-        x = np.fromiter(map(math.log, range(2, n + 2)), float, n)
+    if kind == "logs":  # the trend: correctly rounded logs of stages and of sigma
+        x = _stage_logs()[:n]
         return x, -0.5 * x + np.log(rng.uniform(0.5, 2.0, n))
     columns = []
     for _ in range(2):

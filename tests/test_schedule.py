@@ -158,7 +158,7 @@ def test_rows_structurally_sound(exp_big):
     assert all(b > a for a, b in zip(rs, rs[1:]))
     assert all(row.mu_n > 0 for row in rows)
     for row in rows[:100]:
-        assert row.a_n == row.b_n == row.eps_n == (row.n + cfg.n0) ** -3.0
+        assert row.a_n == row.b_n == row.eps_n == 1 / (row.n + cfg.n0) ** 3
 
 
 def test_gaussian_smallness_scaling(gauss_big):
@@ -217,25 +217,31 @@ def test_smallness_ratio():
     assert ratio[-1] < ratio[0] < 0.1
 
 
+def _mp_logs(values):
+    """Correctly rounded logs: mpmath at 200 bits, rounded once."""
+    with mpmath.workprec(200):
+        return [float(mpmath.log(v)) for v in values]
+
+
 def _reference_columns(cfg):
-    """The per-stage scalar evaluation: libm logs and pow, solve_sigma and
-    check_hyp2, and the tail sums accumulated from the last stage."""
+    """The per-stage scalar evaluation: correctly rounded logs (mpmath)
+    and powers (Python int division), solve_sigma and check_hyp2, and the
+    tail sums accumulated from the last stage."""
     gauss = cfg.variant is RadiiVariant.GAUSSIAN_RADII
+    ks = range(1 + cfg.n0, cfg.N + 2 + cfg.n0)
+    log_k = _mp_logs(ks)
+    log_gauss = _mp_logs(range(3, cfg.N + 4)) if gauss else None
 
-    def radius(n):
-        if gauss:
-            return math.sqrt(math.log(n + cfg.n0) / cfg.d)
-        return cfg.theta * math.log(n + cfg.n0)
-
-    def smallness(n):
-        cube = float(n + cfg.n0) ** -3
-        return cube / (n * math.sqrt(math.log(n + 2))) if gauss else cube
-
-    r = [radius(n) for n in range(1, cfg.N + 2)]
-    eps = [smallness(n) for n in range(1, cfg.N + 2)]
-    remainder = 0.5 * float(cfg.N + cfg.n0) ** -2
     if gauss:
-        remainder /= cfg.N * math.sqrt(math.log(cfg.N + 2))
+        r = [math.sqrt(v / cfg.d) for v in log_k]
+        eps = [1 / k ** 3 / (n * math.sqrt(g))
+               for n, k, g in zip(range(1, cfg.N + 2), ks, log_gauss)]
+    else:
+        r = [cfg.theta * v for v in log_k]
+        eps = [1 / k ** 3 for k in ks]
+    remainder = 0.5 * (1 / (cfg.N + cfg.n0) ** 2)
+    if gauss:
+        remainder /= cfg.N * math.sqrt(log_gauss[cfg.N - 1])
     tail = [0.0] * cfg.N
     acc = 0.0
     for i in reversed(range(cfg.N)):
@@ -281,9 +287,10 @@ _COLUMN_CASES = [
     "variant, N, n0, d, theta", _COLUMN_CASES,
     ids=[f"{v.value}-N{N}-n0_{n0}-d{d}-theta{t}" for v, N, n0, d, t in _COLUMN_CASES])
 def test_columns_match_scalar_reference(variant, N, n0, d, theta):
-    # exact: the columns use libm for every log and cube, so a numpy
-    # pow or log anywhere in the build (SIMD kernels that differ from
-    # libm in the last bit on some hosts) shows up here as a mismatch
+    # exact: every log and power of the build is correctly rounded, so a
+    # libm or numpy log or pow anywhere in it (neither is correctly
+    # rounded everywhere, and numpy's SIMD kernels vary by host) shows up
+    # here as a mismatch
     cfg = ScheduleConfig(variant, N=N, n0=n0, d=d, theta=theta)
     schedule = build_schedule(cfg)
     want = _reference_columns(cfg)
@@ -592,8 +599,8 @@ def test_trend_correctly_rounded_synthetic(case, monkeypatch):
     # slope, intercept and rms each equal the 60-digit value rounded once
     if isinstance(case, int):
         rows = _synthetic_rows(case)
-        x = [math.log(r.n) for r in rows]
-        y = [math.log(r.sigma_n) for r in rows]
+        x = _mp_logs(float(r.n) for r in rows)  # the stage number as a double
+        y = _mp_logs(r.sigma_n for r in rows)
         oracle = _mp_fit(x, y)
         exponent, _ = completeness_trend(rows)
         assert exponent == oracle[0]
@@ -621,11 +628,11 @@ def test_trend_correctly_rounded_gaussian(monkeypatch):
     cfg = ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=3000, n0=1)
     rows = build_schedule(cfg)
     feas = [r for r in rows if r.sigma_feasible]
-    oracle = _mp_fit([math.log(r.n + cfg.n0) for r in feas],
-                     [math.log(r.sigma_n) for r in feas])[0]
+    oracle = _mp_fit(_mp_logs(r.n + cfg.n0 for r in feas),
+                     _mp_logs(r.sigma_n for r in feas))[0]
 
     def no_np_log(*args, **kwargs):
-        raise AssertionError("completeness_trend must take its logs from libm")
+        raise AssertionError("completeness_trend must take correctly rounded logs")
 
     monkeypatch.setattr(np, "log", no_np_log)
     exponent, diverging = completeness_trend(rows, cfg)

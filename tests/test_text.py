@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphgrowth import _text
 
@@ -145,3 +147,67 @@ def test_rows_and_flags():
     text = _text.rows([_text.ints(np.array([1, 20])), ",", _text.flags(np.array([True, False])),
                        ",Quadrature,", _text.g17(np.array([0.5, 0.1])), "\n"])
     assert text == "1,true,Quadrature,0.5\n20,false,Quadrature,0.10000000000000001\n"
+
+
+def _read(fields, pad=0):
+    """_text.reals of fields laid out comma-separated after pad bytes."""
+    data = b"x" * pad + b",".join(fields) + b","
+    ends = np.cumsum([len(f) + 1 for f in fields]) + pad - 1
+    starts = ends - [len(f) for f in fields]
+    return _text.reals(np.frombuffer(data, np.uint8), starts, ends)
+
+
+def _float_or_error(field):
+    try:
+        return float(field)
+    except ValueError:
+        return ValueError
+
+
+# where float()'s correct rounding is hardest: halfway cases, the edges of
+# the subnormals and of the range, 19-20 digit mantissas, signs, zeros
+_FIELD_EDGES = [
+    "9007199254740993", "9007199254740995", "-9007199254740993", "2.2250738585072011e-308",
+    "2.2250738585072012e-308", "1e23", "8.5e22", "4.9406564584124654e-324",
+    "2.4703282292062327e-324", "2.4703282292062328e-324", "1.7976931348623158e308",
+    "1.7976931348623159e308", "1e400", "-1e400", "1e-400", "0.1", "0.30000000000000004",
+    "1234567890123456789", "12345678901234567890", "123456789012345678.5",
+    "99999999999999999.5", "0.000000000000000000001", "-0", "+0", "-0.0", "00", "007.50",
+    "1.", ".5", "-.5", ".", "-", "+", "", "e5", "1e", "1.2.3", "--1", "1-", " 1", "1 ",
+    "1_000", "inf", "-Infinity", "nan", "0x10", "\u0661".encode().decode("ascii", "ignore"),
+]
+_DIGIT_RUNS = st.text("0123456789", max_size=21)
+_DECIMALS = st.builds(
+    lambda sign, whole, point, frac, exp: sign + whole + point + frac + exp,
+    st.sampled_from(["", "-", "+"]), _DIGIT_RUNS, st.sampled_from(["", "."]), _DIGIT_RUNS,
+    st.sampled_from(["", "", "e5", "E-3", "e+400", "e-400", "e0", "e-330"]))
+_FIELDS = (_DECIMALS | st.sampled_from(_FIELD_EDGES)
+           | st.text(alphabet="0123456789.-+eE_ x", max_size=8))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(fields=st.lists(_FIELDS.map(str.encode), min_size=1, max_size=40),
+       pad=st.integers(0, 30))
+def test_reals_match_float(fields, pad):
+    want = [_float_or_error(f) for f in fields]
+    if ValueError in want:
+        with pytest.raises(ValueError):
+            _read(fields, pad)
+        return
+    assert _read(fields, pad).view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+def test_reals_decide_decimals_in_numpy(monkeypatch):
+    # float() sees only what the numpy path leaves: forms it does not read
+    # and the halfway products it cannot prove
+    seen = []
+    monkeypatch.setattr(_text, "float", lambda f: seen.append(f) or float(f), raising=False)
+    rng = np.random.default_rng(19)
+    x = np.concatenate([rng.uniform(0.0, 4.0, 5000), rng.uniform(-1e6, 1e6, 5000),
+                        np.ldexp(rng.random(5000), rng.integers(-60, 60, 5000))])
+    fields = ["%.17g" % v for v in x.tolist() if "e" not in "%.17g" % v]
+    fields += ["%d" % v for v in rng.integers(-10 ** 15, 10 ** 15, 5000).tolist()]
+    edges = ["9007199254740993", "1e5", "12345678901234567890", "0.5"]
+    got = _read([f.encode() for f in fields + edges], pad=24)
+    assert got.tolist() == [float(f) for f in fields + edges]
+    assert seen == [b"9007199254740993", b"1e5", b"12345678901234567890"]
