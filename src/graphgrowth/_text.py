@@ -54,7 +54,9 @@ def _pow10(e: int) -> tuple[float, int, float]:
     return m, s, rest
 
 
-_M, _S, _REST = (np.array(col) for col in zip(*map(_pow10, range(_E_MIN, 309))))
+# the scales are int32: np.ldexp takes a slow loop for int64 exponents
+_M, _S, _REST = (np.array(col, dtype) for col, dtype in
+                 zip(zip(*map(_pow10, range(_E_MIN, 309))), (float, np.int32, float)))
 _MH, _ML = _veltkamp(_M)
 
 
@@ -128,11 +130,11 @@ def _decimal17(ax: np.ndarray):
     i = e - _E_MIN
     mx, ex = np.frexp(ax)
     xh, xl = _veltkamp(mx)
-    mh, ml = _MH[i], _ML[i]
-    top = mx * _M[i]
+    mh, ml = np.take(_MH, i), np.take(_ML, i)
+    top = mx * np.take(_M, i)
     # top + low = mx * (m + rest), the first product exact (Dekker)
-    low = (((xh * mh - top) + xh * ml + xl * mh) + xl * ml) + mx * _REST[i]
-    scale = ex + _S[i]
+    low = (((xh * mh - top) + xh * ml + xl * mh) + xl * ml) + mx * np.take(_REST, i)
+    scale = ex + np.take(_S, i)  # int32, as frexp's exponents
     top, low = np.ldexp(top, scale), np.ldexp(low, scale)
     whole = np.floor(top)
     part = (top - whole) + low

@@ -518,16 +518,16 @@ def _plain_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
             fields = [(seps[first + j - 1] + 1 if j else starts, seps[first + j]) for j in picks]
             if estimate is not None and _any_blank(buf, *fields[2]):
                 estimate = None  # a blank estimate: area_lower for every row
-            lo, hi = (np.concatenate(part) for part in zip(*fields[:3 if estimate is not None else 2]))
-            rows = starts.size
+            # one call per column, so that each reads with its own window
             try:
-                values = _text.reals(buf, lo, hi)
+                values = [_text.reals(buf, lo, hi)
+                          for lo, hi in fields[:3 if estimate is not None else 2]]
             except ValueError:
                 return None
-            xs.append(values[:rows])
-            lower.append(values[rows:2 * rows])
+            xs.append(values[0])
+            lower.append(values[1])
             if estimate is not None:
-                estimate.append(values[2 * rows:])
+                estimate.append(values[2])
     if not xs:
         return None
     ys = lower if estimate is None else estimate

@@ -15,16 +15,29 @@ inputs here are math.log values, once per sample; the schedule trend
 fits correctly rounded logs (_crmath).
 
 Its five sums (of X, Y, X^2, XY and Y^2, with each value written as an
-integer X = M * 2**(e - min e) from its int64 frexp mantissa |M| < 2**53)
-are exact integers computed in numpy.  Each M is split into three
-18-bit limbs, two unsigned and the top one signed, so a limb product is
-below 2**36 in magnitude and a column of products of equal limb weight
-is below 3 * 2**36.  np.bincount sums each column per exponent over
-chunks of at most _FIT_CHUNK = 2**14 terms, so every float64 partial
-sum is an integer below 3 * 2**50 < 2**52: each addition is exact
-and the order does not matter.  The nonzero bins are then shifted into
-Python ints.  No transcendental and no SIMD-dependent rounding is
-involved, so the fit is portable as well as exact.
+integer times a power of two) are exact integers computed in numpy, a
+chunk of at most _FIT_CHUNK = 2**14 terms at a time, by one of two
+paths; no float64 sum on either path reaches 2**53, so each addition is
+exact and the order does not matter.
+
+  Gram path: when the nonzero x, and the nonzero y, of a chunk each lie
+  within _GRAM_SPAN = 10 binades, each value is X = x * 2**(53 - e),
+  e the chunk's lowest frexp exponent, an integer below 2**63 split into
+  four 16-bit limbs (three unsigned, the top one signed).  A limb
+  product is below 2**32, so a sum of limbs (SX, SY) is below 2**30 and
+  each entry of the limb Gram products (SXX, SXY, SYY from one BLAS
+  matrix product) is an integer below 2**46, whatever order BLAS adds in.
+
+  Bincount path: any wider chunk writes X = M * 2**(e_i - min e) from
+  its int64 frexp mantissa |M| < 2**53, split into three 18-bit limbs,
+  two unsigned and the top one signed.  A limb product is below 2**36,
+  a column of products of equal limb weight below 3 * 2**36, and
+  np.bincount sums each column per exponent, so every bin is an integer
+  below 3 * 2**50 < 2**52.
+
+Either way the chunk's integer sums are folded into Python ints.  No
+transcendental and no SIMD-dependent rounding is involved, so the fit
+is portable as well as exact.
 
 witness_constants then turns a fit into a checked inequality
 
@@ -118,9 +131,56 @@ class GrowthFit:
             raise ValueError("residual_rms must be nonnegative")
 
 
-# Terms per bincount in _least_squares (the bound in the module docstring)
+# Terms per chunk of _least_squares, and the widest exponent range of a
+# chunk on the Gram path (the bounds in the module docstring)
 _FIT_CHUNK = 1 << 14
+_GRAM_SPAN = 10
 _LIMB = (1 << 18) - 1
+_LIMB16 = (1 << 16) - 1
+_SUM_SHIFTS = [16 * j for j in range(4)]
+_GRAM_SHIFTS = [16 * (j + k) for j in range(4) for k in range(4)]
+
+
+def _binades(v: np.ndarray) -> tuple[int, int]:
+    """The lowest and highest frexp exponent of the nonzero values of v,
+    (0, 0) when there are none."""
+    a = np.abs(v)
+    top = a.max()
+    if top == 0:
+        return 0, 0
+    bottom = a.min()
+    if bottom == 0:
+        bottom = a.min(where=a > 0, initial=math.inf)
+    return math.frexp(bottom)[1], math.frexp(top)[1]
+
+
+def _gram_limbs(v: np.ndarray, low: int, out: np.ndarray) -> None:
+    """out[j] = L_j of the integers X = v * 2**(53 - low) = L0 + L1*2**16
+    + L2*2**32 + L3*2**48 below 2**63: L0..L2 in [0, 2**16), L3 in
+    [-2**15, 2**15)."""
+    m = np.ldexp(v, 53 - low).astype(np.int64)
+    for j in range(3):
+        np.bitwise_and(m >> 16 * j, _LIMB16, out=out[j], casting="unsafe")
+    np.right_shift(m, 48, out=out[3], casting="unsafe")
+
+
+def _gram_sums(x: np.ndarray, y: np.ndarray, low_x: int, low_y: int) -> list[int]:
+    """[SX, SY, SXX, SXY, SYY] over X = x * 2**(53 - low_x) and
+    Y = y * 2**(53 - low_y), each below 2**63, from limb sums and one
+    Gram product (every float64 sum an integer below 2**46)."""
+    z = np.empty((8, x.size))
+    _gram_limbs(x, low_x, z[:4])
+    _gram_limbs(y, low_y, z[4:])
+    s = z.sum(axis=1).astype(np.int64).tolist()
+    g = z @ z.T
+    return [_weigh(s[:4], _SUM_SHIFTS), _weigh(s[4:], _SUM_SHIFTS),
+            *(_weigh(block.astype(np.int64).ravel().tolist(), _GRAM_SHIFTS)
+              for block in (g[:4, :4], g[:4, 4:], g[4:, 4:]))]
+
+
+def _weigh(terms: list[int], shifts: list[int]) -> int:
+    """Sum of terms[i] * 2**shifts[i] as a Python int."""
+    return sum(map(operator.lshift, terms, shifts))
 
 
 def _limbs(mant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,6 +210,25 @@ def _fold(shift: np.ndarray, columns) -> int:
                    (at + 18 * column).tolist()))
 
 
+def _chunk_sums(x: np.ndarray, y: np.ndarray) -> tuple[list[int], int, int]:
+    """([SX, SY, SXX, SXY, SYY], low_x, low_y) of one chunk, over the
+    integers X = x * 2**(53 - low_x) and Y = y * 2**(53 - low_y): from
+    _gram_sums when both columns span at most _GRAM_SPAN binades, else
+    from bincount folds of the frexp mantissas."""
+    (low_x, top_x), (low_y, top_y) = _binades(x), _binades(y)
+    if top_x - low_x <= _GRAM_SPAN and top_y - low_y <= _GRAM_SPAN:
+        return _gram_sums(x, y, low_x, low_y), low_x, low_y
+    mx, ex = np.frexp(x)
+    my, ey = np.frexp(y)
+    low_x, low_y = int(ex.min()), int(ey.min())  # a zero's exponent 0 included
+    dx = (ex - low_x).astype(np.intp)
+    dy = (ey - low_y).astype(np.intp)
+    X, Y = _limbs(mx), _limbs(my)
+    sums = [_fold(dx, X), _fold(dy, Y), _fold(2 * dx, _limb_products(X, X)),
+            _fold(dx + dy, _limb_products(X, Y)), _fold(2 * dy, _limb_products(Y, Y))]
+    return sums, low_x, low_y
+
+
 def _rounded_ratio(num: int, den: int, shift: int) -> float:
     """num / den * 2**shift for den > 0, rounded once (+-inf past the range)."""
     try:
@@ -173,24 +252,20 @@ def _least_squares(x: Sequence[float], y: Sequence[float]) -> tuple[float, float
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("least squares needs finite values")
     n = x.size
-    # frexp runs per chunk, so no temporary is longer than a chunk
-    parts = [slice(lo, lo + _FIT_CHUNK) for lo in range(0, n, _FIT_CHUNK)]
-    # X_i = M_i << (ex_i - low) with x_i = X_i * 2**kx, kx = low - 53
-    low_x = min(int(np.frexp(x[part])[1].min()) for part in parts)
-    low_y = min(int(np.frexp(y[part])[1].min()) for part in parts)
+    chunks = [_chunk_sums(x[lo:lo + _FIT_CHUNK], y[lo:lo + _FIT_CHUNK])
+              for lo in range(0, n, _FIT_CHUNK)]
+    # the chunks' integers brought to the lowest scale: x_i = X_i * 2**kx
+    low_x = min((chunk[1] for chunk in chunks), default=0)
+    low_y = min((chunk[2] for chunk in chunks), default=0)
     kx, ky = low_x - 53, low_y - 53
     sx = sy = sxx = sxy = syy = 0
-    for part in parts:
-        mx, ex = np.frexp(x[part])
-        my, ey = np.frexp(y[part])
-        dx = (ex - low_x).astype(np.intp)
-        dy = (ey - low_y).astype(np.intp)
-        X, Y = _limbs(mx), _limbs(my)
-        sx += _fold(dx, X)
-        sy += _fold(dy, Y)
-        sxx += _fold(2 * dx, _limb_products(X, X))
-        sxy += _fold(dx + dy, _limb_products(X, Y))
-        syy += _fold(2 * dy, _limb_products(Y, Y))
+    for (cx, cy, cxx, cxy, cyy), chunk_x, chunk_y in chunks:
+        dx, dy = chunk_x - low_x, chunk_y - low_y
+        sx += cx << dx
+        sy += cy << dy
+        sxx += cxx << 2 * dx
+        sxy += cxy << dx + dy
+        syy += cyy << 2 * dy
     den = n * sxx - sx * sx
     if den == 0:
         raise ValueError("degenerate abscissae: all x values equal")

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -216,7 +216,9 @@ class Schedule(Sequence[ScheduleRow]):
 
     r has N+1 entries, so r[1:] holds r_{n+1}; a holds a_n = b_n = eps_n;
     sigma is NaN where the stage is infeasible.  Indexing and iteration
-    build ScheduleRow values on demand.
+    build ScheduleRow values on demand.  A built schedule also keeps
+    (n0, log(n + n0) for n = 1..N+1), the correctly rounded logs its
+    radii came from, for completeness_trend.
     """
 
     n: np.ndarray
@@ -227,6 +229,7 @@ class Schedule(Sequence[ScheduleRow]):
     eta: np.ndarray
     hyp2_ok: np.ndarray
     sigma_feasible: np.ndarray
+    _stage_logs: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def from_rows(cls, rows: Sequence[ScheduleRow]) -> "Schedule":
@@ -302,7 +305,8 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
     ks = _integers(n0 + 1, N + 1)
     eps = _crmath.recip_power(ks, 3)
     if cfg.variant is RadiiVariant.EXP_RADII:
-        r = cfg.theta * _crmath.log(ks)
+        log_k = _crmath.log(ks)
+        r = cfg.theta * log_k
     else:
         if n0 <= N + 3:  # the logs of n + n0 and of n + 2 cover one run of integers
             lo = min(n0 + 1, 3)
@@ -351,6 +355,7 @@ def build_schedule(cfg: ScheduleConfig) -> Schedule:
         eta=2.0 * (a + eps_next) + suffix,
         hyp2_ok=lhs < half,
         sigma_feasible=feasible,
+        _stage_logs=(n0, log_k),
     )
 
 
@@ -439,6 +444,8 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     The logs are correctly rounded (_crmath) and p is the exact
     least-squares slope over them rounded once (growth._least_squares),
     so it depends on no libm, no numpy log kernel and no summation order.
+    A built schedule read with its own n0 lends the logs of n + n0 that
+    its radii were computed from; they are the same doubles.
     """
     schedule = _as_schedule(rows)
     keep = schedule.sigma_feasible & (schedule.sigma > 0)
@@ -447,11 +454,16 @@ def completeness_trend(rows: Sequence[ScheduleRow],
         raise InsufficientRowsError(
             f"need at least {_TREND_ROWS} feasible rows, got {count}"
         )
-    offset = cfg.n0 if cfg is not None else 0
-    stages = schedule.n[keep]
-    if stages.dtype.kind == "i" and offset + int(stages.max()) <= 2 ** 53:
-        stages = (stages + offset).astype(float)
-    else:  # float() of each exact stage number
-        stages = (stages.astype(object) + offset).astype(float)
-    exponent = _least_squares(_crmath.log(stages), _crmath.log(schedule.sigma[keep]))[0]
+    built = schedule._stage_logs
+    if cfg is not None and built is not None and built[0] == cfg.n0:
+        log_stages = built[1][:-1][keep]
+    else:
+        offset = cfg.n0 if cfg is not None else 0
+        stages = schedule.n[keep]
+        if stages.dtype.kind == "i" and offset + int(stages.max()) <= 2 ** 53:
+            stages = (stages + offset).astype(float)
+        else:  # float() of each exact stage number
+            stages = (stages.astype(object) + offset).astype(float)
+        log_stages = _crmath.log(stages)
+    exponent = _least_squares(log_stages, _crmath.log(schedule.sigma[keep]))[0]
     return exponent, exponent > -1.0

@@ -1113,6 +1113,27 @@ def test_output_file_matches_stdout(tmp_path):
     assert b"\r\n" not in path.read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["schedule", "--variant", "gaussian", "--N", "300"],
+    ["schedule", "--variant", "exp", "--n0", "100", "--N", "300", "--format", "json"],
+    ["growth", "--family", "exp", "--r", "2,4,8,16", "--max-depth", "6"],
+    ["plot", "--label", "\u03c3 partial sums"],
+], ids=["schedule-csv", "schedule-json", "growth", "plot"])
+def test_stdout_gets_the_bytes_of_a_file(capsysbinary, tmp_path, argv):
+    # "--output -" writes the bytes a file gets: UTF-8, "\n" line ends
+    if argv[0] == "plot":
+        table = tmp_path / "table.csv"
+        assert cli.main(["schedule", "--variant", "gaussian", "--N", "300",
+                         "--output", str(table)]) == 0
+        argv = [*argv, "--input", str(table)]
+    assert cli.main([*argv, "--output", "-"]) == 0
+    out = capsysbinary.readouterr().out
+    path = tmp_path / "out"
+    assert cli.main([*argv, "--output", str(path)]) == 0
+    assert path.read_bytes() == out
+    assert out.endswith(b"\n") and b"\r" not in out
+
+
 def test_seventeen_digit_format():
     proc = run_cli("packets", "--family", "sin-exp", "--n", "2..2")
     center = proc.stdout.splitlines()[1].split(",")[1]

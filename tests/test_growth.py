@@ -26,6 +26,7 @@ from graphgrowth import (
     packet_growth_lower_bound,
     witness_constants,
 )
+from graphgrowth import growth
 from graphgrowth.growth import _least_squares
 
 
@@ -328,7 +329,20 @@ _EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                          1.0, -3.5, 1e308, -1e308, 2.0**-1000, -(2.0**1000)])
 
 
-_FIT_KINDS = ("logs", "normal", "spread", "edge")
+_FIT_KINDS = ("logs", "normal", "spread", "edge", "binades")
+
+# (lowest binary exponent, span) of x and of y in each chunk of
+# growth._FIT_CHUNK values, cycled; None is a chunk of zeros.  A chunk
+# whose two spans are both at most 10 takes the Gram path.
+_BINADE_CHUNKS = (
+    ((-60, 10), (5, 10)),  # both exactly 10: Gram
+    ((5, 10), (-3, 11)),  # y exactly 11: bincount
+    ((-1020, 11), (0, 10)),  # x exactly 11: bincount
+    ((-1070, 3), (900, 10)),  # subnormal x: Gram after a wide chunk
+    ((40, 11), (-40, 11)),
+    ((0, 0), None),
+    ((-3, 10), (60, 0)),
+)
 
 
 @functools.cache
@@ -338,7 +352,28 @@ def _stage_logs():
         return np.array([float(mpmath.log(k)) for k in range(2, 100_002)])
 
 
+def _binade_column(spec, size, rng):
+    """size values of the given (lowest exponent, span), the first two at
+    both ends of it, a tenth of the rest zeros, of either sign."""
+    if spec is None:
+        return np.zeros(size)
+    low, span = spec
+    v = np.ldexp(rng.uniform(0.5, 1.0, size), low + rng.integers(0, span + 1, size))
+    v[:2] = np.ldexp([0.5, 0.75], [low, low + span])[:size]
+    v[2:][rng.random(max(size - 2, 0)) < 0.1] = 0.0
+    return v * rng.choice([-1.0, 1.0], size)
+
+
+def _binade_inputs(n, rng):
+    chunks = [(lo, _BINADE_CHUNKS[i % len(_BINADE_CHUNKS)])
+              for i, lo in enumerate(range(0, n, growth._FIT_CHUNK))]
+    return tuple(np.concatenate([_binade_column(spec[j], min(growth._FIT_CHUNK, n - lo), rng)
+                                 for lo, spec in chunks]) for j in range(2))
+
+
 def _fit_inputs(kind, n, rng):
+    if kind == "binades":
+        return _binade_inputs(n, rng)
     if kind == "logs":  # the trend: correctly rounded logs of stages and of sigma
         x = _stage_logs()[:n]
         return x, -0.5 * x + np.log(rng.uniform(0.5, 2.0, n))
@@ -364,6 +399,23 @@ def test_least_squares_matches_python_int_reference(kind, n):
     want = _least_squares_reference(x.tolist(), y.tolist())
     assert _least_squares(x, y) == want
     assert _least_squares(x.tolist(), y.tolist()) == want
+
+
+def test_least_squares_gram_path_within_ten_binades(monkeypatch):
+    # the Gram path takes exactly the chunks whose x and y each span at
+    # most 10 binades (a chunk of zeros spans none); the others bincount
+    gram = []
+    sums = growth._gram_sums
+    monkeypatch.setattr(growth, "_gram_sums",
+                        lambda x, *rest: gram.append(x.size) or sums(x, *rest))
+    n = 100_000
+    x, y = _binade_inputs(n, np.random.default_rng(7))
+    assert _least_squares(x, y) == _least_squares_reference(x.tolist(), y.tolist())
+    sizes = [min(growth._FIT_CHUNK, n - lo) for lo in range(0, n, growth._FIT_CHUNK)]
+    specs = [_BINADE_CHUNKS[i % len(_BINADE_CHUNKS)] for i in range(len(sizes))]
+    narrow = [all(spec is None or spec[1] <= 10 for spec in pair) for pair in specs]
+    assert gram == [size for size, ok in zip(sizes, narrow) if ok]
+    assert 0 < len(gram) < len(sizes)
 
 
 @pytest.mark.parametrize("x", [[3.0, 3.0], [0.0, -0.0, 0.0], [5e-324] * 5])

@@ -4,6 +4,7 @@ Heavy schedules are built once per module.  The root-finding oracle for
 solve_sigma is scipy.optimize.brentq on the defining equation.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,6 +32,7 @@ from graphgrowth import (
     sigma_residual,
     solve_sigma,
 )
+from graphgrowth import _crmath
 from graphgrowth.growth import _least_squares
 from graphgrowth.svgplot import render_line_chart
 
@@ -522,6 +524,29 @@ def test_trend_memory_is_bounded():
     assert exponent == -0.49984187226735133  # the CLI golden, bit for bit
     assert diverging
     assert peak < 12e6
+
+
+@pytest.mark.parametrize("variant, n0", [
+    (RadiiVariant.GAUSSIAN_RADII, 1),
+    (RadiiVariant.GAUSSIAN_RADII, 10_000),
+    (RadiiVariant.EXP_RADII, 7),
+])
+def test_trend_reads_the_build_logs_at_its_n0(monkeypatch, variant, n0):
+    # a built schedule lends the trend its log(n + n0) column when cfg.n0
+    # is the build's: the same exponent as the logs taken afresh from a
+    # row list; another n0 takes its logs afresh from either
+    cfg = ScheduleConfig(variant, N=3000, n0=n0)
+    built = build_schedule(cfg)
+    rows = Schedule.from_rows(list(built))
+    other = dataclasses.replace(cfg, n0=n0 + 5)
+    want = completeness_trend(rows, cfg)
+    sizes = []
+    log = _crmath.log
+    monkeypatch.setattr(_crmath, "log", lambda x: sizes.append(x.size) or log(x))
+    assert completeness_trend(built, cfg) == want
+    assert len(sizes) == 1  # the logs of sigma only
+    assert completeness_trend(built, other) == completeness_trend(rows, other)
+    assert completeness_trend(built, other) != want
 
 
 def test_trend_synthetic_convergent():

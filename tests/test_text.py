@@ -132,13 +132,19 @@ def test_f3_values():
     assert _lines(_text.f3(x)) == ["%.3f" % v for v in x.tolist()]
 
 
+# each a block's largest magnitude, which sizes its digit rows
+_DIGIT_COUNT_EDGES = sorted({b for k in range(19) for b in (10 ** k - 1, 10 ** k)})
+
+
 @pytest.mark.parametrize("values", [
     np.array([0, 1, -1, 9, 10, 99, 100, 2 ** 63 - 1, -2 ** 63, 10 ** 18, -10 ** 18]),
     np.random.default_rng(2).integers(-2 ** 63, 2 ** 63 - 1, 10_000, dtype=np.int64),
     range(10 ** 30, 10 ** 30 + 5),
     range(2 ** 63 - 2, 2 ** 63 + 2),
     [],
-], ids=["edges", "random", "past-int64", "across-int64", "empty"])
+    *(np.array([top, 0, -top]) for top in _DIGIT_COUNT_EDGES),
+], ids=["edges", "random", "past-int64", "across-int64", "empty",
+        *(f"digits-{top}" for top in _DIGIT_COUNT_EDGES)])
 def test_ints(values):
     assert _lines(_text.ints(values)) == ["%d" % v for v in values]
 
