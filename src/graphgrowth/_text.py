@@ -2,9 +2,11 @@
 
 Each formatter turns a column of n values into a (w, n) uint8 array of
 ASCII codes, one row per character position, with NUL bytes where a
-value's text has no character; ``rows`` lays such columns side by side
-with separators and drops the NULs.  The text equals Python's ``%`` of
-each value byte for byte.
+value's text has no character.  ``rows`` lays such columns side by side
+with separators as n lines of bytes: each column keeps only the
+character rows some value uses, goes transposed into one row-major
+block, and the NULs are dropped from the block's bytes in one pass.
+The text equals Python's ``%`` of each value byte for byte.
 
 '%.17g' needs the correctly rounded 17-digit decimal of a double (D. M.
 Gay, "Correctly rounded binary-decimal and decimal-binary conversions",
@@ -230,14 +232,32 @@ def flags(values) -> np.ndarray:
     return _WORDS[np.asarray(values, dtype=np.intp)].T
 
 
-def rows(cells: Sequence) -> str:
-    """One line of text per value: the cells side by side, each a (w, n)
-    character array or a str the same on every line, NULs dropped."""
+def _used(chars: np.ndarray) -> np.ndarray:
+    """chars cut to its character rows from the first to the last that
+    holds a character in any column (none where all are NUL)."""
+    used = np.flatnonzero(chars.any(axis=1))
+    return chars[used[0]:used[-1] + 1] if used.size else chars[:0]
+
+
+def rows(cells: Sequence) -> bytes:
+    """One line of bytes per value: the cells side by side, each a (w, n)
+    character array or a str the same on every line, NULs dropped.
+
+    The lines are laid out in one row-major block of n rows, each cell
+    in its own columns: an array trimmed to its used character rows (_used)
+    and written transposed, a str's UTF-8 bytes broadcast down every
+    line.  One translate of the block's bytes drops the NULs."""
+    pieces = [np.frombuffer(cell.encode(), np.uint8) if isinstance(cell, str) else _used(cell)
+              for cell in cells]
     n = next(cell.shape[1] for cell in cells if not isinstance(cell, str))
-    chars = np.concatenate([
-        np.broadcast_to(np.frombuffer(cell.encode(), np.uint8)[:, None], (len(cell), n))
-        if isinstance(cell, str) else cell for cell in cells])
-    return chars.T.tobytes().translate(None, b"\0").decode("ascii")
+    width = sum(map(len, pieces))
+    block = bytearray(n * width)  # numpy writes into it and translate reads it: no copy
+    out = np.frombuffer(block, np.uint8).reshape(n, width)
+    at = 0
+    for piece in pieces:
+        out[:, at:at + len(piece)] = piece.T
+        at += len(piece)
+    return bytes(block.translate(None, b"\0"))
 
 
 # Reading numbers: 8 bytes of text as one little-endian uint64 word, the

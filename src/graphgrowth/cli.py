@@ -10,8 +10,9 @@ Commands
 Output contracts: CSV uses UTF-8, "\n" line endings, "." decimals, and
 fixed column orders; JSON is a single object per invocation with stable
 keys; every numeric value is printed with 17 significant digits so that
-identical invocations are byte-identical.  No environment variable
-affects any command.
+identical invocations are byte-identical.  Every output is written as
+UTF-8 bytes, to stdout's binary buffer for "--output -", so no locale
+or environment variable affects any command.
 
 The numeric text of the CSV tables, of JSON float64 arrays and of the
 SVG polyline is built column-wise in numpy (_text) and equals Python's
@@ -115,19 +116,24 @@ def _json_dump(value) -> str:
     if isinstance(value, np.ndarray):
         blocks = [_text.rows([_text.g17(value[i:i + _FLOAT_BLOCK]), ", "])[:-2]
                   for i in range(0, len(value), _FLOAT_BLOCK)]
-        return "[" + ", ".join(blocks) + "]"
+        return "[" + b", ".join(blocks).decode("ascii") + "]"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(map(_json_dump, value)) + "]"
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write_output(path: str, text: str | Iterable[str]) -> None:
-    """Write text, or each of its pieces in order, to path ("-": stdout)."""
-    pieces = [text] if isinstance(text, str) else text
+def _write_output(path: str, text: str | Iterable[bytes]) -> None:
+    """Write text encoded as UTF-8, or each of its bytes pieces in order,
+    to path ("-": stdout's binary buffer, after its text layer is flushed).
+
+    writelines drops each piece as soon as it is written, so one CSV
+    block's bytes are never held while the next block is made."""
+    pieces = [text.encode()] if isinstance(text, str) else text
     if path == "-":
-        sys.stdout.writelines(pieces)
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(pieces)
         return
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(pieces)
 
 
@@ -137,12 +143,13 @@ def _write_output(path: str, text: str | Iterable[str]) -> None:
 _CSV_BLOCK = 4096
 
 
-def _csv_blocks(header: str, size: int, fields: Callable[[slice], list]) -> Iterator[str]:
-    """A CSV table of size rows: the header, then one string per _CSV_BLOCK rows.
+def _csv_blocks(header: str, size: int, fields: Callable[[slice], list]) -> Iterator[bytes]:
+    """A CSV table of size rows as bytes: the header encoded as UTF-8,
+    then each _CSV_BLOCK rows as _text.rows lays them out.
 
     fields(block) gives the block's columns in order, each a character
     array of _text or a str that every row repeats."""
-    yield header
+    yield header.encode()
     for lo in range(0, size, _CSV_BLOCK):
         line = [part for column in fields(slice(lo, lo + _CSV_BLOCK)) for part in (column, ",")]
         line[-1] = "\n"
@@ -332,7 +339,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
 _SCHEDULE_HEADER = "n,r_n,mu_n,a_n,b_n,eps_n,sigma_n,eta_n,hyp2_ok,sigma_feasible\n"
 
 
-def _schedule_csv(schedule: Schedule) -> Iterator[str]:
+def _schedule_csv(schedule: Schedule) -> Iterator[bytes]:
     """The schedule CSV in blocks.  a_n, b_n and eps_n are the one a
     column, formatted once; sigma_n is an empty cell where the stage is
     infeasible."""
@@ -610,10 +617,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first call of main
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
+    global _parser
+    if _parser is None:
+        _parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         if code in (0, None):

@@ -119,9 +119,9 @@ def render_line_chart(xs: Sequence[float], ys: Sequence[float], mode: str,
     py = _pixels(ty, y_lo, y_hi, _HEIGHT - _MARGIN, _MARGIN)
     # "x,y" per point, a block of points at a time, the blocks joined at
     # their exact length
-    points = " ".join([_text.rows([_text.f3(px[i:i + _POINT_BLOCK]), ",",
-                                   _text.f3(py[i:i + _POINT_BLOCK]), " "])[:-1]
-                       for i in range(0, len(px), _POINT_BLOCK)])
+    points = b" ".join([_text.rows([_text.f3(px[i:i + _POINT_BLOCK]), ",",
+                                    _text.f3(py[i:i + _POINT_BLOCK]), " "])[:-1]
+                        for i in range(0, len(px), _POINT_BLOCK)]).decode("ascii")
 
     # escaped as xml.sax.saxutils.escape does, without importing urllib
     text = label.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")

@@ -1114,11 +1114,13 @@ def test_output_file_matches_stdout(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
+    ["area", "--family", "sin-exp", "--r", "2,3.5", "--mode", "lower", "--max-depth", "6"],
+    ["packets", "--family", "sin-exp-sq", "--n", "2..40", "--delta", "0.01"],
     ["schedule", "--variant", "gaussian", "--N", "300"],
     ["schedule", "--variant", "exp", "--n0", "100", "--N", "300", "--format", "json"],
     ["growth", "--family", "exp", "--r", "2,4,8,16", "--max-depth", "6"],
     ["plot", "--label", "\u03c3 partial sums"],
-], ids=["schedule-csv", "schedule-json", "growth", "plot"])
+], ids=["area", "packets", "schedule-csv", "schedule-json", "growth", "plot"])
 def test_stdout_gets_the_bytes_of_a_file(capsysbinary, tmp_path, argv):
     # "--output -" writes the bytes a file gets: UTF-8, "\n" line ends
     if argv[0] == "plot":
@@ -1132,6 +1134,34 @@ def test_stdout_gets_the_bytes_of_a_file(capsysbinary, tmp_path, argv):
     assert cli.main([*argv, "--output", str(path)]) == 0
     assert path.read_bytes() == out
     assert out.endswith(b"\n") and b"\r" not in out
+
+
+def test_main_runs_commands_one_after_another(capsysbinary, tmp_path):
+    # main builds its parser once per process: every later call, also one
+    # after an argparse error (exit 2), prints and returns what a call in
+    # a new process does
+    table = tmp_path / "table.csv"
+    commands = [
+        ["area", "--family", "exp", "--r", "2,3", "--max-depth", "4"],
+        ["schedule", "--variant", "exp", "--N", "5", "--format", "svg"],
+        ["packets", "--family", "sin-exp", "--n", "1..3"],
+        ["schedule", "--variant", "gaussian", "--N", "40", "--output", str(table)],
+        ["area", "--family", "exp", "--max-depth", "4"],
+        ["plot", "--input", str(table), "--mode", "log-log"],
+        ["packets", "--family", "sin-exp", "--n", "5..1"],
+        ["growth", "--family", "exp", "--r", "2,4,8,16", "--max-depth", "6"],
+    ]
+    in_process, parsers = [], set()
+    for argv in commands:
+        code = cli.main(argv)
+        out, err = capsysbinary.readouterr()
+        in_process.append((code, out.decode(), err.decode()))
+        parsers.add(id(cli._parser))
+    assert len(parsers) == 1
+    separate = [(proc.returncode, proc.stdout, proc.stderr)
+                for proc in (run_cli(*argv) for argv in commands)]
+    assert in_process == separate
+    assert [code for code, _, _ in in_process] == [0, 2, 0, 0, 2, 0, 2, 0]
 
 
 def test_seventeen_digit_format():

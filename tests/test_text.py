@@ -2,10 +2,11 @@
 
 graphgrowth._text builds the CSV fields, the JSON float lists and the
 SVG points without a per-value %; each case here compares its text with
-the % of every value.  Random bit patterns cover all of the double
-range; the hand-picked inputs sit where a correctly rounded conversion
-is hardest: powers of ten one ulp either way, exact ties, the changes of
-form, and the values the numpy path hands back to Python.
+the % of every value, and rows' one-pass assembly with the plain one.
+Random bit patterns cover all of the double range; the hand-picked
+inputs sit where a correctly rounded conversion is hardest: powers of
+ten one ulp either way, exact ties, the changes of form, and the values
+the numpy path hands back to Python.
 """
 
 import math
@@ -14,19 +15,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graphgrowth import _text
 
 
 def _lines(chars):
-    return _text.rows([chars, "\n"]).split("\n")[:-1]
+    return _text.rows([chars, "\n"]).split(b"\n")[:-1]
+
+
+def _encoded(form, values):
+    return [(form % v).encode() for v in values]
 
 
 def _check_g17(values):
     x = np.asarray(values, dtype=float)
-    assert _lines(_text.g17(x)) == ["%.17g" % v for v in x.tolist()]
+    assert _lines(_text.g17(x)) == _encoded("%.17g", x.tolist())
 
 
 def _random_doubles(count, seed=20260101):
@@ -112,14 +117,14 @@ def test_g17_keeps_the_shape():
     x = np.array([[0.5, 1e-7], [3.0, -2e20]])
     chars = _text.g17(x)
     assert chars.shape == (29, 2, 2)
-    assert _lines(chars[:, 1]) == ["3", "-2e+20"]
+    assert _lines(chars[:, 1]) == [b"3", b"-2e+20"]
 
 
 def test_f3_binary_ties():
     # every 1/16 step of the plot's pixel range: the odd ones times 1000
     # end in exactly .5, and go to the even neighbour as Python's do
     x = np.arange(60 * 16, 580 * 16 + 1) / 16
-    assert _lines(_text.f3(x)) == ["%.3f" % v for v in x.tolist()]
+    assert _lines(_text.f3(x)) == _encoded("%.3f", x.tolist())
 
 
 def test_f3_values():
@@ -129,7 +134,7 @@ def test_f3_values():
         np.nextafter(np.arange(-2000, 2000) / 2000, np.inf),
         [0.0, -0.0, -0.0001, 0.0005, -0.0005, 999999999.9995, 1e9, -1e12, 1e300,
          math.inf, -math.inf, math.nan, 5e-324]])
-    assert _lines(_text.f3(x)) == ["%.3f" % v for v in x.tolist()]
+    assert _lines(_text.f3(x)) == _encoded("%.3f", x.tolist())
 
 
 # each a block's largest magnitude, which sizes its digit rows
@@ -146,13 +151,72 @@ _DIGIT_COUNT_EDGES = sorted({b for k in range(19) for b in (10 ** k - 1, 10 ** k
 ], ids=["edges", "random", "past-int64", "across-int64", "empty",
         *(f"digits-{top}" for top in _DIGIT_COUNT_EDGES)])
 def test_ints(values):
-    assert _lines(_text.ints(values)) == ["%d" % v for v in values]
+    assert _lines(_text.ints(values)) == _encoded("%d", values)
 
 
 def test_rows_and_flags():
     text = _text.rows([_text.ints(np.array([1, 20])), ",", _text.flags(np.array([True, False])),
                        ",Quadrature,", _text.g17(np.array([0.5, 0.1])), "\n"])
-    assert text == "1,true,Quadrature,0.5\n20,false,Quadrature,0.10000000000000001\n"
+    assert text == b"1,true,Quadrature,0.5\n20,false,Quadrature,0.10000000000000001\n"
+
+
+def _concatenated_rows(cells):
+    """The former assembly of rows: every cell's character rows stacked
+    whole, the (w, n) block transposed into row order, the NULs dropped."""
+    n = next(cell.shape[1] for cell in cells if not isinstance(cell, str))
+    chars = np.concatenate([
+        np.broadcast_to(np.frombuffer(cell.encode(), np.uint8)[:, None], (len(cell), n))
+        if isinstance(cell, str) else cell for cell in cells])
+    return chars.T.tobytes().translate(None, b"\0")
+
+
+_CELL_DOUBLES = st.floats() | st.sampled_from([0.0, -0.0, 0.5, 1e-7, -2e20, 1e300, 1e9])
+
+
+@st.composite
+def _row_cells(draw):
+    """Cells of one block of n lines, as the CSV, JSON and SVG writers
+    pass them: the g17 cells are views of one formatted stack, f3 of
+    1e300 and ints past int64 are widened by _patch, and a blank cell is
+    all NUL, as a sigma column whose stages are all infeasible."""
+    n = draw(st.integers(1, 5))
+    doubles = st.lists(_CELL_DOUBLES, min_size=n, max_size=n)
+    kinds = draw(st.lists(st.sampled_from(["g17", "blank", "ints", "f3", "flags", "sep"]),
+                          min_size=1, max_size=8))
+    cells = []
+    for kind in kinds:
+        if kind in ("g17", "blank"):
+            chars = _text.g17(np.array([draw(doubles), draw(doubles)])).swapaxes(0, 1)[1]
+            if kind == "blank":
+                chars[:] = 0
+            cells.append(chars)
+        elif kind == "ints":
+            cells.append(_text.ints(draw(st.lists(st.integers(-2 ** 70, 2 ** 70),
+                                                  min_size=n, max_size=n))))
+        elif kind == "f3":
+            cells.append(_text.f3(draw(doubles)))
+        elif kind == "flags":
+            cells.append(_text.flags(draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+        else:
+            cells.append(draw(st.text(st.characters(min_codepoint=32, max_codepoint=126),
+                                      max_size=3)))
+    if all(isinstance(cell, str) for cell in cells):
+        cells.append(_text.ints(range(n)))
+    return cells
+
+
+def _blank_widened_line():
+    """One line: a blank cell and a '%.3f' cell that _patch widened."""
+    blank = _text.g17(np.array([2.5]))
+    blank[:] = 0
+    return [_text.ints(np.array([7])), ",", blank, ",", _text.f3(np.array([1e300])), "\n"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cells=_row_cells())
+@example(cells=_blank_widened_line())
+def test_rows_match_the_concatenated_assembly(cells):
+    assert _text.rows(cells) == _concatenated_rows(cells)
 
 
 def _read(fields, pad=0):
