@@ -27,25 +27,27 @@ from graphgrowth import (
 for variant, N, n0 in ((RadiiVariant.EXP_RADII, 10_000, 10_000),
                        (RadiiVariant.GAUSSIAN_RADII, 100_000, 10_000)):
     cfg = ScheduleConfig(variant, N=N, n0=n0)
-    rows = build_schedule(cfg)
+    schedule = build_schedule(cfg)
     print(f"== {variant.value}  N={N}  n0={n0} ==")
 
     print(f"{'n':>7} {'r_n':>10} {'mu_n':>11} {'sigma_n':>12} {'eta_n':>12}")
-    for row in (rows[0], rows[9], rows[len(rows) // 2], rows[-1]):
-        print(f"{row.n:>7} {row.r_n:>10.5f} {row.mu_n:>11.4e}"
-              f" {row.sigma_n:>12.5e} {row.eta_n:>12.5e}")
+    n, r, mu, a, sigma, eta = (col.tolist() for col in (
+        schedule.n, schedule.r, schedule.mu, schedule.a, schedule.sigma, schedule.eta))
+    for i in (0, 9, N // 2, N - 1):
+        print(f"{n[i]:>7} {r[i]:>10.5f} {mu[i]:>11.4e}"
+              f" {sigma[i]:>12.5e} {eta[i]:>12.5e}")
 
-    flags = all(r.hyp2_ok and r.sigma_feasible for r in rows)
+    flags = bool(np.all(schedule.hyp2_ok & schedule.sigma_feasible))
+    # eps_{n+1} is the schedule's own a[i + 1]: a_n = b_n = eps_n
     worst = max(
-        sigma_residual(r.r_n, r.a_n, (r.n + 1 + cfg.n0) ** -3.0,
-                       r.mu_n / 2, r.sigma_n)
-        for r in rows[:: max(1, len(rows) // 50)]
+        sigma_residual(r[i], a[i], a[i + 1], mu[i] / 2, sigma[i])
+        for i in range(0, N - 1, max(1, N // 50))
     )
     print(f"all rows feasible: {flags}; worst sigma residual {worst:.2e}")
 
-    lo, hi = queryable_range(rows)
+    lo, hi = queryable_range(schedule)
     grid = list(np.linspace(lo, hi, 8))
-    diag = diagnostics(rows, cfg, grid)
+    diag = diagnostics(schedule, cfg, grid)
     print(f"queryable R in [{lo:.4f}, {hi:.4f}]")
     for R in sorted(diag.N_of_R):
         k = diag.N_of_R[R]
@@ -59,7 +61,7 @@ for variant, N, n0 in ((RadiiVariant.EXP_RADII, 10_000, 10_000),
           f" {diag.area_lower_of_R[hi]:.6e}")
     print(f"eta tail max: {diag.eta_max_tail:.3e}")
 
-    exponent, diverging = completeness_trend(rows, cfg)
+    exponent, diverging = completeness_trend(schedule, cfg)
     print(f"sum sigma_n diverges: {diverging}"
           f" (fitted sigma ~ stage^{exponent:.3f})")
     print()

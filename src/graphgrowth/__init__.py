@@ -12,16 +12,16 @@ Layers: families (overflow-safe evaluation and rigorous rectangle
 enclosures), quadrature (certified sublevel-set integration), packets
 (disk certificates and counting bounds), growth (model fitting and
 witnesses), schedule (induction tables and diagnostics), svgplot + cli
-(serialization surface).
+(serialization surface).  Cells are enclosed and classified in arrays
+only: families.bound_abs_f_fprime_batch encloses many cells per call,
+and a single cell is a batch of one.  A schedule is one Schedule of
+numpy columns, which diagnostics, queryable_range and
+completeness_trend take as built.
 """
 
 from .families import (
     GraphFamily,
     LogScaledComplex,
-    MagInterval,
-    RectBounds,
-    bound_abs_f,
-    bound_abs_fprime,
     eval_f,
     eval_fprime,
 )
@@ -57,13 +57,11 @@ from .packets import (
 from .quadrature import (
     RADIUS_CAPS,
     AreaEstimate,
-    CellClass,
     GuardedResourceError,
     QuadConfig,
     QuadMode,
     RadiusCapError,
     SublevelDomain,
-    classify_cell,
     ez_area_closed_bound,
     graph_area,
 )
@@ -86,10 +84,9 @@ from .schedule import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GraphFamily", "LogScaledComplex", "MagInterval", "RectBounds",
-    "eval_f", "eval_fprime", "bound_abs_f", "bound_abs_fprime",
-    "SublevelDomain", "QuadConfig", "QuadMode", "CellClass", "AreaEstimate",
-    "GuardedResourceError", "RadiusCapError", "RADIUS_CAPS", "classify_cell",
+    "GraphFamily", "LogScaledComplex", "eval_f", "eval_fprime",
+    "SublevelDomain", "QuadConfig", "QuadMode", "AreaEstimate",
+    "GuardedResourceError", "RadiusCapError", "RADIUS_CAPS",
     "graph_area", "ez_area_closed_bound",
     "DiskPacket", "PacketCertificate", "CertifyMethod", "DisjointnessReport",
     "DELTA_MAX", "F_TARGET", "make_packet", "fprime_target", "certify_packet",

@@ -90,45 +90,61 @@ from .svgplot import AXES_MODES, render_line_chart
 __all__ = ["main"]
 
 
-# Values of a float array formatted per piece in _json_dump.  Pieces of a
-# bounded size are joined once at their exact total length, so the
-# character arrays of a 1e5-value array are never held at once.
+# Values of a float array formatted per piece in _json_dump.  Each block
+# of values is written as its own bytes piece, so the character arrays
+# of a 1e5-value array are never held at once and its text is never
+# joined.
 _FLOAT_BLOCK = 4096
 
 
-def _json_dump(value) -> str:
-    """Deterministic JSON with 17-significant-digit floats; a 1-D float64
-    array is a list, its text made in numpy per block."""
+def _json_dump(value) -> Iterator[bytes]:
+    """Deterministic JSON with 17-significant-digit floats, as bytes
+    pieces in order; a 1-D float64 array is a list, its text made in
+    numpy per block and passed on as _text.rows made it."""
     if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return fmt17(value)
-    if isinstance(value, str):
+        yield b"null"
+    elif isinstance(value, bool):
+        yield b"true" if value else b"false"
+    elif isinstance(value, int):
+        yield str(value).encode()
+    elif isinstance(value, float):
+        yield fmt17(value).encode()
+    elif isinstance(value, str):
         out = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{out}"'
-    if isinstance(value, dict):
-        inner = ", ".join(f"{_json_dump(str(k))}: {_json_dump(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, np.ndarray):
-        blocks = [_text.rows([_text.g17(value[i:i + _FLOAT_BLOCK]), ", "])[:-2]
-                  for i in range(0, len(value), _FLOAT_BLOCK)]
-        return "[" + b", ".join(blocks).decode("ascii") + "]"
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(map(_json_dump, value)) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        yield f'"{out}"'.encode()
+    elif isinstance(value, dict):
+        yield b"{"
+        for i, (k, v) in enumerate(value.items()):
+            if i:
+                yield b", "
+            yield from _json_dump(str(k))
+            yield b": "
+            yield from _json_dump(v)
+        yield b"}"
+    elif isinstance(value, np.ndarray):
+        yield b"["
+        for i in range(0, len(value), _FLOAT_BLOCK):
+            block = _text.rows([_text.g17(value[i:i + _FLOAT_BLOCK]), ", "])
+            # every line of a block ends in ", "; the array's last drops it
+            yield block if i + _FLOAT_BLOCK < len(value) else memoryview(block)[:-2]
+        yield b"]"
+    elif isinstance(value, (list, tuple)):
+        yield b"["
+        for i, item in enumerate(value):
+            if i:
+                yield b", "
+            yield from _json_dump(item)
+        yield b"]"
+    else:
+        raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _write_output(path: str, text: str | Iterable[bytes]) -> None:
-    """Write text encoded as UTF-8, or each of its bytes pieces in order,
-    to path ("-": stdout's binary buffer, after its text layer is flushed).
+def _write_output(path: str, pieces: Iterable[bytes]) -> None:
+    """Write each bytes piece in order to path ("-": stdout's binary
+    buffer, after its text layer is flushed).
 
     writelines drops each piece as soon as it is written, so one CSV
     block's bytes are never held while the next block is made."""
-    pieces = [text.encode()] if isinstance(text, str) else text
     if path == "-":
         sys.stdout.flush()
         sys.stdout.buffer.writelines(pieces)
@@ -330,7 +346,7 @@ def _cmd_growth(args: argparse.Namespace) -> int:
         "c_witness": c_witness,
         "r0_witness": r0_witness,
     }
-    _write_output(args.output, _json_dump(payload) + "\n")
+    _write_output(args.output, chain(_json_dump(payload), [b"\n"]))
     return 0
 
 
@@ -389,7 +405,7 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         "sigma_partial_sums": diag.sigma_partial_sums,
         "completeness_trend": trend,
     }
-    _write_output(args.output, _json_dump(payload) + "\n")
+    _write_output(args.output, chain(_json_dump(payload), [b"\n"]))
     return 0
 
 
@@ -544,7 +560,7 @@ def _plain_plot_columns(path: str) -> tuple[np.ndarray, np.ndarray] | None:
 def _cmd_plot(args: argparse.Namespace) -> int:
     xs, ys = _read_plot_columns(args.input)
     svg = render_line_chart(xs, ys, args.mode, label=args.label)
-    _write_output(args.output, svg)
+    _write_output(args.output, [svg.encode()])
     return 0
 
 

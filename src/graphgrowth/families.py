@@ -6,8 +6,9 @@ three holomorphic families studied by this package:
     EXP         f(z) = e^z             f'(z) = e^z
 
 Values of sin(e^z) overflow double precision already for moderate Re z,
-so all magnitudes are carried as natural logarithms (LogScaledComplex,
-MagInterval).  The workhorse identities, for w = x + iy,
+so all magnitudes are carried as natural logarithms (LogScaledComplex
+at a point, arrays of log bounds over cells).  The workhorse
+identities, for w = x + iy,
 
     |sin w|^2 = sin^2 x + sinh^2 y
     |cos w|^2 = cos^2 x + sinh^2 y
@@ -44,11 +45,11 @@ computed apart, with cosh y > 0 divided out:
     arg sin(x + iy) = atan2(cos x tanh y, sin x)
     arg cos(x + iy) = atan2(-sin x tanh y, cos x)
 
-Rectangle enclosures (bound_abs_f_fprime_batch, and per cell
-bound_abs_f / bound_abs_fprime) are outward-rounded interval
-computations: monotone pieces are evaluated at the correct cell
-corners, trig ranges account for interior critical points, and every
-computed endpoint is widened outward in one fused pass,
+Rectangle enclosures (bound_abs_f_fprime_batch, and its two stages)
+are outward-rounded interval computations: monotone pieces are
+evaluated at the correct cell corners, trig ranges account for
+interior critical points, and every computed endpoint is widened
+outward in one fused pass,
 x -> max(x(1+4*2^-52), x(1-4*2^-52)) + 4*2^-1074 upward and its mirror
 image downward, which is never narrower than four ulp steps.  They are
 used by the sublevel-set quadrature to certify cells and by the packet
@@ -70,12 +71,8 @@ import numpy as np
 __all__ = [
     "GraphFamily",
     "LogScaledComplex",
-    "RectBounds",
-    "MagInterval",
     "eval_f",
     "eval_fprime",
-    "bound_abs_f",
-    "bound_abs_fprime",
     "log_abs_f_fprime_batch",
     "bound_abs_f_fprime_batch",
     "MIRROR_AXES",
@@ -152,104 +149,6 @@ class LogScaledComplex:
             raise OverflowError("magnitude not plain-representable")
         m = self.magnitude
         return complex(m * math.cos(self.phase), m * math.sin(self.phase))
-
-
-@dataclass(frozen=True)
-class RectBounds:
-    """Closed axis-aligned rectangle in the parameter plane.
-
-    Degenerate (point or segment) rectangles are allowed.
-    """
-
-    re_lo: float
-    re_hi: float
-    im_lo: float
-    im_hi: float
-
-    def __post_init__(self) -> None:
-        vals = (self.re_lo, self.re_hi, self.im_lo, self.im_hi)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("RectBounds requires finite corners")
-        if self.re_lo > self.re_hi or self.im_lo > self.im_hi:
-            raise ValueError("RectBounds requires lo <= hi")
-
-    @property
-    def width(self) -> float:
-        return self.re_hi - self.re_lo
-
-    @property
-    def height(self) -> float:
-        return self.im_hi - self.im_lo
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    def center(self) -> complex:
-        return complex(0.5 * (self.re_lo + self.re_hi), 0.5 * (self.im_lo + self.im_hi))
-
-    def contains(self, z: complex) -> bool:
-        return self.re_lo <= z.real <= self.re_hi and self.im_lo <= z.imag <= self.im_hi
-
-    def min_abs2(self) -> float:
-        dx = max(self.re_lo, -self.re_hi, 0.0)
-        dy = max(self.im_lo, -self.im_hi, 0.0)
-        return dx * dx + dy * dy
-
-    def max_abs2(self) -> float:
-        dx = max(abs(self.re_lo), abs(self.re_hi))
-        dy = max(abs(self.im_lo), abs(self.im_hi))
-        return dx * dx + dy * dy
-
-
-@dataclass(frozen=True)
-class MagInterval:
-    """Enclosure [lo, hi] of a nonnegative magnitude, stored in log scale
-    so that astronomically large bounds remain representable.
-
-    log_lo = -inf encodes lo = 0; log_hi = +inf encodes an unbounded
-    (trivial) upper end.  The plain-value accessors saturate to +inf.
-    """
-
-    log_lo: float
-    log_hi: float
-
-    def __post_init__(self) -> None:
-        if math.isnan(self.log_lo) or math.isnan(self.log_hi):
-            raise ValueError("NaN endpoint in MagInterval")
-        if self.log_lo > self.log_hi:
-            raise ValueError("MagInterval requires lo <= hi")
-
-    @classmethod
-    def from_values(cls, lo: float, hi: float) -> "MagInterval":
-        if lo < 0 or hi < 0:
-            raise ValueError("magnitudes are nonnegative")
-        llo = float("-inf") if lo == 0.0 else math.log(lo)
-        lhi = float("-inf") if hi == 0.0 else (float("inf") if math.isinf(hi) else math.log(hi))
-        return cls(llo, lhi)
-
-    @classmethod
-    def trivial(cls) -> "MagInterval":
-        return cls(float("-inf"), float("inf"))
-
-    @property
-    def lo(self) -> float:
-        if self.log_lo == float("-inf"):
-            return 0.0
-        return math.exp(self.log_lo) if self.log_lo <= _MAX_LOG else float("inf")
-
-    @property
-    def hi(self) -> float:
-        if self.log_hi == float("-inf"):
-            return 0.0
-        return math.exp(self.log_hi) if self.log_hi <= _MAX_LOG else float("inf")
-
-    @property
-    def is_trivial(self) -> bool:
-        return self.log_lo == float("-inf") and self.log_hi == float("inf")
-
-    def contains_log(self, log_mag: float) -> bool:
-        return self.log_lo <= log_mag <= self.log_hi
 
 
 def _normalize_phase(p: float) -> float:
@@ -682,25 +581,3 @@ def bound_abs_f_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
     rows = _row_terms(family, im_lo, im_hi)
     f_lo, f_hi, box = _enclose_f(family, cols, rows, None, None)
     return (f_lo, f_hi, *_enclose_fprime(family, cols, rows, None, None, box))
-
-
-def _bound_cell(family: GraphFamily, cell: RectBounds):
-    return bound_abs_f_fprime_batch(
-        family,
-        np.array([cell.re_lo]),
-        np.array([cell.re_hi]),
-        np.array([cell.im_lo]),
-        np.array([cell.im_hi]),
-    )
-
-
-def bound_abs_f(family: GraphFamily, cell: RectBounds) -> MagInterval:
-    """Rigorous enclosure of |f| over a rectangle."""
-    lo, hi, _, _ = _bound_cell(family, cell)
-    return MagInterval(float(lo[0]), float(hi[0]))
-
-
-def bound_abs_fprime(family: GraphFamily, cell: RectBounds) -> MagInterval:
-    """Rigorous enclosure of |f'| over a rectangle."""
-    _, _, lo, hi = _bound_cell(family, cell)
-    return MagInterval(float(lo[0]), float(hi[0]))

@@ -60,7 +60,7 @@ level, and no address can wrap at any depth.
 Classification runs the enclosure kernel's first stage (|f|) on every
 cell and its second stage (|f'|, from the same e^u box) only on the
 proved-inside cells, the only ones whose |f'| is summed.  It returns an
-inside mask, an undecided mask (BOUNDARY or UNKNOWN) and the log lower
+inside mask, an undecided mask (proved neither) and the log lower
 bound of |f'| on the inside cells; each mask selects its cells with one
 compress along the cell axis.  The undecided cells split into SW, SE,
 NW, NE blocks, and a child wholly outside the disk |z|^2 <= r^2 is
@@ -86,7 +86,6 @@ import numpy as np
 from .families import (
     MIRROR_AXES,
     GraphFamily,
-    RectBounds,
     _abs_z2_range,
     _column_terms,
     _enclose_f,
@@ -97,7 +96,6 @@ from .families import (
 )
 
 __all__ = [
-    "CellClass",
     "QuadMode",
     "SublevelDomain",
     "QuadConfig",
@@ -105,7 +103,6 @@ __all__ = [
     "GuardedResourceError",
     "RadiusCapError",
     "RADIUS_CAPS",
-    "classify_cell",
     "graph_area",
     "ez_area_closed_bound",
 ]
@@ -144,13 +141,6 @@ class GuardedResourceError(ValueError):
 
 class RadiusCapError(GuardedResourceError):
     """Requested radius exceeds the family's guarded cap."""
-
-
-class CellClass(Enum):
-    INSIDE = "Inside"
-    OUTSIDE = "Outside"
-    BOUNDARY = "Boundary"
-    UNKNOWN = "Unknown"
 
 
 class QuadMode(Enum):
@@ -248,7 +238,7 @@ def _classify_batch(family: GraphFamily, r: float, xs: np.ndarray, ys: np.ndarra
     The kernel's first stage (|f|) runs on contiguous slices of
     _KERNEL_CHUNK cells, its second (|f'|) only on the inside cells of
     each slice.  Returns the inside mask, the undecided mask (neither
-    proved inside nor proved outside: the BOUNDARY and UNKNOWN cells) and
+    proved inside nor proved outside, trivial enclosures among them) and
     the log lower bound of |f'| on each inside cell, in cell order.
     """
     r2 = r * r
@@ -268,26 +258,6 @@ def _classify_batch(family: GraphFamily, r: float, xs: np.ndarray, ys: np.ndarra
         sel = np.flatnonzero(ins)
         fp_lo_log.append(_enclose_fprime(family, cols, rows, col, row, box, sel)[0])
     return inside, undecided, np.concatenate(fp_lo_log) if fp_lo_log else np.empty(0)
-
-
-def classify_cell(domain: SublevelDomain, cell: RectBounds) -> CellClass:
-    """Classify one rectangle against the sublevel domain.
-
-    INSIDE and OUTSIDE are certified by interval enclosures; BOUNDARY
-    means the enclosure straddles the threshold, UNKNOWN that the
-    enclosure was trivial (magnitudes beyond the representable range).
-    """
-    cols = _column_terms(domain.family, np.array([cell.re_lo]), np.array([cell.re_hi]))
-    rows = _row_terms(domain.family, np.array([cell.im_lo]), np.array([cell.im_hi]))
-    f_lo_log, f_hi_log, _ = _enclose_f(domain.family, cols, rows, None, None)
-    ins, out = _decide(cols, rows, None, None, f_lo_log, f_hi_log, domain.r * domain.r)
-    if ins[0]:
-        return CellClass.INSIDE
-    if out[0]:
-        return CellClass.OUTSIDE
-    if np.isneginf(f_lo_log[0]) and np.isposinf(f_hi_log[0]):
-        return CellClass.UNKNOWN
-    return CellClass.BOUNDARY
 
 
 def _compact(table: np.ndarray, index: np.ndarray):

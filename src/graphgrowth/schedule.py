@@ -36,8 +36,8 @@ comparisons, a sequential cumsum), so each column equals the scalar
 per-stage evaluation with solve_sigma and check_hyp2 bit for bit, and
 depends neither on the host's libm nor on numpy's SIMD kernels.  The
 scalar functions stay as that reference.  A Schedule is also a sequence
-of ScheduleRow values, built on demand; diagnostics and the trend read
-the columns, and turn a plain row list into a Schedule once.
+of ScheduleRow values, built on demand; diagnostics and the trend take
+a Schedule and read its columns.
 """
 
 from __future__ import annotations
@@ -231,27 +231,6 @@ class Schedule(Sequence[ScheduleRow]):
     sigma_feasible: np.ndarray
     _stage_logs: tuple[int, np.ndarray] | None = field(default=None, repr=False)
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[ScheduleRow]) -> "Schedule":
-        """Columns of rows taken as consecutive stages.
-
-        The radius after the last row is r_N + mu_N.  For a built
-        schedule that is r_{N+1} exactly: r_{N+1} <= 2*r_N, so mu_N =
-        r_{N+1} - r_N is exact (Sterbenz) and so is the sum back."""
-        r = np.array([row.r_n for row in rows], dtype=float)
-        mu = np.array([row.mu_n for row in rows], dtype=float)
-        return cls(
-            n=np.array([row.n for row in rows]),
-            r=np.append(r, r[-1:] + mu[-1:]),
-            mu=mu,
-            a=np.array([row.a_n for row in rows], dtype=float),
-            sigma=np.array([np.nan if row.sigma_n is None else row.sigma_n
-                            for row in rows], dtype=float),
-            eta=np.array([row.eta_n for row in rows], dtype=float),
-            hyp2_ok=np.array([row.hyp2_ok for row in rows], dtype=bool),
-            sigma_feasible=np.array([row.sigma_feasible for row in rows], dtype=bool),
-        )
-
     def __len__(self) -> int:
         return len(self.n)
 
@@ -270,10 +249,6 @@ class Schedule(Sequence[ScheduleRow]):
         return map(ScheduleRow, self.n[index].tolist(), self.r[:-1][index].tolist(),
                    self.mu[index].tolist(), a, a, a, sigma, self.eta[index].tolist(),
                    self.hyp2_ok[index].tolist(), self.sigma_feasible[index].tolist())
-
-
-def _as_schedule(rows: Sequence[ScheduleRow]) -> Schedule:
-    return rows if isinstance(rows, Schedule) else Schedule.from_rows(rows)
 
 
 def _integers(lo: int, count: int) -> np.ndarray:
@@ -373,13 +348,13 @@ def _count_stages_below(T: np.ndarray, R: float) -> int:
     return int(hits[-1]) + 1 if hits.size else 0
 
 
-def queryable_range(rows: Sequence[ScheduleRow]) -> tuple[float, float]:
+def queryable_range(schedule: Schedule) -> tuple[float, float]:
     """Radii between which stage counting is informative (1 <= N(R) <= N)."""
-    T = _thickened_outer_radii(_as_schedule(rows))
+    T = _thickened_outer_radii(schedule)
     return float(np.min(T)), float(T[-1])
 
 
-def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
+def diagnostics(schedule: Schedule, cfg: ScheduleConfig,
                 radii_query: Sequence[float] | None = None) -> ScheduleDiagnostics:
     """Audit summary of a built schedule.
 
@@ -388,13 +363,11 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
     stage does not fit); area_lower_of_R multiplies the count by the
     per-stage area quantum a0.  The default query grid is 16 evenly
     spaced radii across the queryable range.  eta_max_tail is the
-    largest eta over the last quarter of the table.  A row list is
-    read as a Schedule of consecutive stages.  A NaN query radius raises
-    ValueError; inf and negative radii count all stages and none.
+    largest eta over the last quarter of the table.  A NaN query radius
+    raises ValueError; inf and negative radii count all stages and none.
     """
-    if not rows:
+    if not schedule:
         raise ValueError("diagnostics needs at least one row")
-    schedule = _as_schedule(rows)
     T = _thickened_outer_radii(schedule)
     if radii_query is None:
         radii_query = np.linspace(np.min(T), T[-1], 16).tolist()
@@ -427,7 +400,7 @@ def diagnostics(rows: Sequence[ScheduleRow], cfg: ScheduleConfig,
 _TREND_ROWS = 20
 
 
-def completeness_trend(rows: Sequence[ScheduleRow],
+def completeness_trend(schedule: Schedule,
                        cfg: ScheduleConfig | None = None) -> tuple[float, bool]:
     """Power-law exponent of sigma against the stage index.
 
@@ -439,7 +412,7 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     The stage index is n + n0 when cfg is given: row numbering restarts
     at 1 for every schedule, but the construction's own stage counter is
     offset by n0, and the expected -1/2 law holds in that counter.  With
-    no cfg the raw row number is used (apt for synthetic rows).
+    no cfg the raw row number is used (apt for a synthetic schedule).
 
     The logs are correctly rounded (_crmath) and p is the exact
     least-squares slope over them rounded once (growth._least_squares),
@@ -447,7 +420,6 @@ def completeness_trend(rows: Sequence[ScheduleRow],
     A built schedule read with its own n0 lends the logs of n + n0 that
     its radii were computed from; they are the same doubles.
     """
-    schedule = _as_schedule(rows)
     keep = schedule.sigma_feasible & (schedule.sigma > 0)
     count = int(np.count_nonzero(keep))
     if count < _TREND_ROWS:

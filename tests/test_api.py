@@ -1,5 +1,6 @@
 """The public surface: every name a module exports in __all__ exists,
-and the package imports nothing beyond the standard library and numpy."""
+the package imports nothing beyond the standard library and numpy, and
+every top-level function and class has a reader."""
 
 import ast
 import importlib
@@ -49,3 +50,60 @@ def test_runtime_imports_are_stdlib_or_numpy():
                 found.setdefault(name.split(".")[0], path.name)
     assert "numpy" in found
     assert {top: where for top, where in found.items() if top not in allowed} == {}
+
+
+# Top-level names of src/graphgrowth that nothing in the package, the
+# demos or the benchmark loads, each kept for a reader outside them.
+CALLER_FREE = {
+    # the point value with its phase: the finite-difference check of f'
+    # reads f and f' as complex numbers, which no batch path gives
+    "eval_f": "families.py",
+    "eval_fprime": "families.py",
+    # the scalar stage equations: the tests' reference for the columns
+    # of build_schedule, bit for bit
+    "solve_sigma": "schedule.py",
+    "check_hyp2": "schedule.py",
+    # the closed-form e^z area curve that acceptance criterion 4 and the
+    # by-design quadrature tests hold the estimate against
+    "ez_area_closed_bound": "quadrature.py",
+    # the directed-rounding proof of the sin(e^z) packets' drift bound
+    # that the packets docstring cites
+    "verify_ez_minus_one_bound": "packets.py",
+    # one packet's certified area, which acceptance criterion 1 sums over
+    # the packet list API
+    "packet_area_lower": "packets.py",
+}
+
+
+def _top_level_defs(path):
+    return [node for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def test_every_top_level_name_has_a_caller():
+    # one path per computation: a function or class of the package that
+    # no other code loads by name (a call, an attribute, a base class) is
+    # dead, unless CALLER_FREE names it; __init__.py's re-exports and
+    # __all__ strings are not loads, and a definition's loads of its own
+    # name (recursion) do not count
+    package = Path(graphgrowth.__file__).parent
+    root = package.parents[1]
+    modules = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    defined = {node.name: path.name for path in modules for node in _top_level_defs(path)}
+    readers = modules + sorted((root / "demos").glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py"))
+    loaded = set()
+    for path in readers:
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(top, "name", None) if path.parent == package else None
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    name = node.id
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    name = node.attr
+                else:
+                    continue
+                if name != own:
+                    loaded.add(name)
+    unread = {name: where for name, where in defined.items() if name not in loaded}
+    assert unread == CALLER_FREE

@@ -645,10 +645,14 @@ def test_json_float_lists_match_per_element_join(monkeypatch, value, block):
     # float64 arrays are written in numpy per block of values, lists item
     # by item; both equal the per-element join
     monkeypatch.setattr(cli, "_FLOAT_BLOCK", block)
-    want = "[" + ", ".join(["%.17g" % v if type(v) is float else cli._json_dump(v)
+
+    def dumped(v):
+        return b"".join(cli._json_dump(v)).decode()
+
+    want = "[" + ", ".join(["%.17g" % v if type(v) is float else dumped(v)
                             for v in value]) + "]"
-    assert cli._json_dump(value) == want
-    assert cli._json_dump({"k": value}) == '{"k": ' + want + "}"
+    assert dumped(value) == want
+    assert dumped({"k": value}) == '{"k": ' + want + "}"
 
 
 def _flag(b):
@@ -670,10 +674,10 @@ def _schedule_csv_reference(rows):
 @pytest.mark.parametrize("variant, theta", [("gaussian", 1.0), ("exp", 0.3)])
 def test_schedule_writers_match_field_formatting(variant, theta):
     # the writers format columns, one row template at a time for the CSV;
-    # the reference formats each field of each row, and diagnoses the plain
-    # row list
+    # the reference formats each field of each row
     cfg = ScheduleConfig(RadiiVariant.parse(variant), N=3000, n0=1, theta=theta)
-    rows = list(build_schedule(cfg))
+    schedule = build_schedule(cfg)
+    rows = list(schedule)
     assert any(row.sigma_n is None for row in rows)
     base = ("schedule", "--variant", variant, "--n0", "1", "--N", "3000",
             "--theta", repr(theta))
@@ -683,8 +687,8 @@ def test_schedule_writers_match_field_formatting(variant, theta):
     assert proc.stdout == _schedule_csv_reference(rows)
 
     queries = [1.5, 2.0]
-    diag = diagnostics(rows, cfg, queries)
-    exponent, diverging = completeness_trend(rows, cfg)
+    diag = diagnostics(schedule, cfg, queries)
+    exponent, diverging = completeness_trend(schedule, cfg)
     n_of_r = ", ".join(f'"{_f17(R)}": {diag.N_of_R[R]}' for R in queries)
     area = ", ".join(f'"{_f17(R)}": {_f17(diag.area_lower_of_R[R])}' for R in queries)
     sums = ", ".join(map(_f17, diag.sigma_partial_sums))

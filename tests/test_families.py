@@ -17,10 +17,6 @@ from hypothesis import strategies as st
 from graphgrowth import (
     GraphFamily,
     LogScaledComplex,
-    MagInterval,
-    RectBounds,
-    bound_abs_f,
-    bound_abs_fprime,
     eval_f,
     eval_fprime,
 )
@@ -550,54 +546,42 @@ def test_nudges_dominate_four_ulp_steps():
     assert np.isnan(_nudge_down(np.array([np.nan]))[0])
 
 
+def _one_cell(family, re_lo, re_hi, im_lo, im_hi):
+    """(f_lo, f_hi, fp_lo, fp_hi) of bound_abs_f_fprime_batch on the one
+    cell [re_lo, re_hi] x [im_lo, im_hi], as floats."""
+    out = bound_abs_f_fprime_batch(
+        family, *(np.array([v]) for v in (re_lo, re_hi, im_lo, im_hi)))
+    return tuple(float(a[0]) for a in out)
+
+
 def test_exp_cell_bound_is_tight():
     # |e^z| over [0,1] x [0,1] is exactly [1, e]; nudges only widen outward
-    box = RectBounds(0.0, 1.0, 0.0, 1.0)
-    ival = bound_abs_f(GraphFamily.EXP, box)
-    assert ival.lo <= 1.0 <= ival.hi
-    assert ival.lo == pytest.approx(1.0, rel=1e-12)
-    assert ival.hi == pytest.approx(math.e, rel=1e-12)
+    f_lo, f_hi, _, _ = _one_cell(GraphFamily.EXP, 0.0, 1.0, 0.0, 1.0)
+    lo, hi = math.exp(f_lo), math.exp(f_hi)
+    assert lo <= 1.0 <= hi
+    assert lo == pytest.approx(1.0, rel=1e-12)
+    assert hi == pytest.approx(math.e, rel=1e-12)
 
 
 def test_first_packet_cell_bounds():
     # bounding box of D_1: |f| stays below 2 and |f'| above pi/4 on it
     c = math.log(math.pi)
     rad = 1.0 / (16 * math.pi)
-    box = RectBounds(c - rad, c + rad, -rad, rad)
-    f_ival = bound_abs_f(GraphFamily.SIN_EXP, box)
-    fp_ival = bound_abs_fprime(GraphFamily.SIN_EXP, box)
-    assert f_ival.hi < 2.0
-    assert fp_ival.lo >= math.pi / 4
+    _, f_hi, fp_lo, _ = _one_cell(GraphFamily.SIN_EXP, c - rad, c + rad, -rad, rad)
+    assert math.exp(f_hi) < 2.0
+    assert math.exp(fp_lo) >= math.pi / 4
 
 
 def test_deep_overflow_cell_is_trivial():
     # once Re u can exceed the double exponent range the enclosure
     # degrades to the trivial interval rather than guessing
-    box = RectBounds(710.0, 711.0, 0.0, 1.0)
-    ival = bound_abs_f(GraphFamily.SIN_EXP, box)
-    assert ival.is_trivial
+    f_lo, f_hi, _, _ = _one_cell(GraphFamily.SIN_EXP, 710.0, 711.0, 0.0, 1.0)
+    assert f_lo == -math.inf and f_hi == math.inf
 
 
 # ---------------------------------------------------------------------------
 # interval plumbing properties
 # ---------------------------------------------------------------------------
-
-def test_mag_interval_validation():
-    with pytest.raises(ValueError):
-        MagInterval(1.0, 0.0)
-    with pytest.raises(ValueError):
-        MagInterval.from_values(-1.0, 2.0)
-    triv = MagInterval.trivial()
-    assert triv.is_trivial and triv.lo == 0.0 and triv.hi == float("inf")
-
-
-def test_mag_interval_accessors():
-    ival = MagInterval.from_values(0.0, 2.0)
-    assert ival.lo == 0.0
-    assert ival.hi == pytest.approx(2.0)
-    assert ival.contains_log(math.log(1.5))
-    assert not ival.contains_log(math.log(2.5))
-
 
 @settings(max_examples=300, deadline=None)
 @given(
@@ -622,14 +606,3 @@ def test_family_parse():
     assert GraphFamily.parse("EXP") is GraphFamily.EXP
     with pytest.raises(ValueError):
         GraphFamily.parse("cosh")
-
-
-def test_rect_bounds_validation():
-    with pytest.raises(ValueError):
-        RectBounds(1.0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        RectBounds(0.0, float("inf"), 0.0, 1.0)
-    box = RectBounds(-1.0, 2.0, -3.0, 1.0)
-    assert box.area == pytest.approx(12.0)
-    assert box.min_abs2() == 0.0  # box contains the origin
-    assert box.max_abs2() == pytest.approx(4.0 + 9.0)

@@ -12,22 +12,18 @@ import pytest
 
 from graphgrowth import (
     AreaEstimate,
-    CellClass,
     GraphFamily,
     GuardedResourceError,
     QuadConfig,
     QuadMode,
     RadiusCapError,
-    RectBounds,
     SublevelDomain,
-    classify_cell,
     ez_area_closed_bound,
     graph_area,
 )
 from graphgrowth import quadrature
 from graphgrowth.families import (
     MIRROR_AXES,
-    _enclose_f,
     bound_abs_f_fprime_batch,
     log_abs_f_fprime_batch,
 )
@@ -52,65 +48,45 @@ def estimate_cfg(depth=10, **kw):
 # cell classification
 # ---------------------------------------------------------------------------
 
+def _classify_one(family, r, re_lo, re_hi, im_lo, im_hi):
+    """(inside, undecided) of _classify_batch on a one-cell level: the
+    cell [re_lo, re_hi] x [im_lo, im_hi] at address (0, 0).  A cell that
+    is neither is proved outside."""
+    inside, undecided, _ = quadrature._classify_batch(
+        family, r, np.array([[re_lo], [re_hi]]), np.array([[im_lo], [im_hi]]),
+        np.zeros((2, 1), dtype=np.intp))
+    return bool(inside[0]), bool(undecided[0])
+
+
 def test_classify_small_cell_inside():
-    dom = SublevelDomain(GraphFamily.SIN_EXP, 3.0)
-    cell = RectBounds(0.0, 0.1, 0.0, 0.1)
-    assert classify_cell(dom, cell) is CellClass.INSIDE
+    assert _classify_one(GraphFamily.SIN_EXP, 3.0, 0.0, 0.1, 0.0, 0.1) == (True, False)
 
 
 @pytest.mark.parametrize("family", list(GraphFamily))
 def test_classify_far_cell_outside(family):
-    dom = SublevelDomain(family, 1.0)
-    cell = RectBounds(5.0, 6.0, 0.0, 1.0)  # |z|^2 >= 25 > 1
-    assert classify_cell(dom, cell) is CellClass.OUTSIDE
+    # |z|^2 >= 25 > 1
+    assert _classify_one(family, 1.0, 5.0, 6.0, 0.0, 1.0) == (False, False)
 
 
 def test_classify_straddling_cell_boundary():
     # x^2 + y^2 + e^{2x} = 4 crosses x ~ 0.64 on the real axis
-    dom = SublevelDomain(GraphFamily.EXP, 2.0)
-    cell = RectBounds(0.5, 0.8, -0.1, 0.1)
-    assert classify_cell(dom, cell) is CellClass.BOUNDARY
+    assert _classify_one(GraphFamily.EXP, 2.0, 0.5, 0.8, -0.1, 0.1) == (False, True)
 
 
 def test_classify_overflow_cell_unknown():
-    # enclosure is trivial there, so no membership claim is possible
-    dom = SublevelDomain(GraphFamily.SIN_EXP, 8.0)
-    cell = RectBounds(720.0, 721.0, 0.0, 1.0)
-    assert classify_cell(dom, cell) in (CellClass.OUTSIDE, CellClass.UNKNOWN)
-
-
-def test_classify_cell_makes_one_kernel_call(monkeypatch):
-    # one call of the kernel's first stage (|f|) classifies the cell, and
-    # the UNKNOWN check reads the same enclosure; |f'| is never needed
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return _enclose_f(*args)
-
-    def no_fprime(*args):
-        raise AssertionError("finished |f'| for one cell")
-
-    monkeypatch.setattr(quadrature, "_enclose_f", counted)
-    monkeypatch.setattr(quadrature, "_enclose_fprime", no_fprime)
-    for r, cell, want in ((800.0, RectBounds(720.0, 721.0, 0.0, 1.0), CellClass.UNKNOWN),
-                          (2.0, RectBounds(0.5, 0.8, -0.1, 0.1), CellClass.BOUNDARY),
-                          (3.0, RectBounds(0.0, 0.1, 0.0, 0.1), CellClass.INSIDE)):
-        family = GraphFamily.EXP if want is CellClass.BOUNDARY else GraphFamily.SIN_EXP
-        calls.clear()
-        assert classify_cell(SublevelDomain(family, r), cell) is want
-        assert len(calls) == 1
+    # enclosure is trivial there, so no membership claim is possible:
+    # the cell is proved outside (by its distance) or left undecided
+    inside, _ = _classify_one(GraphFamily.SIN_EXP, 8.0, 720.0, 721.0, 0.0, 1.0)
+    assert not inside
 
 
 def test_classify_near_trivial_cell_is_exactly_unknown():
     # the cell meets the disk |z| <= 800, so its distance alone proves
     # nothing, and e^720 overflows, so the enclosure is trivial
-    dom = SublevelDomain(GraphFamily.SIN_EXP, 800.0)
-    cell = RectBounds(720.0, 721.0, 0.0, 1.0)
     f_lo, f_hi, _, _ = bound_abs_f_fprime_batch(GraphFamily.SIN_EXP, *(
         np.array([v]) for v in (720.0, 721.0, 0.0, 1.0)))
     assert np.isneginf(f_lo[0]) and np.isposinf(f_hi[0])
-    assert classify_cell(dom, cell) is CellClass.UNKNOWN
+    assert _classify_one(GraphFamily.SIN_EXP, 800.0, 720.0, 721.0, 0.0, 1.0) == (False, True)
 
 
 # ---------------------------------------------------------------------------

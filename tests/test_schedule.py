@@ -22,7 +22,6 @@ from graphgrowth import (
     RadiiVariant,
     Schedule,
     ScheduleConfig,
-    ScheduleRow,
     build_schedule,
     check_hyp2,
     completeness_trend,
@@ -316,34 +315,6 @@ def test_schedule_is_a_row_sequence():
         schedule[7]
 
 
-def _diagnosed(diag):
-    """The fields of a ScheduleDiagnostics, its partial sums as a list."""
-    return {**vars(diag), "sigma_partial_sums": diag.sigma_partial_sums.tolist()}
-
-
-@pytest.mark.parametrize("variant, N, n0", [
-    (RadiiVariant.GAUSSIAN_RADII, 5000, 1),
-    (RadiiVariant.EXP_RADII, 3000, 1),
-    (RadiiVariant.EXP_RADII, 3000, 10_000),
-])
-def test_row_list_input_matches_schedule(variant, N, n0):
-    # a plain list goes through Schedule.from_rows, whose last radius
-    # r_N + mu_N must be r_{N+1} exactly
-    cfg = ScheduleConfig(variant, N=N, n0=n0)
-    schedule = build_schedule(cfg)
-    rows = list(schedule)
-    rebuilt = Schedule.from_rows(rows)
-    for name in ("n", "r", "mu", "a", "eta", "hyp2_ok", "sigma_feasible"):
-        assert np.array_equal(getattr(rebuilt, name), getattr(schedule, name)), name
-    assert np.array_equal(rebuilt.sigma, schedule.sigma, equal_nan=True)
-    grid = [1.0, 2.0, 3.0, 9.5, 9.9]
-    assert _diagnosed(diagnostics(rows, cfg)) == _diagnosed(diagnostics(schedule, cfg))
-    assert (_diagnosed(diagnostics(rows, cfg, grid))
-            == _diagnosed(diagnostics(schedule, cfg, grid)))
-    assert queryable_range(rows) == queryable_range(schedule)
-    assert completeness_trend(rows, cfg) == completeness_trend(schedule, cfg)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ScheduleConfig(RadiiVariant.EXP_RADII, N=0)
@@ -533,29 +504,34 @@ def test_trend_memory_is_bounded():
 ])
 def test_trend_reads_the_build_logs_at_its_n0(monkeypatch, variant, n0):
     # a built schedule lends the trend its log(n + n0) column when cfg.n0
-    # is the build's: the same exponent as the logs taken afresh from a
-    # row list; another n0 takes its logs afresh from either
+    # is the build's: the same exponent as the logs taken afresh from the
+    # same columns without it; another n0 takes its logs afresh from either
     cfg = ScheduleConfig(variant, N=3000, n0=n0)
     built = build_schedule(cfg)
-    rows = Schedule.from_rows(list(built))
+    bare = dataclasses.replace(built, _stage_logs=None)
     other = dataclasses.replace(cfg, n0=n0 + 5)
-    want = completeness_trend(rows, cfg)
+    want = completeness_trend(bare, cfg)
     sizes = []
     log = _crmath.log
     monkeypatch.setattr(_crmath, "log", lambda x: sizes.append(x.size) or log(x))
     assert completeness_trend(built, cfg) == want
     assert len(sizes) == 1  # the logs of sigma only
-    assert completeness_trend(built, other) == completeness_trend(rows, other)
+    assert completeness_trend(built, other) == completeness_trend(bare, other)
     assert completeness_trend(built, other) != want
 
 
+def _synthetic_schedule(ns, sigmas):
+    """A Schedule of feasible stages numbered ns, with the given sigmas,
+    radii 1, 2, 3, ... and every budget 0."""
+    size = len(ns)
+    return Schedule(n=np.array(ns), r=np.arange(1.0, size + 2), mu=np.ones(size),
+                    a=np.zeros(size), sigma=np.array(sigmas, dtype=float),
+                    eta=np.zeros(size), hyp2_ok=np.ones(size, dtype=bool),
+                    sigma_feasible=np.ones(size, dtype=bool))
+
+
 def test_trend_synthetic_convergent():
-    rows = [
-        ScheduleRow(n=k, r_n=float(k), mu_n=1.0, a_n=0.0, b_n=0.0, eps_n=0.0,
-                    sigma_n=1.0 / k**2, eta_n=0.0, hyp2_ok=True,
-                    sigma_feasible=True)
-        for k in range(1, 40)
-    ]
+    rows = _synthetic_schedule(range(1, 40), [1.0 / k**2 for k in range(1, 40)])
     exponent, diverging = completeness_trend(rows)
     assert exponent == pytest.approx(-2.0, abs=1e-9)
     assert not diverging
@@ -583,7 +559,7 @@ def _mp_fit(x, y):
         return float(slope), float(intercept), float(mpmath.sqrt(ssr / len(xs)))
 
 
-def _synthetic_rows(seed):
+def _synthetic_stages(seed):
     # stage numbers from 1 to ~1e90; sigma near 1 (log sigma ~ 0), at
     # moderate scales, and with binary exponents from -1070 to 1020
     rng = np.random.default_rng(seed)
@@ -598,9 +574,7 @@ def _synthetic_rows(seed):
             sigmas.append(math.ldexp(1.0 + rng.random(), int(rng.integers(-60, 61))))
         else:
             sigmas.append(math.ldexp(1.0 + rng.random(), int(rng.integers(-1070, 1021))))
-    return [ScheduleRow(n=n, r_n=1.0, mu_n=1.0, a_n=0.0, b_n=0.0, eps_n=0.0,
-                        sigma_n=s, eta_n=0.0, hyp2_ok=True, sigma_feasible=True)
-            for n, s in zip(ns, sigmas)]
+    return _synthetic_schedule(ns, sigmas)
 
 
 def _growth_samples(n_points):
@@ -623,11 +597,11 @@ def test_trend_correctly_rounded_synthetic(case, monkeypatch):
     # one exact fit serves the trend, fit_growth and the plot title; its
     # slope, intercept and rms each equal the 60-digit value rounded once
     if isinstance(case, int):
-        rows = _synthetic_rows(case)
-        x = _mp_logs(float(r.n) for r in rows)  # the stage number as a double
-        y = _mp_logs(r.sigma_n for r in rows)
+        schedule = _synthetic_stages(case)
+        x = _mp_logs(map(float, schedule.n.tolist()))  # the stage number as a double
+        y = _mp_logs(schedule.sigma.tolist())
         oracle = _mp_fit(x, y)
-        exponent, _ = completeness_trend(rows)
+        exponent, _ = completeness_trend(schedule)
         assert exponent == oracle[0]
         assert _least_squares(x, y) == oracle
         return
