@@ -13,9 +13,9 @@ enclosures), quadrature (certified sublevel-set integration), packets
 (disk certificates and counting bounds), growth (model fitting and
 witnesses), schedule (induction tables and diagnostics), svgplot + cli
 (serialization surface).  Cells are enclosed and classified in arrays
-only: families.bound_abs_f_fprime_batch encloses many cells per call,
-and a single cell is a batch of one.  A schedule is one Schedule of
-numpy columns, which diagnostics, queryable_range and
+only, as edge tables and (column, row) addresses, the one format of the
+families cell kernel; a single cell is a batch of one.  A schedule is
+one Schedule of numpy columns, which diagnostics, queryable_range and
 completeness_trend take as built.
 """
 

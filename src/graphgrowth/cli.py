@@ -298,6 +298,8 @@ def _generate_samples(args: argparse.Namespace) -> list[GrowthSample]:
     family = GraphFamily.parse(args.family)
     radii = _parse_reals(args.r)
     if family is GraphFamily.EXP:
+        if args.delta is not None:
+            raise ValueError("delta applies only to the sin(e^(z^2)) family")
         # the fit and the witness read area_lower alone
         cfg = QuadConfig(mode=QuadMode.LOWER_BOUND, max_depth=args.max_depth)
         return [
@@ -374,6 +376,9 @@ def _schedule_csv(schedule: Schedule) -> Iterator[bytes]:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
+    if args.query_R is not None and args.format == "csv":
+        raise ValueError("--query-R needs --format json: the CSV table has no N(R) column")
+    queries = None if args.query_R is None else _parse_reals(args.query_R)
     variant = RadiiVariant.parse(args.variant)
     cfg = ScheduleConfig(
         variant=variant,
@@ -389,7 +394,6 @@ def _cmd_schedule(args: argparse.Namespace) -> int:
         _write_output(args.output, _schedule_csv(schedule))
         return 0
 
-    queries = _parse_reals(args.query_R) if args.query_R else None
     diag = diagnostics(schedule, cfg, queries)
     try:
         exponent, diverging = completeness_trend(schedule, cfg)

@@ -20,23 +20,20 @@ evaluation degrades to a documented sentinel and rectangle enclosures
 fall back to the trivial interval [0, +inf) instead of failing.
 
 Two batch kernels do all array work, each returning |f| and |f'| from
-one pass: log_abs_f_fprime_batch at points, bound_abs_f_fprime_batch
-over rectangles.  |f| = |sin e^u| and |f'| carries |cos e^u| (u = z or
-z^2), so only the outer sin and cos run twice.  Each element depends on
-its own inputs alone, never on the batch it came in.
+one pass: log_abs_f_fprime_batch at points, and the cell kernel over
+rectangles.  |f| = |sin e^u| and |f'| carries |cos e^u| (u = z or z^2),
+so only the outer sin and cos run twice.  Each element depends on its
+own inputs alone, never on the batch it came in.
 
-The rectangle kernel runs in two stages.  Its inputs are column terms
-(computed from the Re edges of the cells) and row terms (from the Im
-edges), named arrays gathered per cell by (column, row) addresses, so a
-caller whose cells share columns and rows, as the quadtree's do,
-computes them once per column and row.  Every family's terms hold the
-edges and the ranges of x^2 and y^2, from which the quadtree also takes
-|z|^2 (_abs_z2_range).  Stage 1 (_enclose_f) builds the box of e^u and
-takes the outer sin, giving |f| on every cell; stage 2
-(_enclose_fprime) takes the outer cos of the same box, giving |f'| on
-any subset of the cells.  bound_abs_f_fprime_batch is both stages on
-every cell, one column and one row per cell, so every caller gets the
-same bits from either path.
+The cell kernel reads one cell format, that of the quadtree and the
+packet certifier: (2, m) tables of Re (column) and Im (row) edges and
+(column, row) addresses.  Column and row terms (_column_terms,
+_row_terms) are computed once per table entry and gathered per cell.
+Every family's terms hold the edges and the ranges of x^2 and y^2,
+from which the quadtree also takes |z|^2 (_abs_z2_range).  Stage 1
+(_enclose_f) builds the box of e^u and takes the outer sin, giving |f|
+on every cell; stage 2 (_enclose_fprime) takes the outer cos of the
+same box, giving |f'| on any subset of the cells.
 
 A point evaluation (eval_f, eval_fprime) is log_abs_f_fprime_batch at
 that one point, so its log_mag has the kernel's bits.  Only the phase is
@@ -45,8 +42,8 @@ computed apart, with cosh y > 0 divided out:
     arg sin(x + iy) = atan2(cos x tanh y, sin x)
     arg cos(x + iy) = atan2(-sin x tanh y, cos x)
 
-Rectangle enclosures (bound_abs_f_fprime_batch, and its two stages)
-are outward-rounded interval computations: monotone pieces are
+Rectangle enclosures (the two stages of the cell kernel) are
+outward-rounded interval computations: monotone pieces are
 evaluated at the correct cell corners, trig ranges account for
 interior critical points, and every computed endpoint is widened
 outward in one fused pass,
@@ -74,7 +71,6 @@ __all__ = [
     "eval_f",
     "eval_fprime",
     "log_abs_f_fprime_batch",
-    "bound_abs_f_fprime_batch",
     "MIRROR_AXES",
 ]
 
@@ -253,11 +249,8 @@ def log_abs_f_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray
         far = ~(w_log <= _MAX_PLAIN_EXPONENT)
         asym = ~(ay <= _ASYMPTOTIC_IM) & ~far  # far points are overwritten below
         if asym.any():
-            ay_a = ay[asym]
-            ay_clip = np.minimum(ay_a, 400.0)
             osc_a = osc[:, asym]
-            corr = (4.0 * osc_a * osc_a - 2.0) * np.exp(-2.0 * ay_clip) + np.exp(-4.0 * ay_clip)
-            out[:, asym] = ay_a - LOG2 + 0.5 * np.log1p(corr)
+            out[:, asym] = _log_sqrt_s2_plus_sinh2_large(osc_a * osc_a, ay[asym])
         if far.any():
             # e^u not plain-representable: magnitude via log|Im e^u| =
             # Re u + log|sin Im u|, the same for sin and cos.  Where
@@ -387,11 +380,16 @@ def _log_sqrt_s2_plus_sinh2(s2: np.ndarray, m: np.ndarray) -> np.ndarray:
         out = np.where(v > 0.0, 0.5 * np.log(v), -np.inf)
         large = ~(m <= _ASYMPTOTIC_IM)
         if large.any():
-            m_large = m[large]
-            m_clip = np.minimum(m_large, 400.0)
-            corr = (4.0 * s2[..., large] - 2.0) * np.exp(-2.0 * m_clip) + np.exp(-4.0 * m_clip)
-            out[..., large] = m_large - LOG2 + 0.5 * np.log1p(corr)
+            out[..., large] = _log_sqrt_s2_plus_sinh2_large(s2[..., large], m[large])
         return out
+
+
+def _log_sqrt_s2_plus_sinh2_large(s2, m):
+    """0.5*log(s2 + sinh(m)^2) for m > 36, the large-|Im w| form of both
+    log_abs_f_fprime_batch and _log_sqrt_s2_plus_sinh2."""
+    m_clip = np.minimum(m, 400.0)
+    corr = (4.0 * s2 - 2.0) * np.exp(-2.0 * m_clip) + np.exp(-4.0 * m_clip)
+    return m - LOG2 + 0.5 * np.log1p(corr)
 
 
 def _square_range(lo, hi):
@@ -447,8 +445,8 @@ def _log_trig_of_box(box: dict, trig):
 # quadrature integrates over.  Every family is real on the real axis, so
 # f(conj z) = conj f(z) and both magnitudes are even in Im z ("im");
 # sin(e^(z^2)) is also even in z, so for it they are even in Re z ("re")
-# too.  bound_abs_f_fprime_batch returns the same bits on a cell and on its
-# mirror image in each declared coordinate; tests/test_families.py checks it.
+# too.  The cell kernel returns the same bits on a cell and on its mirror
+# image in each declared coordinate; tests/test_families.py checks it.
 MIRROR_AXES: dict[GraphFamily, tuple[str, ...]] = {
     GraphFamily.SIN_EXP: ("im",),
     GraphFamily.SIN_EXP_SQ: ("im", "re"),
@@ -461,10 +459,7 @@ MIRROR_AXES: dict[GraphFamily, tuple[str, ...]] = {
 # ---------------------------------------------------------------------------
 
 def _gather(terms: dict, index, *names):
-    """The named column or row terms at index (one entry per cell), or
-    the terms themselves when index is None (cells given one by one)."""
-    if index is None:
-        return tuple(terms[name] for name in names)
+    """The named column or row terms at index, one entry per cell."""
     return tuple(terms[name].take(index) for name in names)
 
 
@@ -516,8 +511,8 @@ def _enclose_f(family: GraphFamily, cols: dict, rows: dict, col, row):
     and box, the per-cell arrays by name that stage 2 needs to finish |f'|
     on any subset of the cells.
 
-    Cell i has the column terms at col[i] and the row terms at row[i]
-    (col and row None: cell i has entry i of both).  For EXP, box holds
+    Cell i has the column terms at col[i] and the row terms at row[i].
+    For EXP, box holds
     the enclosure of e^x.  Else it is the e^u box (_exp_box), whose outer
     sin stage 1 takes, and for SIN_EXP_SQ it also holds the range of
     Re u ("w_lo", "w_hi"), which |f'| = |2z| e^(Re u) |cos e^u| needs.
@@ -547,11 +542,11 @@ def _enclose_fprime(family: GraphFamily, cols: dict, rows: dict, col, row, box: 
                     sel=None):
     """Stage 2: (fp_lo, fp_hi), log enclosures of |f'| over the cells sel
     (an index array into the cells of stage 1, or None for all of them).
-    It takes the outer cos of stage 1's e^u box, so on any subset it
-    returns the bits of bound_abs_f_fprime_batch on those cells."""
+    It takes the outer cos of stage 1's e^u box, so a cell's bits do not
+    depend on which other cells sel holds."""
     if sel is not None:
         box = {name: a.take(sel) for name, a in box.items()}
-        col, row = (sel if a is None else a.take(sel) for a in (col, row))
+        col, row = col.take(sel), row.take(sel)
     if family is GraphFamily.EXP:
         return box["e_lo"], box["e_hi"]
     c_lo, c_hi = _log_trig_of_box(box, _COS)
@@ -569,15 +564,3 @@ def _enclose_fprime(family: GraphFamily, cols: dict, rows: dict, col, row, box: 
     # -inf + -inf stays -inf; guard the impossible inversion from rounding.
     return np.minimum(lo, hi), hi
 
-
-def bound_abs_f_fprime_batch(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
-    """(f_lo, f_hi, fp_lo, fp_hi): log enclosures of |f| and |f'| over
-    each cell, vectorized: both stages of the cell kernel on every cell.
-    For EXP, |f| = |f'| = e^x and the same two arrays are returned for
-    both."""
-    re_lo, re_hi, im_lo, im_hi = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (re_lo, re_hi, im_lo, im_hi)))
-    cols = _column_terms(family, re_lo, re_hi)
-    rows = _row_terms(family, im_lo, im_hi)
-    f_lo, f_hi, box = _enclose_f(family, cols, rows, None, None)
-    return (f_lo, f_hi, *_enclose_fprime(family, cols, rows, None, None, box))

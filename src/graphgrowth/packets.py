@@ -36,13 +36,13 @@ upper half of an 8x8 subdivision of the disk's bounding box
 in Im z for both families, so the 4 upper rows decide the certificate,
 each cell widened to also hold the mirror image of its lower partner.
 Interval proofs run batched: the disk cells of a fixed-size group of
-packets go through one enclosure call for both bounds, in the
-array-wide style of Rump, "Fast and parallel interval arithmetic",
-BIT 39 (1999).  A proof that does not close is reported as a failed
-IntervalProof, never replaced by sampling.  For both families this
-happens from n = 318309886184 on: there the inner argument n*pi passes
-the enclosure kernels' trigonometric argument limit (1e12) and the
-enclosures turn trivial.
+packets, as edge tables and (column, row) addresses, go through the
+cell kernel for both bounds, in the array-wide style of Rump, "Fast
+and parallel interval arithmetic", BIT 39 (1999).  A proof that does
+not close is reported as a failed IntervalProof, never replaced by
+sampling.  For both families this happens from n = 318309886184 on:
+there the inner argument n*pi passes the enclosure kernels'
+trigonometric argument limit (1e12) and the enclosures turn trivial.
 
 One columnar certifier, _certify_columns, does both methods: it returns
 max |f|, min |f'| and both flags as arrays over a run of same-family
@@ -63,9 +63,12 @@ import numpy as np
 
 from .families import (
     GraphFamily,
+    _column_terms,
+    _enclose_f,
+    _enclose_fprime,
     _nudge_down,
     _nudge_up,
-    bound_abs_f_fprime_batch,
+    _row_terms,
     log_abs_f_fprime_batch,
 )
 from .quadrature import _SAMPLE_BUDGET, GuardedResourceError
@@ -101,8 +104,8 @@ DELTA_MAX = 1e-2
 # disk.  Finer grids never certified a packet that grid 8 left unproved.
 _PROOF_GRID = 8
 
-# Packets per batched enclosure call: enough to amortise the per-call
-# overhead, few enough that the concatenated cells (~7.7k at 30 per
+# Packets per batched pass of the cell kernel: enough to amortise the
+# per-call overhead, few enough that the group's cells (~7.7k at 30 per
 # packet) add under a megabyte to peak memory.  256 ran the certifier
 # 5-10% faster than 128 on 1000-2000 packets, and 384 no faster.
 _CERTIFY_GROUP = 256
@@ -244,8 +247,10 @@ def _gaussian_margins(packet: DiskPacket) -> tuple[float, float, float, float]:
 
 
 def _disk_cells(centers: np.ndarray, radii: np.ndarray, grid: int):
-    """Upper-half cells of each packet disk, concatenated packet by
-    packet, plus the number of cells kept per packet.
+    """(xs, ys, cells, counts): upper-half cells of each packet disk as
+    (2, P*grid) column and (2, P*(grid // 2)) row edge tables, the (2, n)
+    (column, row) addresses of the kept cells, packet by packet and
+    column by column, and the number of cells kept per packet.
 
     Take an even grid x grid subdivision of each packet's bounding
     box, with h = grid // 2 rows above its middle edge and y edges ys
@@ -273,17 +278,18 @@ def _disk_cells(centers: np.ndarray, radii: np.ndarray, grid: int):
     h = grid // 2
     rows_lo = np.minimum(ys[:, h:-1], -ys[:, h:0:-1])
     rows_hi = np.maximum(ys[:, h + 1:], -ys[:, h - 1::-1])
-    xlo = np.repeat(edges[:, :-1], h, axis=1)
-    xhi = np.repeat(edges[:, 1:], h, axis=1)
-    ylo = np.tile(rows_lo, (1, grid))
-    yhi = np.tile(rows_hi, (1, grid))
     # dx carries at most one rounding and dy none, so the squared sum is
     # within four half-ulps of its true value; _nudge_down's four ulps
     # take it below
-    dx = np.maximum(0.0, np.maximum(xlo - c, c - xhi))
-    dy = np.maximum(0.0, np.maximum(ylo, -yhi))
-    keep = _nudge_down(dx * dx + dy * dy) <= _nudge_up(r * r)
-    return xlo[keep], xhi[keep], ylo[keep], yhi[keep], np.count_nonzero(keep, axis=1)
+    dx = np.maximum(0.0, np.maximum(edges[:, :-1] - c, c - edges[:, 1:]))
+    dy = np.maximum(0.0, np.maximum(rows_lo, -rows_hi))
+    dist2 = (dx * dx)[:, :, None] + (dy * dy)[:, None, :]
+    keep = _nudge_down(dist2) <= _nudge_up(r * r)[:, :, None]
+    packet, col, row = np.nonzero(keep)
+    xs = np.stack([edges[:, :-1].ravel(), edges[:, 1:].ravel()])
+    ys = np.stack([rows_lo.ravel(), rows_hi.ravel()])
+    cells = np.stack([packet * grid + col, packet * h + row])
+    return xs, ys, cells, np.count_nonzero(keep, axis=(1, 2))
 
 
 def _ring_layout(count: int) -> tuple[int, int]:
@@ -314,9 +320,9 @@ def _certify_columns(family: GraphFamily, ns: np.ndarray, centers: np.ndarray,
     """Certificate columns of same-family packets: arrays of max_abs_f,
     min_abs_fprime, f_bound_ok and fprime_bound_ok.
 
-    ns holds the packet indices as floats.  INTERVAL_PROOF makes one
-    enclosure call for |f| and |f'| over the disk cells of each
-    _CERTIFY_GROUP consecutive packets and reduces them per packet.
+    ns holds the packet indices as floats.  INTERVAL_PROOF runs the cell
+    kernel's two stages over the disk cells of each _CERTIFY_GROUP
+    consecutive packets (_disk_cells) and reduces them per packet.
     DENSE_SAMPLING makes one point-kernel call per packet, on `samples`
     points or a few more.  fprime_target is evaluated as the scalar
     formula is, so every element has its bits.
@@ -332,9 +338,12 @@ def _certify_columns(family: GraphFamily, ns: np.ndarray, centers: np.ndarray,
     else:
         for lo in range(0, ns.size, _CERTIFY_GROUP):
             group = slice(lo, lo + _CERTIFY_GROUP)
-            xlo, xhi, ylo, yhi, counts = _disk_cells(centers[group], radii[group],
+            xs, ys, (col, row), counts = _disk_cells(centers[group], radii[group],
                                                      _PROOF_GRID)
-            _, f_hi, fp_lo, _ = bound_abs_f_fprime_batch(family, xlo, xhi, ylo, yhi)
+            cols, rows = _column_terms(family, *xs), _row_terms(family, *ys)
+            _, f_hi, box = _enclose_f(family, cols, rows, col, row)
+            fp_lo, _ = _enclose_fprime(family, cols, rows, col, row, box)
+            del box  # else it lives on while the next group's cells are enclosed
             starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
             with np.errstate(over="ignore"):
                 max_f[group] = _nudge_up(np.exp(np.maximum.reduceat(f_hi, starts)))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from graphgrowth import GraphFamily
+from graphgrowth.families import _column_terms, _enclose_f, _enclose_fprime, _row_terms
 
 mpmath.mp.dps = 40
 
@@ -53,6 +54,19 @@ def sample_cell(rng: np.random.Generator, lo: float, hi: float,
     w = rng.uniform(1e-6, span_max)
     h = rng.uniform(1e-6, span_max)
     return x0, x0 + w, y0, y0 + h
+
+
+def enclose_cells(family: GraphFamily, re_lo, re_hi, im_lo, im_hi):
+    """(f_lo, f_hi, fp_lo, fp_hi): log enclosures of |f| and |f'| over
+    cells given by per-cell edge arrays.  Each cell is its own column and
+    row: the edges become per-cell tables with identity addresses, then
+    both stages of the cell kernel run on every cell."""
+    xs = np.array([re_lo, re_hi], dtype=float)
+    ys = np.array([im_lo, im_hi], dtype=float)
+    index = np.arange(xs.shape[1])
+    cols, rows = _column_terms(family, *xs), _row_terms(family, *ys)
+    f_lo, f_hi, box = _enclose_f(family, cols, rows, index, index)
+    return (f_lo, f_hi, *_enclose_fprime(family, cols, rows, index, index, box))
 
 
 def run_cli(*args: str, env_extra: dict | None = None,

@@ -41,11 +41,8 @@ from graphgrowth import (
     verify_disjoint,
     witness_constants,
 )
-from graphgrowth.families import (
-    bound_abs_f_fprime_batch,
-    log_abs_f_fprime_batch,
-)
-from conftest import mp_f, run_cli, sample_cell
+from graphgrowth.families import log_abs_f_fprime_batch
+from conftest import enclose_cells, mp_f, run_cli, sample_cell
 
 PI = math.pi
 
@@ -288,7 +285,7 @@ def test_criterion_8_property_suites():
         half = half_box[family]
         cells = np.array([sample_cell(rng, -half, half) for _ in range(1000)])
         re_lo, re_hi, im_lo, im_hi = cells.T
-        f_lo, f_hi, fp_lo, fp_hi = bound_abs_f_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
+        f_lo, f_hi, fp_lo, fp_hi = enclose_cells(family, re_lo, re_hi, im_lo, im_hi)
         u = rng.uniform(size=(1000, 8))
         v = rng.uniform(size=(1000, 8))
         xs = re_lo[:, None] + u * (re_hi - re_lo)[:, None]

@@ -447,6 +447,15 @@ def test_growth_bad_packet_input_exit_2(args, message):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("family", ["exp", "sin-exp"])
+def test_growth_delta_refused_for_families_without_one(family):
+    # e^z takes no delta, as sin(e^z) does not; neither ignores one
+    proc = run_cli("growth", "--family", family, "--r", "2,3,4,5", "--delta", "0.01")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: delta applies only to the sin(e^(z^2)) family\n"
+
+
 def test_growth_packet_samples_exponential():
     proc = run_cli("growth", "--family", "sin-exp", "--r",
                    "6,7,8,9,10,11,12,13,14")
@@ -604,6 +613,23 @@ def test_schedule_area_lower_scales_with_a0():
     d = json.loads(proc.stdout)
     (key, count), = d["N_of_R"].items()
     assert d["area_lower_of_R"][key] == 2.0 * count
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--format", "csv", "--query-R", "abc"), "--query-R needs --format json"),
+    (("--query-R", "2.5"), "--query-R needs --format json"),
+    (("--format", "json", "--query-R", "abc"), "bad real list 'abc'"),
+    (("--format", "json", "--query-R", ""), "empty real list"),
+    (("--format", "json", "--query-R", ","), "empty real list"),
+])
+def test_schedule_query_R_is_read_or_refused(args, message):
+    # the CSV table has no N(R) column, so queries there are refused, not
+    # dropped; an empty list is refused like ",", not read as no queries
+    proc = run_cli("schedule", "--variant", "exp", "--n0", "100", "--N", "50", *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_schedule_nan_query_exit_2():

@@ -30,11 +30,10 @@ from graphgrowth.families import (
     _nudge_down,
     _nudge_up,
     _row_terms,
-    bound_abs_f_fprime_batch,
     log_abs_f_fprime_batch,
 )
 from graphgrowth.packets import _PROOF_GRID, _disk_cells, _layout
-from conftest import mp_f, mp_fprime, mp_log_abs, sample_cell
+from conftest import enclose_cells, mp_f, mp_fprime, mp_log_abs, sample_cell
 
 FAMILIES = list(GraphFamily)
 
@@ -194,7 +193,7 @@ def test_cell_enclosures_contain_samples(family, rng):
     n_cells = 1000
     cells = np.array([sample_cell(rng, -half, half) for _ in range(n_cells)])
     re_lo, re_hi, im_lo, im_hi = cells.T
-    f_lo, f_hi, fp_lo, fp_hi = bound_abs_f_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
+    f_lo, f_hi, fp_lo, fp_hi = enclose_cells(family, re_lo, re_hi, im_lo, im_hi)
 
     n_pts = 16
     u = rng.uniform(size=(n_cells, n_pts))
@@ -221,7 +220,7 @@ def test_cell_enclosures_contain_mpmath_values(family):
     half = SAFE_BOX[family]
     cells = np.array([sample_cell(rng, -half, half) for _ in range(300)])
     re_lo, re_hi, im_lo, im_hi = cells.T
-    f_lo, f_hi, fp_lo, fp_hi = bound_abs_f_fprime_batch(family, re_lo, re_hi, im_lo, im_hi)
+    f_lo, f_hi, fp_lo, fp_hi = enclose_cells(family, re_lo, re_hi, im_lo, im_hi)
     with mpmath.workdps(50):
         for i, (x0, x1, y0, y1) in enumerate(cells):
             centre = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
@@ -261,6 +260,13 @@ def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
 
+def _packet_edges(xs, ys, cells, counts):
+    """Per-cell edges (re_lo, re_hi, im_lo, im_hi) of _disk_cells' cells,
+    read from its tables through its addresses."""
+    col, row = cells
+    return (*xs[:, col], *ys[:, row])
+
+
 @pytest.mark.parametrize("family", FAMILIES)
 def test_merged_kernels_are_batch_independent(family):
     # each element's bits depend on that element alone: the full array, a
@@ -285,7 +291,7 @@ def test_merged_kernels_are_batch_independent(family):
     assert np.count_nonzero(subset) % 8 != 0
 
     for kernel, args in ((log_abs_f_fprime_batch, (x, y)),
-                         (bound_abs_f_fprime_batch, cells)):
+                         (enclose_cells, cells)):
         full = kernel(family, *args)
         part = kernel(family, *(a[subset] for a in args))
         rev = kernel(family, *(a[::-1] for a in args))
@@ -300,13 +306,14 @@ def test_merged_kernels_are_batch_independent(family):
     mirrors = {"im": lambda c: (c[0], c[1], -c[3], -c[2]),
                "re": lambda c: (-c[1], -c[0], c[2], c[3])}
     on_axis = {"im": (xlo, xhi, zero, 2.0 * h), "re": (zero, 2.0 * w, ylo, yhi)}
-    se_cells = _disk_cells(*_layout(GraphFamily.SIN_EXP, 1, 300), _PROOF_GRID)
-    sq_cells = _disk_cells(*_layout(GraphFamily.SIN_EXP_SQ, 2, 300, 0.01), _PROOF_GRID)
-    packet_box = tuple(map(np.concatenate, zip(se_cells[:4], sq_cells[:4])))
+    se_cells = _packet_edges(*_disk_cells(*_layout(GraphFamily.SIN_EXP, 1, 300), _PROOF_GRID))
+    sq_cells = _packet_edges(*_disk_cells(*_layout(GraphFamily.SIN_EXP_SQ, 2, 300, 0.01),
+                                          _PROOF_GRID))
+    packet_box = tuple(map(np.concatenate, zip(se_cells, sq_cells)))
     for axis in MIRROR_AXES[family]:
         for box in (cells, on_axis[axis], packet_box):
-            whole = bound_abs_f_fprime_batch(family, *box)
-            mirrored = bound_abs_f_fprime_batch(family, *mirrors[axis](box))
+            whole = enclose_cells(family, *box)
+            mirrored = enclose_cells(family, *mirrors[axis](box))
             for a, b in zip(whole, mirrored):
                 assert np.array_equal(_bits(a), _bits(b))
 
@@ -315,8 +322,8 @@ def test_merged_kernels_are_batch_independent(family):
 def test_kernel_stages_on_addressed_cells_match_the_whole_kernel(family):
     # cells given as (column, row) addresses into edge tables: stage 1 gives
     # |f| on every cell and stage 2, on a subset, |f'|, each with the bits
-    # of bound_abs_f_fprime_batch on the gathered edges; among the cells are
-    # ones with Re u > 700 and ones whose enclosure is trivial
+    # of both stages on per-cell tables of the gathered edges; among the
+    # cells are ones with Re u > 700 and ones whose enclosure is trivial
     rng = np.random.default_rng(20261019)
     x = np.concatenate([rng.uniform(-4.0, 4.0, 150), rng.uniform(690.0, 720.0, 30),
                         _log_uniform_coords(rng, 60)])
@@ -328,7 +335,7 @@ def test_kernel_stages_on_addressed_cells_match_the_whole_kernel(family):
     n = 3001
     col = rng.integers(0, x.size, n)
     row = np.where(col < 180, rng.integers(0, 180, n), rng.integers(0, y.size, n))
-    whole = bound_abs_f_fprime_batch(family, xs[0][col], xs[1][col], ys[0][row], ys[1][row])
+    whole = enclose_cells(family, xs[0][col], xs[1][col], ys[0][row], ys[1][row])
     cols, rows = _column_terms(family, *xs), _row_terms(family, *ys)
     f_lo, f_hi, box = _enclose_f(family, cols, rows, col, row)
     sel = np.flatnonzero(rng.uniform(size=n) < 0.3)
@@ -348,7 +355,9 @@ def test_kernel_stages_on_addressed_cells_match_the_whole_kernel(family):
 
 def _point_kernel_reference(family, zre, zim):
     """log_abs_f_fprime_batch as it was before it computed each branch
-    only where taken: every form on every point, then np.where."""
+    only where taken: every form on every point, then np.where.  Its
+    large-|Im e^u| form, big, is that branch's expression as first
+    written, with (4*osc)*osc."""
     zre = np.asarray(zre, dtype=float)
     zim = np.asarray(zim, dtype=float)
     with np.errstate(all="ignore"):
@@ -465,6 +474,29 @@ def test_point_kernel_matches_select_everything_reference(family):
                           _point_kernel_reference(family, *args))
 
 
+@pytest.mark.parametrize("family", [GraphFamily.SIN_EXP, GraphFamily.SIN_EXP_SQ])
+def test_point_kernel_large_im_block_keeps_its_bits(family):
+    # the point kernel's large-|Im e^u| block calls the large-m formula of
+    # _log_sqrt_s2_plus_sinh2, which scales osc*osc by 4 where the block
+    # once scaled osc by 4 before squaring; the reference keeps that
+    # expression, and every point here takes the block
+    rng = np.random.default_rng(20261104)
+    re_u = rng.uniform(math.log(36.0), math.log(1000.0), 100_000)
+    im_u = rng.uniform(-math.pi, math.pi, 100_000)
+    if family is GraphFamily.SIN_EXP_SQ:
+        z = np.sqrt(re_u + 1j * im_u)
+        zre, zim = z.real, z.imag
+        w_log, w_arg = zre * zre - zim * zim, 2.0 * (zre * zim)
+    else:
+        zre, zim = w_log, w_arg = re_u, im_u
+    ay = np.abs(np.exp(w_log) * np.sin(w_arg))
+    block = (ay > 36.0) & (ay <= 1000.0)
+    assert np.count_nonzero(block) > 50_000
+    zre, zim = zre[block], zim[block]
+    _assert_same_bits(log_abs_f_fprime_batch(family, zre, zim),
+                      _point_kernel_reference(family, zre, zim))
+
+
 def test_log_sqrt_s2_plus_sinh2_matches_select_everything_reference():
     rng = np.random.default_rng(20261102)
     m = np.concatenate([
@@ -547,10 +579,9 @@ def test_nudges_dominate_four_ulp_steps():
 
 
 def _one_cell(family, re_lo, re_hi, im_lo, im_hi):
-    """(f_lo, f_hi, fp_lo, fp_hi) of bound_abs_f_fprime_batch on the one
-    cell [re_lo, re_hi] x [im_lo, im_hi], as floats."""
-    out = bound_abs_f_fprime_batch(
-        family, *(np.array([v]) for v in (re_lo, re_hi, im_lo, im_hi)))
+    """(f_lo, f_hi, fp_lo, fp_hi) of the cell kernel on the one cell
+    [re_lo, re_hi] x [im_lo, im_hi], as floats."""
+    out = enclose_cells(family, *(np.array([v]) for v in (re_lo, re_hi, im_lo, im_hi)))
     return tuple(float(a[0]) for a in out)
 
 

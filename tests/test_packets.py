@@ -32,7 +32,7 @@ from graphgrowth import (
 from graphgrowth import packets, quadrature
 from graphgrowth.packets import DELTA_MAX, F_TARGET, fprime_target
 
-from conftest import run_cli
+from conftest import enclose_cells, run_cli
 
 PI = math.pi
 
@@ -202,7 +202,7 @@ def _extrema_on_cells(p, xlo, xhi, ylo, yhi):
     keep = (packets._nudge_down(dx * dx + dy * dy)
             <= packets._nudge_up(p.radius * p.radius))
     cells = xlo[keep], xhi[keep], ylo[keep], yhi[keep]
-    _, f_hi, fp_lo, _ = packets.bound_abs_f_fprime_batch(p.family, *cells)
+    _, f_hi, fp_lo, _ = enclose_cells(p.family, *cells)
     max_f = float(packets._nudge_up(np.exp(np.max(f_hi))))
     min_fp = float(np.maximum(packets._nudge_down(np.exp(np.min(fp_lo))), 0.0))
     return max_f, min_fp
@@ -240,7 +240,9 @@ def test_disk_cells_cover_disk_exactly(family, n_lo, delta):
     # cover the closed disk.
     grid = packets._PROOF_GRID
     centers, radii = packets._layout(family, n_lo, 3000, delta)
-    xlo, xhi, ylo, yhi, counts = packets._disk_cells(centers, radii, grid)
+    col_edges, row_edges, (col, row), counts = packets._disk_cells(centers, radii, grid)
+    xlo, xhi = col_edges[:, col]
+    ylo, yhi = row_edges[:, row]
     ends = np.cumsum(counts).tolist()
     uncovered = []
     for n, c, r, end, count in zip(range(n_lo, 3001), centers.tolist(),

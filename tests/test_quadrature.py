@@ -24,7 +24,6 @@ from graphgrowth import (
 from graphgrowth import quadrature
 from graphgrowth.families import (
     MIRROR_AXES,
-    bound_abs_f_fprime_batch,
     log_abs_f_fprime_batch,
 )
 from graphgrowth.quadrature import (
@@ -34,6 +33,7 @@ from graphgrowth.quadrature import (
     _split4,
     _sum_down,
 )
+from conftest import enclose_cells
 
 
 def lower_cfg(depth=10, **kw):
@@ -83,7 +83,7 @@ def test_classify_overflow_cell_unknown():
 def test_classify_near_trivial_cell_is_exactly_unknown():
     # the cell meets the disk |z| <= 800, so its distance alone proves
     # nothing, and e^720 overflows, so the enclosure is trivial
-    f_lo, f_hi, _, _ = bound_abs_f_fprime_batch(GraphFamily.SIN_EXP, *(
+    f_lo, f_hi, _, _ = enclose_cells(GraphFamily.SIN_EXP, *(
         np.array([v]) for v in (720.0, 721.0, 0.0, 1.0)))
     assert np.isneginf(f_lo[0]) and np.isposinf(f_hi[0])
     assert _classify_one(GraphFamily.SIN_EXP, 800.0, 720.0, 721.0, 0.0, 1.0) == (False, True)
@@ -233,7 +233,7 @@ def _reference_classify(family, r, xlo, xhi, ylo, yhi):
     out[far] = _OUTSIDE
     fp_lo_log = np.full(xlo.shape, -np.inf)
     near = np.flatnonzero(~far)
-    f_lo_log, f_hi_log, fp_lo_log[near], _ = bound_abs_f_fprime_batch(
+    f_lo_log, f_hi_log, fp_lo_log[near], _ = enclose_cells(
         family, xlo[near], xhi[near], ylo[near], yhi[near])
     with np.errstate(over="ignore"):
         f_lo2 = np.where(np.isneginf(f_lo_log), 0.0, np.exp(2.0 * f_lo_log))
