@@ -301,7 +301,8 @@ def _generate_samples(args: argparse.Namespace) -> list[GrowthSample]:
         if args.delta is not None:
             raise ValueError("delta applies only to the sin(e^(z^2)) family")
         # the fit and the witness read area_lower alone
-        cfg = QuadConfig(mode=QuadMode.LOWER_BOUND, max_depth=args.max_depth)
+        depth = 12 if args.max_depth is None else args.max_depth
+        cfg = QuadConfig(mode=QuadMode.LOWER_BOUND, max_depth=depth)
         return [
             GrowthSample(
                 r=r,
@@ -323,6 +324,12 @@ def _generate_samples(args: argparse.Namespace) -> list[GrowthSample]:
 
 def _cmd_growth(args: argparse.Namespace) -> int:
     if args.input is not None:
+        # the flags that generate samples are refused, not ignored
+        for flag, value in (("--family", args.family), ("--r", args.r),
+                            ("--delta", args.delta), ("--max-depth", args.max_depth),
+                            ("--allow-large-r", args.allow_large_r or None)):
+            if value is not None:
+                raise ValueError(f"{flag} applies to generated samples, not to --input")
         samples = _read_samples_csv(args.input)
     elif args.family is not None and args.r is not None:
         samples = _generate_samples(args)
@@ -605,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_growth.add_argument("--family", default=None)
     p_growth.add_argument("--r", default=None, help="comma-separated radii")
     p_growth.add_argument("--delta", type=float, default=None)
-    p_growth.add_argument("--max-depth", type=int, default=12)
+    p_growth.add_argument("--max-depth", type=int, default=None)
     p_growth.add_argument("--allow-large-r", action="store_true")
     p_growth.add_argument("--model",
                           choices=("polynomial", "exponential", "gaussian"),

@@ -246,11 +246,10 @@ def log_abs_f_fprime_batch(family: GraphFamily, zre: np.ndarray, zim: np.ndarray
         other = osc[::-1]
         out = np.log(np.hypot(osc * np.cosh(ay_small), other * np.sinh(ay_small)))
 
+        # past |Im w| = 36 the magnitude is |Im w| - log 2 to the last bit
+        # (see _log_sqrt_s2_plus_sinh2); far points are overwritten below
+        out = np.where(ay <= _ASYMPTOTIC_IM, out, ay - LOG2)
         far = ~(w_log <= _MAX_PLAIN_EXPONENT)
-        asym = ~(ay <= _ASYMPTOTIC_IM) & ~far  # far points are overwritten below
-        if asym.any():
-            osc_a = osc[:, asym]
-            out[:, asym] = _log_sqrt_s2_plus_sinh2_large(osc_a * osc_a, ay[asym])
         if far.any():
             # e^u not plain-representable: magnitude via log|Im e^u| =
             # Re u + log|sin Im u|, the same for sin and cos.  Where
@@ -369,27 +368,16 @@ def _interval_prod(alo, ahi, blo, bhi):
 def _log_sqrt_s2_plus_sinh2(s2: np.ndarray, m: np.ndarray) -> np.ndarray:
     """0.5*log(s2 + sinh(m)^2) without overflow; s2 in [0,1], m >= 0.
 
-    s2 has m's shape, or m's shape behind leading axes.  The large-m form
-    (m > 36, or NaN) is computed only where its mask selects it, as in
-    log_abs_f_fprime_batch.
+    s2 has m's shape, or m's shape behind leading axes.  For m > 36 (or
+    NaN) the value is m - log 2 + 0.5*log1p(corr) with |corr| < 1.1e-31,
+    far below half an ulp of m - log 2, so it is m - log 2 to the last bit.
     """
     with np.errstate(divide="ignore", over="ignore", under="ignore", invalid="ignore"):
         m_small = np.minimum(m, _ASYMPTOTIC_IM)
         sh = np.sinh(m_small)
         v = s2 + sh * sh
-        out = np.where(v > 0.0, 0.5 * np.log(v), -np.inf)
-        large = ~(m <= _ASYMPTOTIC_IM)
-        if large.any():
-            out[..., large] = _log_sqrt_s2_plus_sinh2_large(s2[..., large], m[large])
-        return out
-
-
-def _log_sqrt_s2_plus_sinh2_large(s2, m):
-    """0.5*log(s2 + sinh(m)^2) for m > 36, the large-|Im w| form of both
-    log_abs_f_fprime_batch and _log_sqrt_s2_plus_sinh2."""
-    m_clip = np.minimum(m, 400.0)
-    corr = (4.0 * s2 - 2.0) * np.exp(-2.0 * m_clip) + np.exp(-4.0 * m_clip)
-    return m - LOG2 + 0.5 * np.log1p(corr)
+        small = np.where(v > 0.0, 0.5 * np.log(v), -np.inf)
+        return np.where(m <= _ASYMPTOTIC_IM, small, m - LOG2)
 
 
 def _square_range(lo, hi):

@@ -15,29 +15,26 @@ inputs here are math.log values, once per sample; the schedule trend
 fits correctly rounded logs (_crmath).
 
 Its five sums (of X, Y, X^2, XY and Y^2, with each value written as an
-integer times a power of two) are exact integers computed in numpy, a
-chunk of at most _FIT_CHUNK = 2**14 terms at a time, by one of two
-paths; no float64 sum on either path reaches 2**53, so each addition is
-exact and the order does not matter.
+integer times a power of two) are exact integers, taken a chunk of at
+most _FIT_CHUNK = 2**14 terms at a time by one of two paths.
 
-  Gram path: when the nonzero x, and the nonzero y, of a chunk each lie
-  within _GRAM_SPAN = 10 binades, each value is X = x * 2**(53 - e),
-  e the chunk's lowest frexp exponent, an integer below 2**63 split into
-  four 16-bit limbs (three unsigned, the top one signed).  A limb
-  product is below 2**32, so a sum of limbs (SX, SY) is below 2**30 and
-  each entry of the limb Gram products (SXX, SXY, SYY from one BLAS
-  matrix product) is an integer below 2**46, whatever order BLAS adds in.
+  Gram path: each column is scaled to X = x * 2**(53 - e), e its lowest
+  frexp exponent.  Where that leaves k > 0 bits past 2**63, e rises by
+  k if k <= 52 and every X stays an integer.  When both columns of a
+  chunk scale so to integers below 2**63, each is split into four 16-bit
+  limbs (three unsigned, the top one signed).  A limb product is below
+  2**32, so a sum of limbs (SX, SY) is below 2**30 and each entry of the
+  limb Gram products (SXX, SXY, SYY from one BLAS matrix product) is an
+  integer below 2**46, whatever order BLAS adds in: no float64 sum
+  reaches 2**53, so each addition is exact.
 
-  Bincount path: any wider chunk writes X = M * 2**(e_i - min e) from
-  its int64 frexp mantissa |M| < 2**53, split into three 18-bit limbs,
-  two unsigned and the top one signed.  A limb product is below 2**36,
-  a column of products of equal limb weight below 3 * 2**36, and
-  np.bincount sums each column per exponent, so every bin is an integer
-  below 3 * 2**50 < 2**52.
+  Python path: any other chunk writes X = M * 2**(e_i - min e) from its
+  frexp mantissas |M| < 2**53 as Python ints.  Its sums are taken term
+  by term, exactly.
 
-Either way the chunk's integer sums are folded into Python ints.  No
-transcendental and no SIMD-dependent rounding is involved, so the fit
-is portable as well as exact.
+Either way the chunk's sums are Python ints.  No transcendental and no
+SIMD-dependent rounding is involved, so the fit is portable as well as
+exact.
 
 witness_constants then turns a fit into a checked inequality
 
@@ -132,10 +129,9 @@ class GrowthFit:
 
 
 # Terms per chunk of _least_squares, and the widest exponent range of a
-# chunk on the Gram path (the bounds in the module docstring)
+# column whose integers at its lowest exponent stay below 2**63
 _FIT_CHUNK = 1 << 14
 _GRAM_SPAN = 10
-_LIMB = (1 << 18) - 1
 _LIMB16 = (1 << 16) - 1
 _SUM_SHIFTS = [16 * j for j in range(4)]
 _GRAM_SHIFTS = [16 * (j + k) for j in range(4) for k in range(4)]
@@ -154,23 +150,37 @@ def _binades(v: np.ndarray) -> tuple[int, int]:
     return math.frexp(bottom)[1], math.frexp(top)[1]
 
 
-def _gram_limbs(v: np.ndarray, low: int, out: np.ndarray) -> None:
-    """out[j] = L_j of the integers X = v * 2**(53 - low) = L0 + L1*2**16
-    + L2*2**32 + L3*2**48 below 2**63: L0..L2 in [0, 2**16), L3 in
-    [-2**15, 2**15)."""
-    m = np.ldexp(v, 53 - low).astype(np.int64)
+def _gram_integers(v: np.ndarray) -> tuple[np.ndarray, int] | None:
+    """(v * 2**(53 - e) as int64, e) for the lowest e at which every value
+    of v is below 2**63 in magnitude, or None when that e is more than
+    52 above v's lowest frexp exponent or leaves a value that is not an
+    integer."""
+    low, top = _binades(v)
+    # bits past 2**63 at the lowest exponent; past 52 the smallest nonzero
+    # value would fall below 1 (and ldexp could underflow)
+    k = max(top - low - _GRAM_SPAN, 0)
+    if k > 52:
+        return None
+    scaled = np.ldexp(v, 53 - low - k)
+    if k and not (np.trunc(scaled) == scaled).all():
+        return None
+    return scaled.astype(np.int64), low + k
+
+
+def _gram_limbs(m: np.ndarray, out: np.ndarray) -> None:
+    """out[j] = L_j of the int64 m = L0 + L1*2**16 + L2*2**32 + L3*2**48:
+    L0..L2 in [0, 2**16), L3 in [-2**15, 2**15)."""
     for j in range(3):
         np.bitwise_and(m >> 16 * j, _LIMB16, out=out[j], casting="unsafe")
     np.right_shift(m, 48, out=out[3], casting="unsafe")
 
 
-def _gram_sums(x: np.ndarray, y: np.ndarray, low_x: int, low_y: int) -> list[int]:
-    """[SX, SY, SXX, SXY, SYY] over X = x * 2**(53 - low_x) and
-    Y = y * 2**(53 - low_y), each below 2**63, from limb sums and one
+def _gram_sums(x: np.ndarray, y: np.ndarray) -> list[int]:
+    """[SX, SY, SXX, SXY, SYY] over int64 x and y, from limb sums and one
     Gram product (every float64 sum an integer below 2**46)."""
     z = np.empty((8, x.size))
-    _gram_limbs(x, low_x, z[:4])
-    _gram_limbs(y, low_y, z[4:])
+    _gram_limbs(x, z[:4])
+    _gram_limbs(y, z[4:])
     s = z.sum(axis=1).astype(np.int64).tolist()
     g = z @ z.T
     return [_weigh(s[:4], _SUM_SHIFTS), _weigh(s[4:], _SUM_SHIFTS),
@@ -183,49 +193,26 @@ def _weigh(terms: list[int], shifts: list[int]) -> int:
     return sum(map(operator.lshift, terms, shifts))
 
 
-def _limbs(mant: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """frexp mantissas as integers M = L0 + L1*2**18 + L2*2**36 below 2**53,
-    split into float64 limbs: L0, L1 in [0, 2**18), L2 in [-2**17, 2**17)."""
-    m = (mant * 2.0**53).astype(np.int64)
-    return ((m & _LIMB).astype(float), ((m >> 18) & _LIMB).astype(float),
-            (m >> 36).astype(float))
-
-
-def _limb_products(a, b) -> tuple[np.ndarray, ...]:
-    """Columns c = 0..4 of the limb products a_j*b_k with j + k = c."""
-    a0, a1, a2 = a
-    b0, b1, b2 = b
-    return (a0 * b0, a0 * b1 + a1 * b0, a0 * b2 + a1 * b1 + a2 * b0,
-            a1 * b2 + a2 * b1, a2 * b2)
-
-
-def _fold(shift: np.ndarray, columns) -> int:
-    """Sum over c and i of columns[c][i] * 2**(18*c + shift[i]), exactly.
-
-    Every bin of each bincount is an integer below 2**52 (see the module
-    docstring), so its float64 sum is exact in any order."""
-    bins = np.stack([np.bincount(shift, weights=column) for column in columns])
-    column, at = np.nonzero(bins)
-    return sum(map(operator.lshift, bins[column, at].astype(np.int64).tolist(),
-                   (at + 18 * column).tolist()))
+def _python_ints(v: np.ndarray) -> tuple[list[int], int]:
+    """The integers v * 2**(53 - e) as Python ints, and e, the lowest
+    frexp exponent of v (a zero's 0 included)."""
+    mant, exp = np.frexp(v)
+    low = int(exp.min())
+    ints = (mant * 2.0**53).astype(np.int64).tolist()
+    return list(map(operator.lshift, ints, (exp - low).tolist())), low
 
 
 def _chunk_sums(x: np.ndarray, y: np.ndarray) -> tuple[list[int], int, int]:
     """([SX, SY, SXX, SXY, SYY], low_x, low_y) of one chunk, over the
     integers X = x * 2**(53 - low_x) and Y = y * 2**(53 - low_y): from
-    _gram_sums when both columns span at most _GRAM_SPAN binades, else
-    from bincount folds of the frexp mantissas."""
-    (low_x, top_x), (low_y, top_y) = _binades(x), _binades(y)
-    if top_x - low_x <= _GRAM_SPAN and top_y - low_y <= _GRAM_SPAN:
-        return _gram_sums(x, y, low_x, low_y), low_x, low_y
-    mx, ex = np.frexp(x)
-    my, ey = np.frexp(y)
-    low_x, low_y = int(ex.min()), int(ey.min())  # a zero's exponent 0 included
-    dx = (ex - low_x).astype(np.intp)
-    dy = (ey - low_y).astype(np.intp)
-    X, Y = _limbs(mx), _limbs(my)
-    sums = [_fold(dx, X), _fold(dy, Y), _fold(2 * dx, _limb_products(X, X)),
-            _fold(dx + dy, _limb_products(X, Y)), _fold(2 * dy, _limb_products(Y, Y))]
+    _gram_sums when both columns are integers below 2**63 at one scale,
+    else term by term over Python ints."""
+    gram_x, gram_y = _gram_integers(x), _gram_integers(y)
+    if gram_x is not None and gram_y is not None:
+        return _gram_sums(gram_x[0], gram_y[0]), gram_x[1], gram_y[1]
+    (X, low_x), (Y, low_y) = _python_ints(x), _python_ints(y)
+    sums = [sum(X), sum(Y), sum(map(operator.mul, X, X)),
+            sum(map(operator.mul, X, Y)), sum(map(operator.mul, Y, Y))]
     return sums, low_x, low_y
 
 
@@ -291,7 +278,7 @@ def _model_coord(model: GrowthModel, rs: Sequence[float]) -> list[float]:
     return [r * r for r in rs]
 
 
-def _fit(samples: Sequence[GrowthSample], model: GrowthModel, use_estimate: bool):
+def _fit(samples: Sequence[GrowthSample], model: GrowthModel):
     """The fit with the coordinates it was made in: (fit, rs, x, y)."""
     if len(samples) < MIN_SAMPLES:
         raise InsufficientSamplesError(
@@ -300,9 +287,7 @@ def _fit(samples: Sequence[GrowthSample], model: GrowthModel, use_estimate: bool
     rs = [float(s.r) for s in samples]
     if not all(map(operator.lt, rs, rs[1:])):
         raise ValueError("samples must be sorted by strictly increasing r")
-    areas = [s.area_estimate if use_estimate else s.area_lower for s in samples]
-    if any(a is None for a in areas):
-        raise ValueError("use_estimate requires every sample to carry an estimate")
+    areas = [s.area_lower for s in samples]
     if not all(a > 0 for a in areas):
         raise NonPositiveAreaError("all areas must be strictly positive")
     x = _model_coord(model, rs)
@@ -312,22 +297,20 @@ def _fit(samples: Sequence[GrowthSample], model: GrowthModel, use_estimate: bool
     return fit, rs, x, y
 
 
-def fit_growth(samples: Sequence[GrowthSample], model: GrowthModel,
-               use_estimate: bool = False) -> GrowthFit:
+def fit_growth(samples: Sequence[GrowthSample], model: GrowthModel) -> GrowthFit:
     """Least-squares fit of one growth model in linearizing coordinates.
 
     rate is the slope (the exponent p for POLYNOMIAL, the rate c
     otherwise); log_intercept is the fitted log C.
     """
-    return _fit(samples, model, use_estimate)[0]
+    return _fit(samples, model)[0]
 
 
 # Tie preference when residuals coincide: simpler model wins.
 _MODEL_ORDER = (GrowthModel.POLYNOMIAL, GrowthModel.EXPONENTIAL, GrowthModel.GAUSSIAN)
 
 
-def classify_growth(samples: Sequence[GrowthSample],
-                    use_estimate: bool = False) -> GrowthFit:
+def classify_growth(samples: Sequence[GrowthSample]) -> GrowthFit:
     """Of the models that can be fit, the one with smallest RMS residual.
 
     A model is skipped when its coordinates or fit leave the double
@@ -336,7 +319,7 @@ def classify_growth(samples: Sequence[GrowthSample],
     fits, errors = [], []
     for model in _MODEL_ORDER:
         try:
-            fits.append(fit_growth(samples, model, use_estimate))
+            fits.append(fit_growth(samples, model))
         except ValueError as exc:
             errors.append(exc)
     if not fits:
@@ -344,8 +327,8 @@ def classify_growth(samples: Sequence[GrowthSample],
     return min(fits, key=operator.attrgetter("residual_rms"))
 
 
-def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
-                      use_estimate: bool = False) -> tuple[float, float]:
+def witness_constants(samples: Sequence[GrowthSample],
+                      model: GrowthModel) -> tuple[float, float]:
     """Largest grid rate c (and earliest onset r0) with a verified bound.
 
     Fixes C = exp(fitted log_intercept) and returns (c, r0) where c is
@@ -358,7 +341,7 @@ def witness_constants(samples: Sequence[GrowthSample], model: GrowthModel,
     Raises NoWitnessError when no positive grid rate works even from the
     last sample onward.
     """
-    fit, rs, m, y = _fit(samples, model, use_estimate)
+    fit, rs, m, y = _fit(samples, model)
     log_c_const = fit.log_intercept
     m, y = np.array(m), np.array(y)
     if np.any(m <= 0):

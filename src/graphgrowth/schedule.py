@@ -342,12 +342,6 @@ def _thickened_outer_radii(schedule: Schedule) -> np.ndarray:
     return schedule.r[1:] + schedule.eta
 
 
-def _count_stages_below(T: np.ndarray, R: float) -> int:
-    """max{n : T_n <= R} (stages indexed from 1), 0 when none qualify."""
-    hits = np.flatnonzero(T <= R)
-    return int(hits[-1]) + 1 if hits.size else 0
-
-
 def queryable_range(schedule: Schedule) -> tuple[float, float]:
     """Radii between which stage counting is informative (1 <= N(R) <= N)."""
     T = _thickened_outer_radii(schedule)
@@ -379,12 +373,12 @@ def diagnostics(schedule: Schedule, cfg: ScheduleConfig,
     partial.flags.writeable = False
     tail_start = (3 * len(schedule)) // 4
 
-    n_of_r: dict[float, int] = {}
-    area_of_r: dict[float, float] = {}
-    for R in radii_query:
-        count = _count_stages_below(T, R)
-        n_of_r[float(R)] = count
-        area_of_r[float(R)] = cfg.a0 * count
+    # max{n : T_n <= R} (stages from 1, 0 when none qualify) is the number
+    # of suffix minima of T at most R, which are nondecreasing
+    suffix_min = np.minimum.accumulate(T[::-1])[::-1]
+    counts = np.searchsorted(suffix_min, radii_query, side="right").tolist()
+    n_of_r = dict(zip(map(float, radii_query), counts))
+    area_of_r = {R: cfg.a0 * count for R, count in n_of_r.items()}
 
     return ScheduleDiagnostics(
         sigma_partial_sums=partial,

@@ -532,6 +532,26 @@ def test_growth_input_reads_only_r_and_area_lower(tmp_path, capsys):
     assert json.loads(outputs["plain"])["model"] == "polynomial"
 
 
+@pytest.mark.parametrize("args, flag", [
+    (("--family", "exp"), "--family"),
+    (("--r", "9"), "--r"),
+    (("--delta", "0.01"), "--delta"),
+    (("--max-depth", "12"), "--max-depth"),
+    (("--allow-large-r",), "--allow-large-r"),
+    (("--model", "exponential", "--family", "exp", "--r", "9", "--delta", "0.01"), "--family"),
+])
+def test_growth_input_refuses_generating_flags(tmp_path, args, flag):
+    # --input replaces the generated samples, so the flags that generate
+    # them are refused, not ignored (--model still applies)
+    src = tmp_path / "s.csv"
+    src.write_text("r,area_lower\n2,1\n3,2\n4,4\n5,8\n")
+    proc = run_cli("growth", "--input", str(src), *args)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {flag} applies to generated samples, not to --input\n"
+    assert "Traceback" not in proc.stderr
+
+
 def test_growth_rejects_bad_csv(tmp_path):
     src = tmp_path / "bad.csv"
     src.write_text("x,y\n1,2\n")

@@ -476,10 +476,10 @@ def test_point_kernel_matches_select_everything_reference(family):
 
 @pytest.mark.parametrize("family", [GraphFamily.SIN_EXP, GraphFamily.SIN_EXP_SQ])
 def test_point_kernel_large_im_block_keeps_its_bits(family):
-    # the point kernel's large-|Im e^u| block calls the large-m formula of
-    # _log_sqrt_s2_plus_sinh2, which scales osc*osc by 4 where the block
-    # once scaled osc by 4 before squaring; the reference keeps that
-    # expression, and every point here takes the block
+    # the point kernel's large-|Im e^u| block is |Im e^u| - log 2, whose
+    # log1p correction never moves a bit; the reference keeps the
+    # correction with osc scaled by 4 before squaring, and every point
+    # here takes the block
     rng = np.random.default_rng(20261104)
     re_u = rng.uniform(math.log(36.0), math.log(1000.0), 100_000)
     im_u = rng.uniform(-math.pi, math.pi, 100_000)

@@ -28,6 +28,7 @@ from graphgrowth import (
 )
 from graphgrowth import growth
 from graphgrowth.growth import _least_squares
+from graphgrowth.schedule import RadiiVariant, ScheduleConfig, build_schedule
 
 
 def synth(fn, rs):
@@ -262,14 +263,6 @@ def test_sample_validation():
         GrowthSample(r=1.0, area_lower=-0.5)
 
 
-def test_use_estimate_flag():
-    samples = [GrowthSample(r=float(k), area_lower=1.0,
-                            area_estimate=math.exp(2.0 * k))
-               for k in range(1, 6)]
-    fit = fit_growth(samples, GrowthModel.EXPONENTIAL, use_estimate=True)
-    assert fit.rate == pytest.approx(2.0, abs=1e-9)
-
-
 def test_growth_fit_validation():
     with pytest.raises(ValueError):
         GrowthFit(model=GrowthModel.EXPONENTIAL, rate=float("inf"),
@@ -332,12 +325,13 @@ _EDGE_VALUES = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
 _FIT_KINDS = ("logs", "normal", "spread", "edge", "binades")
 
 # (lowest binary exponent, span) of x and of y in each chunk of
-# growth._FIT_CHUNK values, cycled; None is a chunk of zeros.  A chunk
-# whose two spans are both at most 10 takes the Gram path.
+# growth._FIT_CHUNK values, cycled; None is a chunk of zeros.  With random
+# mantissas, a chunk takes the Gram path exactly when its two spans are
+# both at most 10.
 _BINADE_CHUNKS = (
     ((-60, 10), (5, 10)),  # both exactly 10: Gram
-    ((5, 10), (-3, 11)),  # y exactly 11: bincount
-    ((-1020, 11), (0, 10)),  # x exactly 11: bincount
+    ((5, 10), (-3, 11)),  # y exactly 11: Python ints
+    ((-1020, 11), (0, 10)),  # x exactly 11: Python ints
     ((-1070, 3), (900, 10)),  # subnormal x: Gram after a wide chunk
     ((40, 11), (-40, 11)),
     ((0, 0), None),
@@ -392,7 +386,7 @@ def _fit_inputs(kind, n, rng):
 @pytest.mark.parametrize("n", [2, 2**14 - 1, 2**14, 2**14 + 1, 100_000])
 @pytest.mark.parametrize("kind", _FIT_KINDS)
 def test_least_squares_matches_python_int_reference(kind, n):
-    # the limb/bincount sums are the reference's integers, so the rounded
+    # the Gram and Python-int sums are the reference's integers, so the rounded
     # slope, intercept and rms are identical, overflow to +-inf included
     rng = np.random.default_rng([n, _FIT_KINDS.index(kind)])
     x, y = _fit_inputs(kind, n, rng)
@@ -401,13 +395,21 @@ def test_least_squares_matches_python_int_reference(kind, n):
     assert _least_squares(x.tolist(), y.tolist()) == want
 
 
-def test_least_squares_gram_path_within_ten_binades(monkeypatch):
-    # the Gram path takes exactly the chunks whose x and y each span at
-    # most 10 binades (a chunk of zeros spans none); the others bincount
+def _spy_gram_sums(monkeypatch):
+    """The sizes of the chunks growth._gram_sums is called on, as they come."""
     gram = []
     sums = growth._gram_sums
     monkeypatch.setattr(growth, "_gram_sums",
                         lambda x, *rest: gram.append(x.size) or sums(x, *rest))
+    return gram
+
+
+def test_least_squares_gram_path_takes_integer_columns(monkeypatch):
+    # the Gram path takes exactly the chunks whose x and y are each
+    # integers below 2**63 at one power of two (a chunk of zeros is); with
+    # random 53-bit mantissas that needs a span of at most 10 binades, and
+    # the other chunks are summed over Python ints
+    gram = _spy_gram_sums(monkeypatch)
     n = 100_000
     x, y = _binade_inputs(n, np.random.default_rng(7))
     assert _least_squares(x, y) == _least_squares_reference(x.tolist(), y.tolist())
@@ -416,6 +418,30 @@ def test_least_squares_gram_path_within_ten_binades(monkeypatch):
     narrow = [all(spec is None or spec[1] <= 10 for spec in pair) for pair in specs]
     assert gram == [size for size, ok in zip(sizes, narrow) if ok]
     assert 0 < len(gram) < len(sizes)
+
+
+def test_least_squares_plot_fit_takes_the_gram_path(monkeypatch):
+    # the schedule plot fits r_n against the stage numbers n = 1..10**5,
+    # whose first chunk spans 15 binades but holds integers: every chunk
+    # is a Gram product
+    gram = _spy_gram_sums(monkeypatch)
+    n = 100_000
+    sched = build_schedule(ScheduleConfig(RadiiVariant.GAUSSIAN_RADII, N=n, n0=1))
+    x, y = np.arange(1.0, n + 1), sched.r[:n]
+    assert _least_squares(x, y) == _least_squares_reference(x.tolist(), y.tolist())
+    assert gram == [min(growth._FIT_CHUNK, n - lo) for lo in range(0, n, growth._FIT_CHUNK)]
+
+
+# integers 70 binades apart (60 bits past 2**63), and 21 binades whose
+# 1 + 2**-52 is no integer once scaled down by the 10 bits past 2**63
+@pytest.mark.parametrize("column", [[1.0, 2.0**70, 3.0, 5.0],
+                                    [1.0 + 2.0**-52, 2.0**20, 3.0, 5.0]])
+def test_least_squares_wide_columns_take_python_ints(monkeypatch, column):
+    gram = _spy_gram_sums(monkeypatch)
+    other = [0.5, 1.0, 2.0, 4.0]
+    for x, y in ((column, other), (other, column)):
+        assert _least_squares(x, y) == _least_squares_reference(x, y)
+    assert gram == []
 
 
 @pytest.mark.parametrize("x", [[3.0, 3.0], [0.0, -0.0, 0.0], [5e-324] * 5])

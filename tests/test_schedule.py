@@ -373,6 +373,24 @@ def test_n_of_r_definition(exp_100):
     assert diag.N_of_R[Rq] == 50
 
 
+@pytest.mark.parametrize("variant", list(RadiiVariant))
+def test_n_of_r_is_the_last_stage_within_R(variant):
+    # n0 = 1 leaves T_n = r_{n+1} + eta_n unsorted over the first stages;
+    # the count is max{n : T_n <= R} all the same, a Python int
+    cfg = ScheduleConfig(variant, N=2000, n0=1)
+    rows = build_schedule(cfg)
+    T = rows.r[1:] + rows.eta
+    assert (np.diff(T) < 0).any()
+    rng = np.random.default_rng(29)
+    grid = np.concatenate([T, np.nextafter(T, -np.inf), [np.inf, -np.inf, -1.0, 0.0],
+                           rng.uniform(T.min() - 1, T.max() + 1, 500)]).tolist()
+    diag = diagnostics(rows, cfg, grid)
+    for R in grid:
+        hits = np.flatnonzero(T <= R)
+        want = int(hits[-1]) + 1 if hits.size else 0
+        assert type(diag.N_of_R[R]) is int and diag.N_of_R[R] == want
+
+
 def test_area_lower_equals_quantum_times_count(exp_100):
     cfg, rows = exp_100
     lo, hi = queryable_range(rows)
